@@ -56,14 +56,15 @@ class MaskedBaseline:
             # A freshly opened stream has every baseline node present; a
             # *restored* one may not — no-insert baseline nodes removed
             # since the stream opened start life in the missing ledger.
-            mask = 0
+            present: list[int] = []
             missing: set[int] = set()
             for node in answers:
                 if node.nid in idx and idx.label(node.nid) == node.label:
-                    mask |= 1 << idx.pre(node.nid)
+                    present.append(idx.pre(node.nid))
                 else:
                     missing.add(node.nid)
-            self._entries.append([constraint, labels, mask, missing])
+            self._entries.append(
+                [constraint, labels, idx.pack_slots(present), missing])
 
     def sync(self) -> None:
         """Catch the masks up with the snapshot's applied edits."""
@@ -87,10 +88,11 @@ class MaskedBaseline:
                 for nid in delta.added:
                     if nid in missing:
                         revived.add(nid)
-            for nid in revived:
-                if nid in idx and idx.label(nid) == labels[nid]:
-                    mask |= 1 << idx.pre(nid)
-                    missing.discard(nid)
+            back = [nid for nid in revived
+                    if nid in idx and idx.label(nid) == labels[nid]]
+            if back:
+                missing.difference_update(back)
+                mask |= idx.pack_slots(map(idx.pre, back))
             entry[2] = mask
 
     _sync = sync  # the historical internal name, kept for callers
@@ -100,14 +102,14 @@ class MaskedBaseline:
         idx = self._ctx.index
         for entry in self._entries:
             _, labels, _, missing = entry
-            mask = 0
+            present: list[int] = []
             missing.clear()
             for nid, label in labels.items():
                 if nid in idx and idx.label(nid) == label:
-                    mask |= 1 << idx.pre(nid)
+                    present.append(idx.pre(nid))
                 else:
                     missing.add(nid)
-            entry[2] = mask
+            entry[2] = idx.pack_slots(present)
 
     def entries(self) -> list[BaselineEntry]:
         """The synced per-constraint entries, in constraint order.

@@ -24,6 +24,10 @@ Robustness contract, pinned by ``tests/server``:
 * **bounded backpressure** — at most ``max_inflight`` requests execute
   at once; excess requests are refused immediately with an
   ``ErrorResponse`` rather than queued without bound;
+* **no silent failure** — a request whose handling raises anything but a
+  :class:`~repro.errors.ReproError` is still answered, with a typed
+  ``ErrorResponse`` (``details={"internal": True}``), logged and counted
+  in ``server.internal_errors_total``;
 * **graceful shutdown** — :meth:`close` stops accepting, lets every
   in-flight request finish (draining the per-document queues), flushes
   the journal and only then closes the transports; :meth:`abort` is the
@@ -40,11 +44,13 @@ Robustness contract, pinned by ``tests/server``:
 from __future__ import annotations
 
 import asyncio
+import logging
 from pathlib import Path
 from time import perf_counter
 
 from repro.errors import ReproError, ServerError
 from repro.obs import registry as _obs_registry, tracing
+from repro.obs.registry import Counter, Histogram
 from repro.server.framing import read_frame, write_frame
 from repro.server.journal import RecoveryReport, ServerJournal
 from repro.service.async_service import AsyncService
@@ -56,6 +62,8 @@ from repro.service.protocol import (
 )
 from repro.service.service import ConstraintService
 from repro.service.store import DocumentStore
+
+_logger = logging.getLogger("repro.server")
 
 
 class ReproServer:
@@ -90,6 +98,10 @@ class ReproServer:
         self._m_frame_errors = m.counter("server.frame_errors_total")
         self._m_timeouts = m.counter("server.timeouts_total")
         self._m_overloads = m.counter("server.overload_total")
+        self._m_internal_errors = m.counter("server.internal_errors_total")
+        # Per-kind (requests_total, request_seconds) pairs, resolved on a
+        # kind's first request and held, never looked up per request.
+        self._m_by_kind: dict[str, tuple[Counter, Histogram]] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -358,14 +370,29 @@ class ReproServer:
             except ReproError as err:
                 response = ErrorResponse(error=type(err).__name__,
                                          message=str(err))
+            except Exception as err:
+                # A handler bug must not kill this task silently: the
+                # client would wait forever for its response.
+                self._m_internal_errors.inc()
+                _logger.error("internal error serving a %r request",
+                              request.kind, exc_info=err)
+                response = ErrorResponse(
+                    error=type(err).__name__,
+                    message=f"internal error while serving the request: "
+                            f"{err}",
+                    details={"internal": True})
         finally:
             self._inflight -= 1
             self._m_inflight.set(self._inflight)
-            self._metrics.counter(
-                "server.requests_total", kind=request.kind).inc()
-            self._metrics.histogram(
-                "server.request_seconds", kind=request.kind).observe(
-                perf_counter() - started)
+            instruments = self._m_by_kind.get(request.kind)
+            if instruments is None:
+                instruments = self._m_by_kind[request.kind] = (
+                    self._metrics.counter("server.requests_total",
+                                          kind=request.kind),
+                    self._metrics.histogram("server.request_seconds",
+                                            kind=request.kind))
+            instruments[0].inc()
+            instruments[1].observe(perf_counter() - started)
         await self._send(writer, lock, envelope_id, response, trace=trace)
 
     async def _send(self, writer, lock, envelope_id, response,

@@ -126,13 +126,36 @@ def op_to_dict(op: StreamOp) -> dict[str, Any]:
     return data
 
 
+#: Wire type of every op field: node ids are ints (never bools), labels
+#: and bracket names are strings.  ``None`` is allowed exactly where the
+#: field is optional (``AddLeaf.nid``, ``Begin.name``).
+_FIELD_TYPES: dict[str, type] = {
+    "parent": int, "nid": int, "new_parent": int, "label": str, "name": str}
+_OPTIONAL = {(AddLeaf, "nid"), (Begin, "name")}
+
+
 def op_from_dict(data: dict[str, Any]) -> StreamOp:
-    """Rebuild an operation from its wire dict (inverse of :func:`op_to_dict`)."""
+    """Rebuild an operation from its wire dict (inverse of :func:`op_to_dict`).
+
+    Every field is type-checked, so an op that decodes here is one the
+    enforcer — and a journal replay — can apply: a malformed op is refused
+    at the wire, before it can be journaled.
+    """
     fields = dict(data)
     tag = fields.pop("op", None)
     if not isinstance(tag, str) or tag not in _OP_TAGS:
         raise ValueError(f"unknown stream operation tag {tag!r}")
     cls = _OP_TAGS[tag]
+    for name, value in fields.items():
+        want = _FIELD_TYPES.get(name)
+        if want is None or name not in cls.__dataclass_fields__:
+            continue  # an unknown field: the constructor names it below
+        if value is None and (cls, name) in _OPTIONAL:
+            continue
+        if not isinstance(value, want) or isinstance(value, bool):
+            raise ValueError(
+                f"bad fields for stream op {tag!r}: {name!r} must be "
+                f"{'an int' if want is int else 'a string'}, got {value!r}")
     try:
         return cls(**fields)
     except TypeError as exc:

@@ -63,6 +63,12 @@ DELTA_LOG_CAP = 64  # edit deltas retained for delta-maintained consumers
 
 _BIT = tuple(1 << b for b in range(8))  # byte-view membership test masks
 
+# A compiled patch plan's moves: (relocated-olds mask, old base bit,
+# old byte length, new base bit, new byte length, ((old byte, old bit,
+# new byte, new bit), ...)) -- byte coordinates relative to the bases.
+_PatchMoves = tuple[int, int, int, int, int,
+                    tuple[tuple[int, int, int, int], ...]]
+
 
 class EditDelta:
     """Compact record of one applied edit, for delta-maintained consumers.
@@ -86,7 +92,8 @@ class EditDelta:
       predicates.
     """
 
-    __slots__ = ("revision", "relocated", "vanished", "added", "dirty")
+    __slots__ = ("revision", "relocated", "vanished", "added", "dirty",
+                 "_clear", "_moves")
 
     def __init__(self, revision: int,
                  relocated: tuple[tuple[int, int, int], ...],
@@ -98,6 +105,32 @@ class EditDelta:
         self.vanished = vanished
         self.added = added
         self.dirty = dirty
+        # The mask-independent patch plan, compiled on first use and shared
+        # by every mask patched across this edit (see _compile).
+        self._clear: int | None = None
+        self._moves: _PatchMoves = (0, 0, 0, 0, 0, ())
+
+    def _compile(self) -> int:
+        """Build the patch plan; returns the mask of every freed slot.
+
+        The moves are stored in byte coordinates relative to the lowest
+        old and the lowest new slot, so a patch reads and writes buffers
+        as wide as the edit's span, never as wide as the document.
+        """
+        olds = [old for _, old, _ in self.relocated]
+        news = [new for _, _, new in self.relocated]
+        clear = TreeIndex.pack_slots(olds + [old for _, old in self.vanished])
+        if olds:
+            obase = min(olds) >> 3
+            nbase = min(news) >> 3
+            moves = tuple(((old >> 3) - obase, _BIT[old & 7],
+                           (new >> 3) - nbase, _BIT[new & 7])
+                          for old, new in zip(olds, news))
+            self._moves = (TreeIndex.pack_slots(olds), obase << 3,
+                           (max(olds) >> 3) - obase + 1, nbase << 3,
+                           (max(news) >> 3) - nbase + 1, moves)
+        self._clear = clear
+        return clear
 
     def patch_mask(self, mask: int) -> int:
         """Re-key a slot mask across this edit: relocated bits move to
@@ -108,16 +141,28 @@ class EditDelta:
         *pre-clear* mask — a new slot may reuse a slot freed in this same
         edit — and callers replay chained deltas oldest-first so slot
         reuse across edits resolves in order.
+
+        O(words + footprint) per mask: the plan is compiled once per
+        delta, a mask disjoint from the freed slots returns untouched, and
+        the moved bits are read from one byte view and set through one
+        byte-buffer fold, both as wide as the edit's span.
         """
-        sets = 0
-        clear = 0
-        for _, old, new in self.relocated:
-            if (mask >> old) & 1:
-                sets |= 1 << new
-            clear |= 1 << old
-        for _, old in self.vanished:
-            clear |= 1 << old
-        return (mask & ~clear) | sets
+        clear = self._clear
+        if clear is None:
+            clear = self._compile()
+        hit = mask & clear
+        if not hit:
+            return mask
+        rel, obase, owidth, nbase, nwidth, moves = self._moves
+        moved = hit & rel
+        if not moved:
+            return mask ^ hit
+        view = (moved >> obase).to_bytes(owidth, "little")
+        buf = bytearray(nwidth)
+        for ob, obit, nb, nbit in moves:
+            if view[ob] & obit:
+                buf[nb] |= nbit
+        return (mask ^ hit) | (int.from_bytes(buf, "little") << nbase)
 
     def __repr__(self) -> str:
         return (f"EditDelta(rev={self.revision}, moved={len(self.relocated)}, "
@@ -407,22 +452,26 @@ class TreeIndex:
     # ------------------------------------------------------------------
     # Bitset views (node-sets as int masks keyed by slot)
     # ------------------------------------------------------------------
-    def pack_slots(self, slots: Iterable[int]) -> int:
-        """Fold an iterable of slots into one int mask (byte-buffer fold).
+    @staticmethod
+    def pack_slots(slots: Iterable[int]) -> int:
+        """Fold slots into one int mask through a byte buffer over their
+        span — the churn-free way to build a mask, instead of one big-int
+        ``|= 1 << slot`` allocation per member.
 
-        O(width/8 + len(slots)) — the churn-free way to build a mask,
-        instead of one big-int ``|= 1 << slot`` allocation per member.
+        O(span/8 + len(slots)), where the span runs from the lowest to the
+        highest slot given: a mask of a few nearby slots costs a few
+        bytes, not the document's width.
         """
-        top = self._slots[-1] if self._slots else 0
-        buf = bytearray((top >> 3) + 1)
-        size = len(buf)
+        if not isinstance(slots, (list, tuple, set, frozenset)):
+            slots = list(slots)
+        if not slots:
+            return 0
+        base = min(slots) >> 3
+        buf = bytearray((max(slots) >> 3) - base + 1)
+        bits = _BIT
         for s in slots:
-            i = s >> 3
-            if i >= size:  # rare: packing slots beyond the current maximum
-                buf.extend(bytes(i + 1 - size))
-                size = i + 1
-            buf[i] |= 1 << (s & 7)
-        return int.from_bytes(buf, "little")
+            buf[(s >> 3) - base] |= bits[s & 7]
+        return int.from_bytes(buf, "little") << (base << 3)
 
     def all_mask(self) -> int:
         """Mask with one bit per occupied slot (cached per revision)."""
@@ -537,6 +586,24 @@ class TreeIndex:
             if ps is not None and ps < flimit and fview[ps >> 3] & bits[ps & 7]:
                 append(s)
         return self.pack_slots(keep)
+
+    def children_union(self, frontier: int) -> int:
+        """Mask of every child of the ``frontier`` nodes — the sparse twin
+        of :meth:`child_step_mask` (intersect with the step's test).
+
+        Walks only the frontier's set bits, highest first (``bit_length``
+        finds each without a negated operand), so a handful of anchors in
+        a wide mask cost a handful of cached children-mask unions.
+        """
+        node_at = self._node_at
+        children_mask = self.children_mask
+        cand = 0
+        rest = frontier
+        while rest:
+            s = rest.bit_length() - 1
+            rest ^= 1 << s
+            cand |= children_mask(node_at[s])
+        return cand
 
     def label_slots(self, label: str | None) -> list[int]:
         """Occupied slots carrying ``label`` (every slot for ``None``), as a

@@ -36,7 +36,7 @@ query stream cannot grow without bound.
 
 from __future__ import annotations
 
-from typing import Iterable, cast
+from typing import Callable, Iterable, cast
 
 from repro.caching import LRUMemo
 # The big-int mask helpers live with the backends now (repro.masks); they
@@ -83,6 +83,35 @@ def region_mask(index: TreeIndex, anchors: Iterable[int]) -> int:
     for nid in index.minimal_cover(anchors):
         mask |= index.subtree_mask(nid, include_self=True)
     return mask & index.all_mask()
+
+
+class DirtyBatch:
+    """The surviving dirty nodes of one mask-patch batch, decoded once.
+
+    Every cached predicate re-decided in the batch shares the dirty slots,
+    their packed mask and, per axis, each node's scope mask (its children
+    for ``/``, its strict subtree for ``//``), so a predicate pays one
+    big-int AND per dirty node and nothing else per node.
+    """
+
+    __slots__ = ("slots", "mask", "_index", "_nodes", "_scopes")
+
+    def __init__(self, index: TreeIndex, nodes: list[int]):
+        self._index = index
+        self._nodes = nodes
+        self.slots = [index.pre(n) for n in nodes]
+        self.mask = index.pack_slots(self.slots)
+        self._scopes: dict[Axis, list[int]] = {}
+
+    def scopes(self, axis: Axis) -> list[int]:
+        """Per-node scope masks for ``axis``, aligned with :attr:`slots`."""
+        out = self._scopes.get(axis)
+        if out is None:
+            idx = self._index
+            scope: Callable[[int], int] = (
+                idx.children_mask if axis is Axis.CHILD else idx.subtree_mask)
+            out = self._scopes[axis] = [scope(n) for n in self._nodes]
+        return out
 
 
 class BitsetEvaluator(SnapshotEvaluator):
@@ -181,6 +210,7 @@ class BitsetEvaluator(SnapshotEvaluator):
             dirty.update(dict.fromkeys(delta.dirty))
             dirty.update(dict.fromkeys(delta.added))
         alive = [n for n in dirty if n in idx]
+        batch = DirtyBatch(idx, alive) if alive else None
         memo = self._pred_masks
         patched: set[Pred] = set()
 
@@ -198,35 +228,33 @@ class BitsetEvaluator(SnapshotEvaluator):
                 return  # uncached predicates rebuild cold on demand
             for delta in deltas:
                 mask = delta.patch_mask(mask)
-            memo.put(pred, self._redecide(pred, mask, alive))
+            memo.put(pred, self._redecide(pred, mask, batch))
 
         for key in memo.keys():
             patch(cast(Pred, key))
 
-    def _redecide(self, pred: Pred, mask: int, alive: list[int]) -> int:
-        """Re-decide ``pred`` at the surviving dirty nodes of an edit batch."""
-        if not alive:
+    def _redecide(self, pred: Pred, mask: int,
+                  batch: DirtyBatch | None) -> int:
+        """Re-decide ``pred`` at the surviving dirty nodes of an edit batch.
+
+        Every dirty bit is cleared with one mask and the nodes where the
+        predicate holds are set with one packed mask — no big-int set or
+        clear per dirty node.
+        """
+        if batch is None:
             return mask
-        idx = self._index
-        target = idx.label_mask(pred.label)
+        dirty = batch.mask
+        mask = (mask | dirty) ^ dirty  # clear without a negated operand
+        target = self._index.label_mask(pred.label)
         for sub in pred.children:
             if not target:
                 break
             target &= self._pred_mask(sub)
-        child_axis = pred.axis is Axis.CHILD
-        for n in alive:
-            bit = 1 << idx.pre(n)
-            if not target:
-                holds = False
-            elif child_axis:
-                holds = bool(idx.children_mask(n) & target)
-            else:
-                holds = bool(idx.subtree_mask(n) & target)
-            if holds:
-                mask |= bit
-            else:
-                mask &= ~bit
-        return mask
+        if not target:
+            return mask
+        return mask | self._index.pack_slots(
+            [s for s, scope in zip(batch.slots, batch.scopes(pred.axis))
+             if scope & target])
 
     def matches_at(self, pred: Pred, anchor: int) -> bool:
         """Boolean-pattern satisfaction: does ``pred`` hold at ``anchor``?"""
@@ -253,26 +281,26 @@ class BitsetEvaluator(SnapshotEvaluator):
             if step.axis is Axis.CHILD:
                 if anchors * 8 < len(idx.label_slots(step.label)):
                     # Sparse frontier: union the per-anchor children masks.
-                    cand = 0
-                    for s in iter_slots(frontier):
-                        cand |= idx.children_mask(node_at(s))
-                    frontier = cand & test
+                    frontier = idx.children_union(frontier) & test
                 else:
                     # Dense frontier: one whole-set hop over the label's
                     # candidates, byte-view membership tests throughout.
                     frontier = idx.child_step_mask(frontier, test, step.label)
             else:
                 # The lowest remaining bit is always a minimal-cover anchor;
-                # clearing its whole interval afterwards skips the covered
-                # frontier bits in one C-level mask op.
+                # shifting its whole interval out of ``rest`` (bit 0 of
+                # ``rest`` is slot ``base``) skips the covered frontier
+                # bits in one C-level op, with no negated operand.
                 cand = 0
                 rest = frontier
+                base = 0
                 while rest:
-                    s = (rest & -rest).bit_length() - 1
+                    s = base + (rest ^ (rest - 1)).bit_length() - 1
                     lo, hi = idx.interval(node_at(s))
                     if hi > lo:
                         cand |= ((1 << (hi - lo)) - 1) << (lo + 1)
-                    rest &= -1 << (hi + 1)
+                    rest >>= hi + 1 - base
+                    base = hi + 1
                 frontier = cand & test
             if not frontier:
                 return 0

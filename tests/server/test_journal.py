@@ -20,6 +20,7 @@ from repro.server.journal import ServerJournal
 from repro.service.protocol import (
     RegisterConstraints,
     RegisterDocument,
+    StreamStatus,
     StreamSubmit,
 )
 from repro.service.service import ConstraintService
@@ -172,6 +173,39 @@ class TestWriteThrough:
         doc, _ = scan_records(journal.doc_journal_path("ward").read_bytes())
         assert doc[-1]["kind"] == "submit"
         assert len(doc[-1]["ops"]) == 1  # only the applied prefix
+
+    @pytest.mark.parametrize("op", [
+        {"op": "add-leaf", "parent": 10, "label": None},
+        {"op": "add-leaf", "parent": 10, "label": 7},
+        {"op": "add-leaf", "parent": True, "label": "note"},
+        {"op": "add-leaf", "parent": 10, "label": "note", "nid": "12"},
+        {"op": "move", "nid": 11, "new_parent": 10.0},
+        {"op": "remove-subtree", "nid": False},
+        {"op": "begin", "name": 3},
+    ])
+    def test_poison_op_is_refused_before_it_is_journaled(self, tmp_path, op):
+        """An op recovery could not replay never reaches the journal: the
+        request is refused at decode and a restart recovers cleanly."""
+        svc, journal, _ = durable_service(tmp_path)
+        svc.handle(RegisterConstraints("policy", tuple(POLICY)))
+        svc.handle(RegisterDocument("ward", ward_doc()))
+        svc.handle(StreamSubmit("ward", "policy", (AddLeaf(10, "note"),)))
+        path = journal.doc_journal_path("ward")
+        before = path.read_bytes()
+        reply = json.loads(svc.handle_json(json.dumps(
+            {"request": "stream-submit", "document": "ward",
+             "constraints": "policy", "ops": [op]})))
+        assert reply["response"] == "error"
+        assert reply["error"] == "ServiceError"
+        assert "bad fields for stream op" in reply["message"]
+        assert path.read_bytes() == before
+        live = svc.handle(StreamStatus("ward")).to_dict()
+        journal.close()
+
+        revived, journal, report = durable_service(tmp_path)
+        assert "ward" in report.documents
+        assert revived.handle(StreamStatus("ward")).to_dict() == live
+        journal.close()
 
     def test_replace_registration_resets_the_journal(self, tmp_path):
         svc, journal, _ = durable_service(tmp_path)

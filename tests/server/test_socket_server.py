@@ -25,6 +25,7 @@ from repro.service.protocol import (
     PROTOCOL_VERSION,
     ErrorResponse,
     ImplicationQuery,
+    StreamStatus,
     StreamSubmit,
     response_checksum,
 )
@@ -181,6 +182,33 @@ class TestWireRobustness:
                 return ack.to_dict()
 
         assert asyncio.run(run())["registered"] == "constraints"
+
+    def test_non_repro_error_is_answered_and_the_connection_survives(self):
+        """A failure outside ReproError while serving (an unhashable
+        document name reaches the per-document queue table as a
+        TypeError) is answered with a typed error, counted, and the next
+        request on the same connection is still served."""
+        async def run():
+            async with ReproServer() as server:
+                host, port = server.address
+                client = await ReproClient.connect(host, port)
+                bad = await asyncio.wait_for(
+                    client.request(StreamStatus(["x"])), timeout=5)
+                ack = await asyncio.wait_for(
+                    client.register_constraints("p", tuple(POLICY)),
+                    timeout=5)
+                snapshot = await client.metrics()
+                await client.close()
+                return bad, ack, snapshot
+
+        bad, ack, snapshot = asyncio.run(run())
+        assert isinstance(bad, ErrorResponse)
+        assert bad.error == "TypeError"
+        assert bad.details == {"internal": True}
+        assert ack.to_dict()["registered"] == "constraints"
+        assert snapshot.counters["server.internal_errors_total"] == 1
+        assert snapshot.counters[
+            'server.requests_total{kind="stream-status"}'] == 1
 
 
 # ----------------------------------------------------------------------

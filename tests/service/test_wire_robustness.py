@@ -57,6 +57,14 @@ BAD_PAYLOADS = [
      '{"request": "stream-submit", "document": "d", "constraints": "p",'
      ' "ops": [{"op": "add-leaf"}]}',
      "ServiceError", "bad fields for stream op"),
+    ("op-null-label",
+     '{"request": "stream-submit", "document": "d", "constraints": "p",'
+     ' "ops": [{"op": "add-leaf", "parent": 5, "label": null}]}',
+     "ServiceError", "'label' must be a string"),
+    ("op-bool-node-id",
+     '{"request": "stream-submit", "document": "d", "constraints": "p",'
+     ' "ops": [{"op": "remove-subtree", "nid": true}]}',
+     "ServiceError", "'nid' must be an int"),
     ("op-not-an-object",
      '{"request": "stream-submit", "document": "d", "constraints": "p",'
      ' "ops": ["add-leaf"]}',
