@@ -59,10 +59,13 @@ from repro.implication.result import (
 from repro.implication.same_type import implies_child_only
 from repro.instance.cross_type import implies_cross_type
 from repro.instance.general import HYBRID_ENGINE as INSTANCE_HYBRID_ENGINE
-from repro.instance.no_insert_engine import implies_no_insert
-from repro.instance.no_remove_engine import implies_no_remove
-from repro.instance.search import bounded_refutation
+from repro.instance.search import (
+    cascade_refutation,
+    relocation_refutation,
+    same_type_implication,
+)
 from repro.stream.engine import StreamEnforcer
+from repro.trees.index import TreeIndex
 from repro.trees.tree import DataTree
 from repro.xpath.ast import Pattern
 from repro.xpath.containment import contained
@@ -370,12 +373,18 @@ class BoundReasoner:
     snapshot's mutation-version guard catches every structural change
     (snapshot engines); naive bindings fall back to the cheaper
     size-based guard, which moves and relabels can escape.
+
+    ``snapshot`` optionally hands in a fresh index of ``current`` to bind
+    through instead of building one — the service passes its live
+    enforcement stream's index.  The binding gets its own evaluator (and
+    memos) over it, and goes stale as soon as the index's revision moves.
     """
 
     ENGINES = ("bitset", "indexed", "naive")
 
     def __init__(self, reasoner: Reasoner, current: DataTree,
-                 indexed: bool = True, engine: str | None = None):
+                 indexed: bool = True, engine: str | None = None, *,
+                 snapshot: TreeIndex | None = None):
         if engine is None:
             engine = "bitset" if indexed else "naive"
         if engine not in self.ENGINES:
@@ -385,12 +394,18 @@ class BoundReasoner:
         self._current = current
         self._size_at_bind = current.size
         self._engine = engine
-        if engine == "bitset":
-            self._context = BitsetEvaluator.for_tree(current)
-        elif engine == "indexed":
-            self._context = IndexedEvaluator.for_tree(current)
-        else:
-            self._context = None
+        self._context: BitsetEvaluator | IndexedEvaluator | None = None
+        if engine != "naive":
+            if snapshot is None:
+                snapshot = TreeIndex(current)
+            elif not snapshot.covers(current):
+                raise ValueError("snapshot is not a fresh index of the "
+                                 "bound tree")
+            evaluator = BitsetEvaluator if engine == "bitset" else IndexedEvaluator
+            self._context = evaluator(snapshot)
+            # A shared index edited in place by its owner (a live stream)
+            # stays fresh, so staleness is also keyed on its revision.
+            self._revision_at_bind = snapshot.revision
         self._range_hits: dict[UpdateConstraint, set[int]] = {}
         self._memo = LRUMemo(reasoner.memo_size)
 
@@ -437,7 +452,9 @@ class BoundReasoner:
         return self._range_hits
 
     def _check_fresh(self) -> None:
-        if self._context is not None and not self._context.covers(self._current):
+        ctx = self._context
+        if ctx is not None and (not ctx.covers(self._current)
+                                or ctx.index.revision != self._revision_at_bind):
             raise ValueError(
                 "the bound tree mutated since bind(); a BoundReasoner "
                 "caches an indexed snapshot and per-tree answer sets — "
@@ -458,7 +475,7 @@ class BoundReasoner:
 
         ``search_workers > 1`` fans the refutation search's cascade family
         across a process pool (see
-        :func:`repro.instance.search.bounded_refutation`) — verdicts are
+        :func:`repro.instance.search.cascade_refutation`) — verdicts are
         identical to the sequential search, only the wall-clock differs.
         """
         conclusion.require_concrete()
@@ -536,33 +553,30 @@ class BoundReasoner:
                                       context=self._context)
 
         if len(other) == 0:
-            if conclusion.type is ConstraintType.NO_INSERT:
-                return implies_no_insert(premises, current, conclusion,
+            return same_type_implication(premises, current, conclusion,
                                          range_hits=self._hits_for(premises),
                                          context=self._context)
-            return implies_no_remove(premises, current, conclusion,
-                                     range_hits=self._hits_for(premises),
-                                     context=self._context)
 
         # --------------------------------------------------------------
-        # Mixed types: sound subset test, then validated refutation search.
+        # Mixed types: sound subset test, then validated refutation search
+        # — the subset test's own certificate is the single-relocation
+        # candidate, so only the cascade family still needs a search.
         # --------------------------------------------------------------
-        if conclusion.type is ConstraintType.NO_INSERT:
-            subset_result = implies_no_insert(same, current, conclusion,
-                                              range_hits=self._hits_for(same),
-                                              context=self._context)
-        else:
-            subset_result = implies_no_remove(same, current, conclusion,
+        subset_result = same_type_implication(same, current, conclusion,
                                               range_hits=self._hits_for(same),
                                               context=self._context)
         if subset_result.is_implied:
             return implied(INSTANCE_HYBRID_ENGINE, premises, conclusion,
                            reason=f"already implied by the {len(same)} same-type "
                                   f"premise(s): {subset_result.reason}")
-        certificate = bounded_refutation(premises, current, conclusion,
-                                         max_moves=max_moves, budget=search_budget,
-                                         context=self._context,
-                                         workers=search_workers)
+        certificate = relocation_refutation(premises, current, conclusion,
+                                            subset_result, context=self._context)
+        if certificate is None:
+            certificate = cascade_refutation(premises, current, conclusion,
+                                             max_moves=max_moves,
+                                             budget=search_budget,
+                                             context=self._context,
+                                             workers=search_workers)
         if certificate is not None:
             return not_implied(INSTANCE_HYBRID_ENGINE, premises, conclusion,
                                certificate,

@@ -72,10 +72,11 @@ def implies_no_insert(premises: ConstraintSet, current: DataTree,
     ``range_hits`` optionally supplies ``{c: c.range(current)}`` computed
     elsewhere — a :class:`repro.api.BoundReasoner` evaluates every premise
     range once per tree and shares the answer sets across conclusions.
-    ``context`` optionally carries the bound reasoner's
-    :class:`repro.xpath.indexed.IndexedEvaluator` snapshot of ``current``,
-    so both the default ``range_hits`` and ``q(J)`` come from label-indexed
-    evaluation with a shared predicate memo.
+    ``context`` optionally carries the bound reasoner's snapshot evaluator
+    of ``current`` (a :class:`repro.xpath.bitset.BitsetEvaluator` or
+    :class:`repro.xpath.indexed.IndexedEvaluator`), so both the default
+    ``range_hits`` and ``q(J)`` come from snapshot evaluation with a
+    shared predicate memo.
     """
     if any(c.type is not ConstraintType.NO_INSERT for c in premises):
         raise FragmentError("no-insert engine requires an all-no-insert premise set")

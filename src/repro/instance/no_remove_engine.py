@@ -178,7 +178,8 @@ def _shape_key(tree: DataTree, out: int) -> str:
 # ----------------------------------------------------------------------
 # Identification against J (bipartite matching)
 # ----------------------------------------------------------------------
-def _identify(candidate: DataTree, output: int, current: DataTree,
+def _identify(candidate: DataTree, output: int,
+              j_by_label: dict[str, list[int]],
               premises: ConstraintSet, q_answers: set[int],
               range_hits_j: dict[UpdateConstraint, set[int]],
               candidate_ctx=None,
@@ -186,15 +187,15 @@ def _identify(candidate: DataTree, output: int, current: DataTree,
     """Match obligation-carrying candidate nodes to distinct J-nodes.
 
     Returns the id substitution (candidate id -> J id) or ``None``.
-    ``range_hits_j`` holds ``{c: c.range(current)}`` — loop-invariant across
-    candidates, so the caller evaluates it once.  ``candidate_ctx``
-    optionally carries the merge walk's incremental snapshot of
-    ``candidate``, so the per-candidate premise evaluations run
-    set-at-a-time.
+    ``j_by_label`` maps each label to J's non-root nodes carrying it, in
+    preorder, and ``range_hits_j`` holds ``{c: c.range(current)}`` — both
+    loop-invariant across candidates, so the caller builds them once.
+    ``candidate_ctx`` optionally carries the merge walk's incremental
+    snapshot of ``candidate``, so the per-candidate premise evaluations
+    run set-at-a-time.
     """
     range_hits_i = {c: evaluate_ids(c.range, candidate, context=candidate_ctx)
                     for c in premises}
-    j_nodes = [nid for nid in current.node_ids() if nid != current.root]
 
     graph = nx.Graph()
     need: list[int] = []
@@ -205,10 +206,7 @@ def _identify(candidate: DataTree, output: int, current: DataTree,
         if not obligations:
             continue
         need.append(nid)
-        label = candidate.label(nid)
-        for j in j_nodes:
-            if current.label(j) != label:
-                continue
+        for j in j_by_label.get(candidate.label(nid), ()):
             if any(j not in range_hits_j[c] for c in obligations):
                 continue
             if nid == output and j in q_answers:
@@ -242,10 +240,12 @@ def implies_no_remove(premises: ConstraintSet, current: DataTree,
     ``range_hits`` optionally supplies ``{c: c.range(current)}`` computed
     elsewhere (a :class:`repro.api.BoundReasoner` shares them across
     conclusions); otherwise they are evaluated once here and reused for
-    every candidate embedding.  ``context`` optionally carries an
-    :class:`repro.xpath.indexed.IndexedEvaluator` snapshot of ``current``
-    for the ``J``-side evaluations (candidate embeddings are tiny and stay
-    on the naive path).
+    every candidate embedding.  ``context`` optionally carries a snapshot
+    evaluator of ``current`` (a :class:`repro.xpath.bitset.BitsetEvaluator`
+    or :class:`repro.xpath.indexed.IndexedEvaluator`, as a bound reasoner
+    holds) for the ``J``-side evaluations; candidate embeddings get their
+    own incremental snapshot only on quotient walks over models of at
+    least :data:`MERGE_SNAPSHOT_MIN_SIZE` nodes.
     """
     if any(c.type is not ConstraintType.NO_REMOVE for c in premises):
         raise FragmentError("no-remove engine requires an all-no-remove premise set")
@@ -255,9 +255,14 @@ def implies_no_remove(premises: ConstraintSet, current: DataTree,
     premises.require_concrete()
     q = conclusion.range
     cap = max_star_length(list(premises.ranges) + [q]) + 1
-    data_labels = {node.label for node in current.nodes() if node.nid != current.root}
-    fresh = fresh_label_for(labels_of(q, *premises.ranges) | data_labels)
-    wildcard_labels = sorted(data_labels) + [fresh]
+    # Preorder buckets keep the matching graph's edge order (and with it
+    # the certificate networkx returns) independent of how J is indexed.
+    j_by_label: dict[str, list[int]] = {}
+    for nid in current.node_ids():
+        if nid != current.root:
+            j_by_label.setdefault(current.label(nid), []).append(nid)
+    fresh = fresh_label_for(labels_of(q, *premises.ranges) | set(j_by_label))
+    wildcard_labels = sorted(j_by_label) + [fresh]
     q_answers = evaluate_ids(q, current, context=context)
     if range_hits is None:
         range_hits = {c: evaluate_ids(c.range, current, context=context)
@@ -272,8 +277,8 @@ def implies_no_remove(premises: ConstraintSet, current: DataTree,
                                              budget=merge_budget,
                                              context=scratch_ctx):
             checked += 1
-            mapping = _identify(candidate, output, current, premises, q_answers,
-                                range_hits, candidate_ctx=scratch_ctx)
+            mapping = _identify(candidate, output, j_by_label, premises,
+                                q_answers, range_hits, candidate_ctx=scratch_ctx)
             if mapping is None:
                 continue
             past = remap_ids(candidate, mapping)

@@ -18,6 +18,11 @@ via the embedding engine):
    replaced simultaneously, the discrete analogue of Theorem 5.2's
    "shuffle the truth assignments" counterexamples.
 
+:func:`bounded_refutation` runs both.  The hybrid dispatch
+(:class:`repro.api.BoundReasoner`) already holds the same-type engine's
+outcome from its subset test, so it validates that outcome's certificate
+(:func:`relocation_refutation`) and runs only :func:`cascade_refutation`.
+
 The cascade walk is **copy-free and snapshot-carrying**: all candidates are
 realised on one scratch tree through a move/undo journal, and on trees
 worth indexing the journal is applied *through* an incrementally-maintained
@@ -38,10 +43,12 @@ import multiprocessing
 import multiprocessing.pool
 from itertools import combinations
 
-from repro.constraints.model import ConstraintSet, UpdateConstraint
+from repro.constraints.model import ConstraintSet, ConstraintType, UpdateConstraint
 from repro.constraints.validity import is_valid, violation_of
 from repro.errors import TreeError
-from repro.implication.result import Counterexample
+from repro.implication.result import Counterexample, ImplicationResult
+from repro.instance.no_insert_engine import implies_no_insert
+from repro.instance.no_remove_engine import implies_no_remove
 from repro.trees.serialize import from_dict, to_dict
 from repro.trees.tree import DataTree
 from repro.xpath.bitset import BitsetEvaluator
@@ -67,20 +74,38 @@ def _candidate_is_refutation(past: DataTree, current: DataTree,
     )
 
 
-def single_relocation_candidates(current: DataTree, conclusion: UpdateConstraint,
-                                 premises: ConstraintSet, context=None):
-    """Pasts produced by the pure engines' constructions, to be re-checked."""
-    from repro.constraints.model import ConstraintType
-    from repro.instance.no_insert_engine import implies_no_insert
-    from repro.instance.no_remove_engine import implies_no_remove
+def same_type_implication(premises: ConstraintSet, current: DataTree,
+                          conclusion: UpdateConstraint,
+                          range_hits: dict[UpdateConstraint, set[int]] | None = None,
+                          context=None) -> ImplicationResult:
+    """The exact engine for an all-same-type problem of ``conclusion``'s type.
 
-    same = premises.of_type(conclusion.type)
-    if conclusion.type is ConstraintType.NO_INSERT:
-        outcome = implies_no_insert(same, current, conclusion, context=context)
-    else:
-        outcome = implies_no_remove(same, current, conclusion, context=context)
-    if outcome.counterexample is not None:
-        yield outcome.counterexample.before, outcome.counterexample.witness
+    The no-insert escape test or the Theorem 5.5 embedding engine; every
+    premise must share the conclusion's type.
+    """
+    engine = (implies_no_insert if conclusion.type is ConstraintType.NO_INSERT
+              else implies_no_remove)
+    return engine(premises, current, conclusion, range_hits=range_hits,
+                  context=context)
+
+
+def relocation_refutation(premises: ConstraintSet, current: DataTree,
+                          conclusion: UpdateConstraint,
+                          same_type: ImplicationResult,
+                          context=None) -> Counterexample | None:
+    """The single-relocation family: ``same_type``'s own certificate,
+    re-checked against the full premise set.
+
+    ``same_type`` is :func:`same_type_implication` on the same-type
+    premises — a caller that already ran it (the hybrid dispatch's
+    subset test) validates that outcome instead of re-running the engine.
+    """
+    certificate = same_type.counterexample
+    if certificate is not None and _candidate_is_refutation(
+            certificate.before, current, premises, conclusion,
+            context=context):
+        return certificate
+    return None
 
 
 def _cascade_walk(scratch: DataTree, max_moves: int, budget: int,
@@ -118,20 +143,6 @@ def _cascade_walk(scratch: DataTree, max_moves: int, budget: int,
                     move(nid, old_parent)
                 if legal and produced >= budget:
                     return
-
-
-def cascade_candidates(current: DataTree, max_moves: int, budget: int):
-    """Pasts obtained by relocating up to ``max_moves`` nodes of ``J``.
-
-    Relocation targets are other nodes of the tree (including the root);
-    self- and descendant-targets are skipped.  ``budget`` caps the number of
-    candidates generated.
-
-    Every candidate is the SAME scratch tree with a journal of moves
-    applied, undone before the next candidate — inspect the yielded tree
-    before advancing the generator, and ``copy()`` it to keep it.
-    """
-    yield from _cascade_walk(current.copy(), max_moves, budget)
 
 
 def _assignments(nodes, targets):
@@ -221,6 +232,39 @@ def _close_pools() -> None:
 atexit.register(_close_pools)
 
 
+def cascade_refutation(premises: ConstraintSet, current: DataTree,
+                       conclusion: UpdateConstraint,
+                       max_moves: int = 2, budget: int = 5000,
+                       context=None, workers: int = 1) -> Counterexample | None:
+    """The cascade family alone; see :func:`bounded_refutation`.
+
+    With ``max_moves < 1`` the family is empty, so nothing is set up —
+    no scratch copy, no snapshot, no worker pool.
+    """
+    if max_moves < 1:
+        return None
+    if workers > 1:
+        payloads = [(tuple(premises), to_dict(current), conclusion,
+                     max_moves, budget, shard, workers)
+                    for shard in range(workers)]
+        hits = [h for h in _shared_pool(workers).map(_refute_shard, payloads)
+                if h is not None]
+        if not hits:
+            return None
+        _, past_dict, witness = min(hits, key=lambda h: h[0])
+        return Counterexample(from_dict(past_dict), current, witness=witness)
+    scratch = current.copy()
+    scratch_ctx = (BitsetEvaluator.for_tree(scratch)
+                   if scratch.size >= SNAPSHOT_MIN_SIZE else None)
+    hit = _search_cascades(scratch, current, premises, conclusion,
+                           max_moves, budget, shard=0, nshards=1,
+                           context=context, scratch_ctx=scratch_ctx)
+    if hit is None:
+        return None
+    _, past, witness = hit
+    return Counterexample(past, current, witness=witness)
+
+
 def bounded_refutation(premises: ConstraintSet, current: DataTree,
                        conclusion: UpdateConstraint,
                        max_moves: int = 2, budget: int = 5000,
@@ -242,28 +286,12 @@ def bounded_refutation(premises: ConstraintSet, current: DataTree,
     enumeration order wins, and the single-relocation family is always
     checked inline first.
     """
-    for past, witness in single_relocation_candidates(current, conclusion,
-                                                      premises, context=context):
-        if _candidate_is_refutation(past, current, premises, conclusion,
-                                    context=context):
-            return Counterexample(past, current, witness=witness)
-    if workers > 1:
-        payloads = [(tuple(premises), to_dict(current), conclusion,
-                     max_moves, budget, shard, workers)
-                    for shard in range(workers)]
-        hits = [h for h in _shared_pool(workers).map(_refute_shard, payloads)
-                if h is not None]
-        if not hits:
-            return None
-        _, past_dict, witness = min(hits, key=lambda h: h[0])
-        return Counterexample(from_dict(past_dict), current, witness=witness)
-    scratch = current.copy()
-    scratch_ctx = (BitsetEvaluator.for_tree(scratch)
-                   if scratch.size >= SNAPSHOT_MIN_SIZE else None)
-    hit = _search_cascades(scratch, current, premises, conclusion,
-                           max_moves, budget, shard=0, nshards=1,
-                           context=context, scratch_ctx=scratch_ctx)
-    if hit is None:
-        return None
-    _, past, witness = hit
-    return Counterexample(past, current, witness=witness)
+    same_type = same_type_implication(premises.of_type(conclusion.type),
+                                      current, conclusion, context=context)
+    certificate = relocation_refutation(premises, current, conclusion,
+                                        same_type, context=context)
+    if certificate is not None:
+        return certificate
+    return cascade_refutation(premises, current, conclusion,
+                              max_moves=max_moves, budget=budget,
+                              context=context, workers=workers)

@@ -19,6 +19,7 @@ from repro.api.session import BoundReasoner, Reasoner
 from repro.constraints.model import ConstraintSet, UpdateConstraint
 from repro.implication.result import ImplicationResult
 from repro.stream.engine import StreamEnforcer
+from repro.trees.index import TreeIndex
 from repro.trees.tree import DataTree
 
 
@@ -37,9 +38,10 @@ def transient_session(constraints: ConstraintSet | Iterable[UpdateConstraint],
 
 def bind_session(reasoner: Reasoner, current: DataTree, *,
                  indexed: bool = True, engine: str | None = None,
-                 ) -> BoundReasoner:
+                 snapshot: TreeIndex | None = None) -> BoundReasoner:
     """Fix a current instance for a session (the Table 2 entry point)."""
-    return BoundReasoner(reasoner, current, indexed=indexed, engine=engine)
+    return BoundReasoner(reasoner, current, indexed=indexed, engine=engine,
+                         snapshot=snapshot)
 
 
 def open_enforcer(constraints: ConstraintSet | Iterable[UpdateConstraint],

@@ -12,7 +12,7 @@ into one :class:`~repro.service.protocol.Response` against a
   splits into contiguous chunks reassembled in submission order) and
   parallelises the refutation search of single-conclusion mixed-type
   instance queries across candidate families
-  (:func:`repro.instance.search.bounded_refutation` with ``workers>1``).
+  (:func:`repro.instance.search.cascade_refutation` with ``workers>1``).
   Stateful requests — registration, stream enforcement — always run
   inline: they mutate the store and are inherently serial per document;
 * :class:`~repro.service.async_service.AsyncService` — not an executor

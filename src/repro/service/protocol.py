@@ -66,6 +66,30 @@ def constraint_from_wire(pair) -> UpdateConstraint:
 
 
 # ----------------------------------------------------------------------
+# Typed scalar fields (a bad value is refused, never coerced)
+# ----------------------------------------------------------------------
+def _name(value: Any, field_name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field_name!r} must be a string, got {value!r}")
+    return value
+
+
+def _flag(data: dict, field_name: str) -> bool:
+    value = data.get(field_name, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{field_name!r} must be a boolean, got {value!r}")
+    return value
+
+
+def _count(data: dict, field_name: str, default: int) -> int:
+    value = data.get(field_name, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{field_name!r} must be a non-negative int, "
+                         f"got {value!r}")
+    return value
+
+
+# ----------------------------------------------------------------------
 # Requests
 # ----------------------------------------------------------------------
 class Request:
@@ -101,10 +125,10 @@ class RegisterConstraints(Request):
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegisterConstraints":
-        return cls(name=data["name"],
+        return cls(name=_name(data["name"], "name"),
                    constraints=tuple(constraint_from_wire(pair)
                                      for pair in data["constraints"]),
-                   replace=bool(data.get("replace", False)))
+                   replace=_flag(data, "replace"))
 
 
 @dataclass(frozen=True)
@@ -123,8 +147,9 @@ class RegisterDocument(Request):
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegisterDocument":
-        return cls(name=data["name"], tree=serialize.from_dict(data["tree"]),
-                   replace=bool(data.get("replace", False)))
+        return cls(name=_name(data["name"], "name"),
+                   tree=serialize.from_dict(data["tree"]),
+                   replace=_flag(data, "replace"))
 
 
 @dataclass(frozen=True)
@@ -146,11 +171,11 @@ class ImplicationQuery(Request):
 
     @classmethod
     def from_dict(cls, data: dict) -> "ImplicationQuery":
-        return cls(constraints=data["constraints"],
+        return cls(constraints=_name(data["constraints"], "constraints"),
                    conclusions=tuple(constraint_from_wire(pair)
                                      for pair in data["conclusions"]),
-                   fail_fast=bool(data.get("fail_fast", False)),
-                   require_decision=bool(data.get("require_decision", False)))
+                   fail_fast=_flag(data, "fail_fast"),
+                   require_decision=_flag(data, "require_decision"))
 
 
 @dataclass(frozen=True)
@@ -178,13 +203,14 @@ class InstanceQuery(Request):
 
     @classmethod
     def from_dict(cls, data: dict) -> "InstanceQuery":
-        return cls(constraints=data["constraints"], document=data["document"],
+        return cls(constraints=_name(data["constraints"], "constraints"),
+                   document=_name(data["document"], "document"),
                    conclusions=tuple(constraint_from_wire(pair)
                                      for pair in data["conclusions"]),
-                   fail_fast=bool(data.get("fail_fast", False)),
-                   require_decision=bool(data.get("require_decision", False)),
-                   max_moves=int(data.get("max_moves", 2)),
-                   search_budget=int(data.get("search_budget", 5000)))
+                   fail_fast=_flag(data, "fail_fast"),
+                   require_decision=_flag(data, "require_decision"),
+                   max_moves=_count(data, "max_moves", 2),
+                   search_budget=_count(data, "search_budget", 5000))
 
 
 @dataclass(frozen=True)
@@ -209,7 +235,8 @@ class StreamSubmit(Request):
 
     @classmethod
     def from_dict(cls, data: dict) -> "StreamSubmit":
-        return cls(document=data["document"], constraints=data["constraints"],
+        return cls(document=_name(data["document"], "document"),
+                   constraints=_name(data["constraints"], "constraints"),
                    ops=tuple(op_from_dict(d) for d in data["ops"]))
 
 
@@ -245,9 +272,9 @@ class RegisterTemplate(Request):
             template = UpdateTemplate.from_dict(data["template"])
         except CertifyError as exc:
             raise ValueError(str(exc)) from None
-        return cls(name=data["name"], template=template,
-                   constraints=data["constraints"],
-                   replace=bool(data.get("replace", False)))
+        return cls(name=_name(data["name"], "name"), template=template,
+                   constraints=_name(data["constraints"], "constraints"),
+                   replace=_flag(data, "replace"))
 
 
 @dataclass(frozen=True)
@@ -280,9 +307,9 @@ class CertifiedSubmit(Request):
             bindings = bindings_from_wire(data["bindings"])
         except CertifyError as exc:
             raise ValueError(str(exc)) from None
-        return cls(document=data["document"],
-                   constraints=data["constraints"],
-                   template=data["template"],
+        return cls(document=_name(data["document"], "document"),
+                   constraints=_name(data["constraints"], "constraints"),
+                   template=_name(data["template"], "template"),
                    bindings=tuple(sorted(bindings.items())))
 
 
@@ -323,10 +350,12 @@ class FleetSubmit(Request):
     @classmethod
     def from_dict(cls, data: dict) -> "FleetSubmit":
         return cls(
-            documents=tuple(data["documents"]),
-            constraints=data["constraints"],
+            documents=tuple(_name(doc, "documents")
+                            for doc in data["documents"]),
+            constraints=_name(data["constraints"], "constraints"),
             epochs=tuple(
-                tuple((doc, tuple(op_from_dict(d) for d in ops))
+                tuple((_name(doc, "epochs"),
+                       tuple(op_from_dict(d) for d in ops))
                       for doc, ops in epoch)
                 for epoch in data["epochs"]),
             backend=data.get("backend"))
@@ -357,7 +386,7 @@ class StreamStatus(Request):
 
     @classmethod
     def from_dict(cls, data: dict) -> "StreamStatus":
-        return cls(document=data["document"])
+        return cls(document=_name(data["document"], "document"))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ registration makes shareable —
 * one :class:`~repro.api.session.BoundReasoner` per ``(set, document)``
   pair, keyed by the document's mutation version, so repeated instance
   queries between edits reuse the snapshot and the per-tree answer sets.
+  A binding on a document under enforcement shares the live stream's
+  :class:`~repro.trees.index.TreeIndex` (with an evaluator of its own)
+  instead of indexing every tree version afresh.
 
 Names are flat strings; re-registering a taken name raises
 :class:`~repro.errors.ServiceError` unless ``replace=True`` (replacement
@@ -205,14 +208,21 @@ class DocumentStore:
         Cached per ``(set, document)`` and invalidated by the document's
         mutation version, so instance queries interleaved with stream
         edits always see the live state yet amortise the snapshot between
-        edits.
+        edits.  A document under enforcement is bound through its stream's
+        live index (no rebuild per tree version); the binding still gets
+        its own evaluator, so conclusion predicates never enter the mask
+        memo the stream patches on every op.
         """
         tree = self.document(doc_name)
         key = (set_name, doc_name)
         cached = self._bindings.get(key)
         if cached is not None and cached[0] == tree.version:
             return cached[1]
-        bound = bind_session(self.session(set_name), tree)
+        live = self._enforcers.get(doc_name)
+        snapshot = live[1].context.index if live is not None else None
+        if snapshot is not None and not snapshot.covers(tree):
+            snapshot = None  # edited behind the stream's back: rebuild
+        bound = bind_session(self.session(set_name), tree, snapshot=snapshot)
         self._bindings[key] = (tree.version, bound)
         return bound
 

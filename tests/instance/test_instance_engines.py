@@ -14,8 +14,18 @@ from repro.instance import (
     implies_on,
     merge_variants,
 )
+from repro.api.session import Reasoner
 from repro.implication.result import Answer
+from repro.instance.search import (
+    SNAPSHOT_MIN_SIZE,
+    bounded_refutation,
+    cascade_refutation,
+    relocation_refutation,
+    same_type_implication,
+)
 from repro.trees import branch, build, parse_tree
+from repro.xpath.bitset import BitsetEvaluator
+from repro.xpath.evaluator import evaluate_ids
 
 
 def assert_refutation_certified(result):
@@ -262,3 +272,84 @@ class TestInstanceDispatcher:
                 assert not oracle.refuted, (str(premises), str(conclusion))
             elif result.is_refuted:
                 assert result.verify() == []
+
+
+class TestSearchSplit:
+    """The hybrid dispatch validates its subset test's own certificate and
+    runs only the cascade family; ``bounded_refutation`` runs both."""
+
+    @staticmethod
+    def problems(rng, count, size):
+        from repro.workloads import (FragmentSpec, random_constraints,
+                                     random_pattern, random_tree)
+
+        spec = FragmentSpec(wildcard=False)
+        for _ in range(count):
+            current = random_tree(rng, ["a", "b", "c"], size=size)
+            premises = ConstraintSet(
+                tuple(random_constraints(rng, ["a", "b", "c"], spec, count=2,
+                                         types="down", spine=2))
+                + tuple(random_constraints(rng, ["a", "b", "c"], spec,
+                                           count=2, types="up", spine=2)))
+            pattern = random_pattern(rng, ["a", "b", "c"], spec, spine=2)
+            conclusion = (no_insert(pattern) if rng.random() < 0.5
+                          else no_remove(pattern))
+            yield premises, current, conclusion
+
+    @staticmethod
+    def same_certificate(split, whole, current):
+        assert (split is None) == (whole is None)
+        if split is None:
+            return
+        assert split.before.canonical_shape() == whole.before.canonical_shape()
+        if whole.witness in current:
+            assert split.witness == whole.witness
+
+    @pytest.mark.parametrize("size", [8, SNAPSHOT_MIN_SIZE])
+    def test_split_families_match_bounded_refutation(self, rng, size):
+        for premises, current, conclusion in self.problems(rng, 12, size):
+            context = BitsetEvaluator.for_tree(current)
+            same = premises.of_type(conclusion.type)
+            hits = {c: evaluate_ids(c.range, current, context=context)
+                    for c in same}
+            subset = same_type_implication(same, current, conclusion,
+                                           range_hits=hits, context=context)
+            split = relocation_refutation(premises, current, conclusion,
+                                          subset, context=context)
+            if split is None:
+                split = cascade_refutation(premises, current, conclusion,
+                                           max_moves=1, budget=40,
+                                           context=context)
+            whole = bounded_refutation(premises, current, conclusion,
+                                       max_moves=1, budget=40,
+                                       context=context)
+            self.same_certificate(split, whole, current)
+
+            # The session's hybrid dispatch is the split path: its verdict
+            # and certificate are the old subset-test-then-search ones.
+            result = Reasoner(premises).bind(current).implies_on(
+                conclusion, max_moves=1, search_budget=40)
+            if subset.is_implied:
+                assert result.is_implied
+            elif whole is None:
+                assert result.answer is Answer.UNKNOWN
+            else:
+                assert result.is_refuted
+                self.same_certificate(result.counterexample, whole, current)
+
+    def test_no_cascades_means_no_worker_pool(self, rng, monkeypatch):
+        from repro.instance import search
+
+        monkeypatch.setattr(search, "_POOLS", {})
+        for premises, current, conclusion in self.problems(rng, 8, 8):
+            sequential = bounded_refutation(premises, current, conclusion,
+                                            max_moves=0, workers=1)
+            pooled = bounded_refutation(premises, current, conclusion,
+                                        max_moves=0, workers=2)
+            self.same_certificate(pooled, sequential, current)
+            # One binding per worker count: the result memo ignores it.
+            one, two = (Reasoner(premises).bind(current).implies_on(
+                conclusion, max_moves=0, search_workers=workers)
+                for workers in (1, 2))
+            assert (one.answer, one.reason) == (two.answer, two.reason)
+        assert search._POOLS == {}

@@ -184,16 +184,16 @@ class TestWireRobustness:
         assert asyncio.run(run())["registered"] == "constraints"
 
     def test_non_repro_error_is_answered_and_the_connection_survives(self):
-        """A failure outside ReproError while serving (an unhashable
-        document name reaches the per-document queue table as a
-        TypeError) is answered with a typed error, counted, and the next
-        request on the same connection is still served."""
+        """A failure outside ReproError while serving (a handler bug
+        surfacing as a TypeError) is answered with a typed error,
+        counted, and the next request on the same connection is still
+        served."""
         async def run():
-            async with ReproServer() as server:
+            async with ReproServer(_BuggyStatusService()) as server:
                 host, port = server.address
                 client = await ReproClient.connect(host, port)
                 bad = await asyncio.wait_for(
-                    client.request(StreamStatus(["x"])), timeout=5)
+                    client.request(StreamStatus("d")), timeout=5)
                 ack = await asyncio.wait_for(
                     client.register_constraints("p", tuple(POLICY)),
                     timeout=5)
@@ -209,6 +209,36 @@ class TestWireRobustness:
         assert snapshot.counters["server.internal_errors_total"] == 1
         assert snapshot.counters[
             'server.requests_total{kind="stream-status"}'] == 1
+
+    def test_non_string_name_is_refused_at_decode(self):
+        """An unhashable document name never reaches a handler: the
+        frame decodes to a typed ServiceError, not an internal error."""
+        async def run():
+            async with ReproServer() as server:
+                host, port = server.address
+                client = await ReproClient.connect(host, port)
+                before = await client.metrics()
+                bad = await asyncio.wait_for(
+                    client.request(StreamStatus(["x"])), timeout=5)
+                after = await client.metrics()
+                await client.close()
+                return bad, before, after
+
+        bad, before, after = asyncio.run(run())
+        assert isinstance(bad, ErrorResponse)
+        assert bad.error == "ServiceError"
+        assert "'document' must be a string" in bad.message
+        key = "server.internal_errors_total"
+        assert after.counters.get(key, 0) == before.counters.get(key, 0)
+
+
+class _BuggyStatusService(AsyncService):
+    """Stream-status requests hit a handler bug (a plain TypeError)."""
+
+    def submit(self, request):
+        if isinstance(request, StreamStatus):
+            raise TypeError("simulated handler bug")
+        return super().submit(request)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,21 @@ from repro.service.protocol import (
 )
 from repro.service.service import ConstraintService
 
+TREE = {"id": 1, "label": "root",
+        "children": [{"id": 2, "label": "a", "children": []}]}
+TEMPLATE = {"name": "t", "ops": [{"op": "add-leaf", "label": "visit",
+                                  "parent": {"hole": "node", "name": "p"}}]}
+
+
+def req(kind: str, **fields) -> str:
+    return json.dumps({"request": kind, **fields})
+
+
+def instance(**fields) -> str:
+    return req("instance-implication", **{
+        "constraints": "p", "document": "d", "conclusions": [], **fields})
+
+
 BAD_PAYLOADS = [
     # (case id, raw JSON text, expected error kind, message fragment)
     ("not-json", "not json at all{{{", "ParseError", "bad JSON"),
@@ -74,6 +89,70 @@ BAD_PAYLOADS = [
     ("document-tree-garbage",
      '{"request": "register-document", "name": "d", "tree": 9}',
      "ServiceError", "malformed 'register-document'"),
+    # Name fields are strings: a list or dict is refused at decode, not
+    # left to raise TypeError from a dict lookup inside a handler.
+    ("implication-list-set-name",
+     req("implication", constraints=["x"], conclusions=[]),
+     "ServiceError", "'constraints' must be a string"),
+    ("register-constraints-list-name",
+     req("register-constraints", name=["x"], constraints=[]),
+     "ServiceError", "'name' must be a string"),
+    ("register-document-list-name",
+     req("register-document", name=["x"], tree=TREE),
+     "ServiceError", "'name' must be a string"),
+    ("register-template-list-name",
+     req("register-template", name=["x"], template=TEMPLATE,
+         constraints="p"),
+     "ServiceError", "'name' must be a string"),
+    ("register-template-dict-set-name",
+     req("register-template", name="t", template=TEMPLATE,
+         constraints={"x": 1}),
+     "ServiceError", "'constraints' must be a string"),
+    ("stream-submit-list-document",
+     req("stream-submit", document=["x"], constraints="p", ops=[]),
+     "ServiceError", "'document' must be a string"),
+    ("stream-submit-dict-set-name",
+     req("stream-submit", document="d", constraints={"x": 1}, ops=[]),
+     "ServiceError", "'constraints' must be a string"),
+    ("stream-status-list-document", req("stream-status", document=["x"]),
+     "ServiceError", "'document' must be a string"),
+    ("instance-list-document", instance(document=["x"]),
+     "ServiceError", "'document' must be a string"),
+    ("certified-submit-list-template",
+     req("certified-submit", document="d", constraints="p", template=["x"],
+         bindings={}),
+     "ServiceError", "'template' must be a string"),
+    ("fleet-submit-list-member",
+     req("fleet-submit", documents=["d", ["x"]], constraints="p",
+         epochs=[]),
+     "ServiceError", "'documents' must be a string"),
+    # Flags are JSON booleans: a string "false" must not read as true.
+    ("register-document-string-replace",
+     req("register-document", name="d", tree=TREE, replace="false"),
+     "ServiceError", "'replace' must be a boolean"),
+    ("register-constraints-int-replace",
+     req("register-constraints", name="p", constraints=[], replace=0),
+     "ServiceError", "'replace' must be a boolean"),
+    ("implication-int-fail-fast",
+     req("implication", constraints="p", conclusions=[], fail_fast=1),
+     "ServiceError", "'fail_fast' must be a boolean"),
+    ("instance-string-require-decision", instance(require_decision="yes"),
+     "ServiceError", "'require_decision' must be a boolean"),
+    # Search knobs are non-negative ints, never bool or a coerced value.
+    ("max-moves-string", instance(max_moves="2"),
+     "ServiceError", "'max_moves' must be a non-negative int"),
+    ("max-moves-bool", instance(max_moves=True),
+     "ServiceError", "'max_moves' must be a non-negative int"),
+    ("max-moves-float", instance(max_moves=1.5),
+     "ServiceError", "'max_moves' must be a non-negative int"),
+    ("max-moves-negative", instance(max_moves=-3),
+     "ServiceError", "'max_moves' must be a non-negative int"),
+    ("search-budget-string", instance(search_budget="5000"),
+     "ServiceError", "'search_budget' must be a non-negative int"),
+    ("search-budget-bool", instance(search_budget=False),
+     "ServiceError", "'search_budget' must be a non-negative int"),
+    ("search-budget-negative", instance(search_budget=-1),
+     "ServiceError", "'search_budget' must be a non-negative int"),
 ]
 
 
@@ -106,6 +185,19 @@ class TestHandleJsonNeverRaises:
         assert reply["response"] == "ack"
         assert reply["registered"] == "constraints"
         assert (reply["name"], reply["size"]) == ("p", 1)
+
+
+def test_refused_string_replace_leaves_the_document_registered():
+    """``"replace": "false"`` once read as true and swapped the document."""
+    svc = ConstraintService()
+    svc.register_document("d", {"id": 1, "label": "root", "children": []})
+    original = svc.store.document("d")
+    reply = json.loads(svc.handle_json(
+        req("register-document", name="d", tree=TREE, replace="false")))
+    assert reply["response"] == "error"
+    assert svc.store.document("d") is original
+    assert original.size == 1
+    svc.close()
 
 
 class TestDictBoundary:
