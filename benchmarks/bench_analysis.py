@@ -1,6 +1,6 @@
 """Static independence analysis: the zero-work fast path, measured.
 
-Two sections, checksummed so the compared paths provably decide alike:
+Checksummed so the compared paths provably decide alike:
 
 * **fastpath** — one seeded, mostly-irrelevant update log
   (:func:`repro.workloads.mostly_irrelevant_stream`: ~95% of the ops
@@ -13,14 +13,6 @@ Two sections, checksummed so the compared paths provably decide alike:
   delta-maintained mask check.  Decisions are bit-identical
   (``decision_checksum`` ignores the ``independent`` witness); the
   acceptance floor is a ≥5x per-op speedup at ≥90% irrelevant traffic.
-* **partition** — the same log planned by
-  :func:`repro.stream.shard.partition_document` and replayed through
-  :func:`~repro.stream.shard.run_partitioned` in every shard order.
-  The section pins the planner's correctness contract — all orders
-  produce the sequential decisions and final document — and reports how
-  much of the log the planner proved reorderable (plan coverage), plus
-  planning throughput.  No speed ratio is gated: the partitioned run
-  drives one enforcer, so its value is the schedule, not the wall clock.
 
 Run:  PYTHONPATH=src python benchmarks/bench_analysis.py [output.json]
           [--smoke] [--compare BASELINE.json] [--tolerance 0.2]
@@ -35,13 +27,10 @@ from __future__ import annotations
 import json
 import random
 import sys
-import time
 from pathlib import Path
 
-from bench_helpers import compare_reports
-from repro.stream import StreamEnforcer, run_partitioned
-from repro.stream.shard import SHARD_ORDERS, decision_checksum, partition_document
-from repro.trees.serialize import to_literal
+from bench_helpers import compare_reports, timed
+from repro.stream import StreamEnforcer, decision_checksum
 from repro.workloads import (
     FragmentSpec,
     mostly_irrelevant_stream,
@@ -51,16 +40,6 @@ from repro.workloads import (
 
 SEED = 20070611  # PODS 2007
 LABELS = [f"l{i}" for i in range(8)]
-
-
-def timed(fn, units: int, rounds: int) -> float:
-    """Best-of-``rounds`` units/sec for ``fn`` (runs the whole workload)."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return units / best
 
 
 def workload(tree_size: int, ops: int, irrelevant_rate: float):
@@ -110,43 +89,6 @@ def bench_fastpath(tree_size: int, ops: int, irrelevant_rate: float,
     }
 
 
-def bench_partition(tree_size: int, ops: int, irrelevant_rate: float,
-                    rounds: int) -> dict:
-    base, constraints, log = workload(tree_size, ops, irrelevant_rate)
-
-    sequential_tree = base.copy()
-    sequential = StreamEnforcer(constraints, sequential_tree).submit(log)
-    seq_sum = decision_checksum(sequential)
-    seq_doc = to_literal(sequential_tree, with_ids=True)
-
-    def plan():
-        return partition_document(constraints, base, log)
-
-    plans_per_sec = timed(plan, len(log), rounds)
-    partition = plan()
-    orders_match = True
-    for order in SHARD_ORDERS:
-        tree = base.copy()
-        decisions = run_partitioned(constraints, tree, log,
-                                    partition=partition, shard_order=order)
-        if (decisions != sequential
-                or to_literal(tree, with_ids=True) != seq_doc):
-            orders_match = False
-    return {
-        "tree_size": base.size,
-        "log_entries": len(log),
-        "shards": len(partition.regions),
-        "batches": len(partition.batches),
-        "boundaries": len(partition.boundaries),
-        "shard_local_ops": partition.shard_local,
-        "plan_coverage": round(partition.shard_local / partition.ops, 3),
-        "plan_ops_per_sec": round(plans_per_sec, 1),
-        "orders_tested": len(SHARD_ORDERS),
-        "orders_match": orders_match,
-        "decision_checksum": seq_sum,
-    }
-
-
 def main() -> None:
     args = list(sys.argv[1:])
     smoke = "--smoke" in args
@@ -169,22 +111,17 @@ def main() -> None:
     if smoke:
         fastpath = bench_fastpath(tree_size=300, ops=80,
                                   irrelevant_rate=0.95, rounds=2)
-        partition = bench_partition(tree_size=120, ops=40,
-                                    irrelevant_rate=0.9, rounds=1)
         floors = {"fastpath": 1.5}
     else:
         fastpath = bench_fastpath(tree_size=2_000, ops=400,
                                   irrelevant_rate=0.95, rounds=3)
-        partition = bench_partition(tree_size=400, ops=120,
-                                    irrelevant_rate=0.9, rounds=2)
         floors = {"fastpath": 5.0}
 
     report = {
-        "benchmark": "static independence: zero-work fast path + partition",
+        "benchmark": "static independence: zero-work fast path",
         "seed": SEED,
         "mode": "smoke" if smoke else "full",
         "fastpath": fastpath,
-        "partition": partition,
         "floors": floors,
     }
     out_path.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
@@ -192,11 +129,6 @@ def main() -> None:
           f"analyzed {fastpath['fastpath_qps']:>9} op/s | "
           f"x{fastpath['speedup']} "
           f"({fastpath['independent_rate']:.0%} independent)")
-    print(f"partition: {partition['shard_local_ops']}/"
-          f"{partition['log_entries']} ops shard-local across "
-          f"{partition['shards']} shards | "
-          f"{partition['orders_tested']} orders "
-          f"{'match' if partition['orders_match'] else 'DIVERGED'}")
     print(f"wrote {out_path}")
 
     failures = []
@@ -205,9 +137,6 @@ def main() -> None:
     if fastpath["independent_rate"] < 0.9:
         failures.append(f"workload irrelevance {fastpath['independent_rate']} "
                         "< 0.9 — the fast path was not exercised as claimed")
-    if not partition["orders_match"]:
-        failures.append("a partitioned shard order diverged from the "
-                        "sequential stream")
     if fastpath["speedup"] < floors["fastpath"]:
         failures.append(f"fastpath speedup {fastpath['speedup']} "
                         f"< floor {floors['fastpath']}")

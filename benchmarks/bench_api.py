@@ -23,10 +23,9 @@ from __future__ import annotations
 import json
 import random
 import sys
-import time
 from pathlib import Path
 
-from bench_helpers import compare_reports
+from bench_helpers import compare_reports, timed
 from repro import Reasoner, implies, implies_on
 from repro.constraints.model import ConstraintType, UpdateConstraint
 from repro.workloads import FragmentSpec, random_constraints, random_pattern, random_tree
@@ -55,16 +54,6 @@ def build_workload():
     return premises, pool, stream, tree
 
 
-def timed(fn, queries: int) -> float:
-    """Best-of-ROUNDS queries/sec for ``fn`` (which runs the whole stream)."""
-    best = float("inf")
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return queries / best
-
-
 def checksum(results) -> int:
     code = {"implied": 1, "not-implied": 2, "unknown": 0}
     total = 0
@@ -90,9 +79,9 @@ def bench_general(premises, pool, stream):
         for c in pool:
             reasoner.implies(c)
 
-    legacy_qps = timed(legacy, len(stream))
-    session_qps = timed(session, len(stream))
-    distinct_qps = timed(session_distinct, len(pool))
+    legacy_qps = timed(legacy, len(stream), ROUNDS)
+    session_qps = timed(session, len(stream), ROUNDS)
+    distinct_qps = timed(session_distinct, len(pool), ROUNDS)
     assert checksum(legacy_out) == checksum(session_out), "verdicts diverged"
     return {
         "queries": len(stream),
@@ -117,8 +106,8 @@ def bench_instance(premises, pool, stream, tree):
         bound = Reasoner(premises).bind(tree)
         session_out.extend(bound.implies_on(c) for c in stream)
 
-    legacy_qps = timed(legacy, len(stream))
-    session_qps = timed(session, len(stream))
+    legacy_qps = timed(legacy, len(stream), ROUNDS)
+    session_qps = timed(session, len(stream), ROUNDS)
     assert checksum(legacy_out) == checksum(session_out), "verdicts diverged"
     return {
         "queries": len(stream),

@@ -24,7 +24,7 @@ themselves to COLD labels, so both certify statically (attempts=0 — the
 bench asserts it).  Fresh-leaf ids are pinned in the schedule, exactly
 as the durable service pins them at its journal boundary, so all three
 engines see identical concrete ops and
-:func:`~repro.stream.shard.decision_checksum` must agree bit for bit.
+:func:`~repro.stream.decision_checksum` must agree bit for bit.
 
 Run:  PYTHONPATH=src python benchmarks/bench_certify.py [output.json]
           [--smoke] [--compare BASELINE.json] [--tolerance 0.2]
@@ -39,10 +39,9 @@ from __future__ import annotations
 import json
 import random
 import sys
-import time
 from pathlib import Path
 
-from bench_helpers import compare_reports
+from bench_helpers import compare_reports, timed
 from repro.certify import (
     LabelHole,
     NodeHole,
@@ -52,9 +51,8 @@ from repro.certify import (
     UpdateTemplate,
     certify,
 )
-from repro.stream import StreamEnforcer
+from repro.stream import StreamEnforcer, decision_checksum
 from repro.stream.ops import AddLeaf, Begin, Commit
-from repro.stream.shard import decision_checksum
 from repro.workloads import FragmentSpec, random_constraints, random_tree
 
 SEED = 20070611  # PODS 2007
@@ -69,16 +67,6 @@ ROTATE = UpdateTemplate("rotate", (
     TemplateMove(SubtreeHole("s", frozenset(COLD)), NodeHole("d")),
     TemplateMove(SubtreeHole("s", frozenset(COLD)), NodeHole("e")),
 ))
-
-
-def timed(fn, units: int, rounds: int) -> float:
-    """Best-of-``rounds`` units/sec for ``fn`` (runs the whole workload)."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return units / best
 
 
 def build_workload(tree_size: int, brackets: int):

@@ -1,19 +1,19 @@
-"""Evaluation-kernel throughput: naive vs indexed vs set-at-a-time bitset.
+"""Evaluation-kernel throughput: naive vs the set-at-a-time bitset snapshot.
 
 Four workloads, all checksummed so the competing paths are provably
 answering identically:
 
 * **pattern evaluation** — a pool of concrete ``XP{/,[],//}`` patterns
   evaluated as a repeated stream over one ~1k-node tree: the naive
-  two-phase evaluator vs one :class:`IndexedEvaluator` snapshot (the PR-2
-  baseline pair, kept for trajectory continuity).  The snapshot build is
-  charged to the indexed path; ``distinct_only`` isolates the cold-memo
-  speedup from the memo's contribution.
+  two-phase evaluator vs one :class:`BitsetEvaluator` snapshot.  The
+  snapshot build is charged to the bitset path; ``distinct_only``
+  isolates the cold-memo speedup from the memo's contribution.
 * **bitset distinct (cold memo)** — the set-at-a-time layer's acceptance
   workload: one shared :class:`TreeIndex` snapshot of a ~2k-node tree, a
   pool of full-fragment ``XP{/,[],//,*}`` patterns with nested predicates,
   and per-round *fresh* evaluators (all query/predicate memos cold).
-  Node-at-a-time indexed vs whole-frontier bitset masks, same answers.
+  Naive two-phase evaluation vs whole-frontier bitset masks, same
+  answers.
 * **instance implication** — a stream of distinct all-``↓`` conclusions
   against one ``(C, J)``: legacy one-shot ``implies_on`` vs
   ``Reasoner(C).bind(J)`` (bitset snapshot + shared premise answer sets).
@@ -39,29 +39,18 @@ from __future__ import annotations
 import json
 import random
 import sys
-import time
 from pathlib import Path
 
-from bench_helpers import compare_reports
+from bench_helpers import compare_reports, timed
 from repro import Reasoner, implies_on
 from repro.constraints.model import ConstraintType, UpdateConstraint
 from repro.trees.index import TreeIndex
 from repro.workloads import FragmentSpec, random_constraints, random_pattern, random_tree
-from repro.xpath import BitsetEvaluator, IndexedEvaluator
+from repro.xpath import BitsetEvaluator
 from repro.xpath.evaluator import evaluate_ids
 
 SEED = 20070611  # PODS 2007
 LABELS = [f"l{i}" for i in range(8)]
-
-
-def timed(fn, queries: int, rounds: int) -> float:
-    """Best-of-``rounds`` queries/sec for ``fn`` (runs the whole stream)."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return queries / best
 
 
 def answer_checksum(answer_sets) -> int:
@@ -88,58 +77,58 @@ def bench_eval(tree_size: int, pool_size: int, repeats: int, rounds: int) -> dic
     stream = pool * repeats
     rng.shuffle(stream)
 
-    naive_out, indexed_out = [], []
+    naive_out, bitset_out = [], []
 
     def naive():
         naive_out.clear()
         naive_out.extend(evaluate_ids(p, tree) for p in stream)
 
-    def indexed():
-        indexed_out.clear()
-        ctx = IndexedEvaluator.for_tree(tree)  # snapshot build charged here
-        indexed_out.extend(ctx.evaluate_ids(p) for p in stream)
+    def bitset():
+        bitset_out.clear()
+        ctx = BitsetEvaluator.for_tree(tree)  # snapshot build charged here
+        bitset_out.extend(ctx.evaluate_ids(p) for p in stream)
 
     def naive_distinct():
         for p in pool:
             evaluate_ids(p, tree)
 
-    def indexed_distinct():
-        ctx = IndexedEvaluator.for_tree(tree)
+    def bitset_distinct():
+        ctx = BitsetEvaluator.for_tree(tree)
         for p in pool:
             ctx.evaluate_ids(p)
 
     naive_qps = timed(naive, len(stream), rounds)
-    indexed_qps = timed(indexed, len(stream), rounds)
+    bitset_qps = timed(bitset, len(stream), rounds)
     naive_distinct_qps = timed(naive_distinct, len(pool), rounds)
-    indexed_distinct_qps = timed(indexed_distinct, len(pool), rounds)
+    bitset_distinct_qps = timed(bitset_distinct, len(pool), rounds)
     naive_sum = answer_checksum(naive_out)
-    indexed_sum = answer_checksum(indexed_out)
+    bitset_sum = answer_checksum(bitset_out)
     return {
         "tree_size": tree.size,
         "distinct_patterns": len(pool),
         "queries": len(stream),
         "naive_qps": round(naive_qps, 1),
-        "indexed_qps": round(indexed_qps, 1),
-        "speedup": round(indexed_qps / naive_qps, 2),
+        "bitset_qps": round(bitset_qps, 1),
+        "speedup": round(bitset_qps / naive_qps, 2),
         "distinct_only": {
             "naive_qps": round(naive_distinct_qps, 1),
-            "indexed_qps": round(indexed_distinct_qps, 1),
-            "speedup": round(indexed_distinct_qps / naive_distinct_qps, 2),
+            "bitset_qps": round(bitset_distinct_qps, 1),
+            "speedup": round(bitset_distinct_qps / naive_distinct_qps, 2),
         },
-        "answers_match": naive_sum == indexed_sum,
+        "answers_match": naive_sum == bitset_sum,
         "answer_checksum": naive_sum,
     }
 
 
 def bench_bitset(tree_size: int, pool_size: int, rounds: int) -> dict:
-    """Node-at-a-time indexed vs bitset masks, cold evaluator memos.
+    """Naive two-phase evaluation vs bitset masks, cold evaluator memos.
 
     One shared :class:`TreeIndex` (its structural facts — label buckets,
-    parent-slot table, children masks — are snapshot properties either
-    path may warm); every round constructs a fresh evaluator, so all
-    query/predicate memos start cold.  The pool uses the paper's full
-    fragment with nested predicates: the workload where per-(predicate,
-    node) checking is the indexed path's remaining cost.
+    parent-slot table, children masks — are snapshot properties the
+    bitset path may warm); every round constructs a fresh evaluator, so
+    all query/predicate memos start cold.  The pool uses the paper's full
+    fragment with nested predicates, where the naive evaluator re-checks
+    every predicate per (candidate, step).
     """
     rng = random.Random(SEED)
     tree = random_tree(rng, LABELS, size=tree_size)
@@ -149,16 +138,11 @@ def bench_bitset(tree_size: int, pool_size: int, rounds: int) -> dict:
             for _ in range(pool_size)]
     snapshot = TreeIndex(tree)
 
-    naive_out, indexed_out, bitset_out = [], [], []
+    naive_out, bitset_out = [], []
 
     def naive():
         naive_out.clear()
         naive_out.extend(evaluate_ids(p, tree) for p in pool)
-
-    def indexed_cold():
-        indexed_out.clear()
-        ctx = IndexedEvaluator(snapshot)
-        indexed_out.extend(ctx.evaluate_ids(p) for p in pool)
 
     def bitset_cold():
         bitset_out.clear()
@@ -166,19 +150,16 @@ def bench_bitset(tree_size: int, pool_size: int, rounds: int) -> dict:
         bitset_out.extend(ctx.evaluate_ids(p) for p in pool)
 
     naive_qps = timed(naive, len(pool), max(1, rounds - 1))
-    indexed_qps = timed(indexed_cold, len(pool), rounds)
     bitset_qps = timed(bitset_cold, len(pool), rounds)
-    sums = {answer_checksum(out) for out in (naive_out, indexed_out, bitset_out)}
+    bitset_sum = answer_checksum(bitset_out)
     return {
         "tree_size": tree.size,
         "distinct_patterns": len(pool),
         "naive_qps": round(naive_qps, 1),
-        "indexed_qps": round(indexed_qps, 1),
         "bitset_qps": round(bitset_qps, 1),
-        "speedup": round(bitset_qps / indexed_qps, 2),  # bitset vs indexed
-        "speedup_vs_naive": round(bitset_qps / naive_qps, 2),
-        "answers_match": len(sums) == 1,
-        "answer_checksum": answer_checksum(bitset_out),
+        "speedup": round(bitset_qps / naive_qps, 2),
+        "answers_match": answer_checksum(naive_out) == bitset_sum,
+        "answer_checksum": bitset_sum,
     }
 
 
@@ -303,7 +284,7 @@ def main() -> None:
         instance_row = bench_instance(tree_size=60, pool_size=8, rounds=2)
         search_row = bench_search(tree_size=40, pool_size=6, repeats=2,
                                   rounds=2, budget=150)
-        floors = {"pattern_evaluation": 1.0, "bitset": 0.7,
+        floors = {"pattern_evaluation": 1.0, "bitset": 1.0,
                   "instance_implication": 1.0, "instance_search": 1.0}
     else:
         eval_row = bench_eval(tree_size=1000, pool_size=20, repeats=5, rounds=3)
@@ -311,11 +292,11 @@ def main() -> None:
         instance_row = bench_instance(tree_size=150, pool_size=15, rounds=3)
         search_row = bench_search(tree_size=60, pool_size=8, repeats=3,
                                   rounds=3, budget=300)
-        floors = {"pattern_evaluation": 10.0, "bitset": 1.7,
+        floors = {"pattern_evaluation": 10.0, "bitset": 7.0,
                   "instance_implication": 3.0, "instance_search": 1.5}
 
     report = {
-        "benchmark": "evaluation kernel: naive vs indexed vs bitset",
+        "benchmark": "evaluation kernel: naive vs bitset",
         "seed": SEED,
         "mode": "smoke" if smoke else "full",
         "pattern_evaluation": eval_row,
@@ -326,10 +307,9 @@ def main() -> None:
     }
     out_path.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
     print(f"eval    : naive {eval_row['naive_qps']:>9} q/s | "
-          f"indexed {eval_row['indexed_qps']:>9} q/s | x{eval_row['speedup']}")
-    print(f"bitset  : indexed {bitset_row['indexed_qps']:>7} q/s | "
-          f"bitset  {bitset_row['bitset_qps']:>9} q/s | x{bitset_row['speedup']}"
-          f" (x{bitset_row['speedup_vs_naive']} vs naive)")
+          f"bitset  {eval_row['bitset_qps']:>9} q/s | x{eval_row['speedup']}")
+    print(f"bitset  : naive {bitset_row['naive_qps']:>9} q/s | "
+          f"bitset  {bitset_row['bitset_qps']:>9} q/s | x{bitset_row['speedup']}")
     print(f"instance: legacy {instance_row['legacy_qps']:>8} q/s | "
           f"bound   {instance_row['bound_qps']:>9} q/s | x{instance_row['speedup']}")
     print(f"search  : legacy {search_row['legacy_qps']:>8} q/s | "
@@ -340,7 +320,7 @@ def main() -> None:
     if not eval_row["answers_match"]:
         failures.append("pattern-evaluation answer sets diverged")
     if not bitset_row["answers_match"]:
-        failures.append("bitset answer sets diverged from naive/indexed")
+        failures.append("bitset answer sets diverged from naive")
     if not instance_row["verdicts_match"]:
         failures.append("instance-implication verdicts diverged")
     if not search_row["verdicts_match"]:

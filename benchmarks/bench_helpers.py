@@ -8,6 +8,7 @@ exposing each cell's growth trend (recorded in EXPERIMENTS.md).
 from __future__ import annotations
 
 import random
+import time
 
 from repro.constraints import ConstraintSet, UpdateConstraint, ConstraintType
 from repro.workloads import (
@@ -52,6 +53,16 @@ def instance_workload(cell: str, spec: FragmentSpec, count: int, types: str,
             random_pattern(rng, LABELS, spec, spine=spine), kind)
         problems.append((premises, current, conclusion))
     return problems
+
+
+def timed(fn, units: int, rounds: int) -> float:
+    """Best-of-``rounds`` units/sec for ``fn`` (runs the whole workload)."""
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return units / best
 
 
 def run_all(problems, engine) -> int:

@@ -30,10 +30,9 @@ import sys
 import time
 from pathlib import Path
 
-from bench_helpers import compare_reports
+from bench_helpers import compare_reports, timed
 from repro.obs import MetricsRegistry, NULL
-from repro.stream import StreamEnforcer
-from repro.stream.shard import decision_checksum
+from repro.stream import StreamEnforcer, decision_checksum
 from repro.workloads import (
     FragmentSpec,
     random_constraints,
@@ -47,16 +46,6 @@ LABELS = [f"l{i}" for i in range(8)]
 #: The gate: instrumented enforcement must keep ≥95% of disabled-registry
 #: throughput on the bench_stream workload.
 OVERHEAD_LIMIT = 0.05
-
-
-def timed(fn, units: int, rounds: int) -> float:
-    """Best-of-``rounds`` units/sec for ``fn`` (runs the whole workload)."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return units / best
 
 
 def timed_pair(fn_a, fn_b, units: int, rounds: int) -> tuple[float, float]:

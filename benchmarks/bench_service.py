@@ -1,20 +1,14 @@
-"""Service-layer throughput: executors, async front end, parallel search.
+"""Service-layer throughput: refutation search, async front end, dispatch.
 
 Three sections, checksummed so the compared paths provably behave
 identically:
 
 * **refutation** — one budget-exhausting mixed-type refutation search
   (the coNP cell's worst case: every cascade candidate validated, no
-  counterexample found) run sequentially and with the candidate families
-  fanned across 2 and 4 worker processes
-  (:func:`repro.instance.search.bounded_refutation` ``workers=``).  The
-  verdicts must agree exactly; the parallel ratios are **reported, not
-  gated** — like the shard section of ``bench_stream.py``, they track the
-  runner's core count, not the code (the baseline below was produced on a
-  single-core container, where replaying the enumeration in N processes
-  on one core cannot beat one process; the design shards the dominant
-  validation cost, so multi-core runners are expected to scale, but that
-  remains unmeasured until one is available).
+  counterexample found) through
+  :func:`repro.instance.search.bounded_refutation`, reported as
+  candidates/second.  Every timed run must reach the drawn verdict (no
+  counterexample); the throughput is reported, not gated.
 * **async** — a single client pipelining an update log through
   :class:`~repro.service.async_service.AsyncService` (one awaitable
   decision per op) vs direct :meth:`StreamEnforcer.apply` calls on the
@@ -43,7 +37,7 @@ import sys
 import time
 from pathlib import Path
 
-from bench_helpers import compare_reports
+from bench_helpers import compare_reports, timed
 from repro import AsyncService, ConstraintService, Reasoner, StreamEnforcer
 from repro.constraints.model import ConstraintType, UpdateConstraint
 from repro.instance.search import bounded_refutation
@@ -63,15 +57,6 @@ _FOLD = 1_000_003
 _MOD = 2 ** 61
 
 
-def timed(fn, units: int, rounds: int) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return units / best
-
-
 def fold_checksums(responses) -> int:
     total = 0
     for response in responses:
@@ -80,7 +65,7 @@ def fold_checksums(responses) -> int:
 
 
 # ----------------------------------------------------------------------
-# Section 1: parallel refutation search
+# Section 1: refutation search
 # ----------------------------------------------------------------------
 def refutation_problem(tree_size: int, budget: int):
     """A seeded mixed-type problem whose search exhausts its budget.
@@ -108,30 +93,19 @@ def refutation_problem(tree_size: int, budget: int):
 
 def bench_refutation(tree_size: int, budget: int, rounds: int) -> dict:
     premises, tree, conclusion = refutation_problem(tree_size, budget)
-    outcomes = {}
+    outcomes = []
 
-    def run(workers: int):
-        def go():
-            outcomes[workers] = bounded_refutation(
-                premises, tree, conclusion, max_moves=2, budget=budget,
-                workers=workers)
-        return go
+    def search():
+        outcomes.append(bounded_refutation(premises, tree, conclusion,
+                                           max_moves=2, budget=budget))
 
-    seq_cps = timed(run(1), budget, rounds)
-    two_cps = timed(run(2), budget, max(1, rounds - 1))
-    four_cps = timed(run(4), budget, max(1, rounds - 1))
-    agree = all(outcome is None for outcome in outcomes.values())
+    seq_cps = timed(search, budget, rounds)
+    agree = all(outcome is None for outcome in outcomes)
     return {
         "tree_size": tree.size,
         "budget": budget,
         "premises": len(premises),
         "sequential_candidates_per_sec": round(seq_cps, 1),
-        "workers2_candidates_per_sec": round(two_cps, 1),
-        "workers4_candidates_per_sec": round(four_cps, 1),
-        # Core-count-bound: reported for observability, deliberately not
-        # named "speedup" so the --compare gate does not track them.
-        "parallel_ratio_2w": round(two_cps / seq_cps, 2),
-        "parallel_ratio_4w": round(four_cps / seq_cps, 2),
         "verdicts_agree": agree,
         "verdict_checksum": 1 if agree else 0,
     }
@@ -275,8 +249,8 @@ def main() -> None:
         floors = {"async": 0.6, "service": 0.35}
 
     report = {
-        "benchmark": "constraint service: executors, async front end, "
-                     "parallel refutation search",
+        "benchmark": "constraint service: refutation search, async front "
+                     "end, wire dispatch",
         "seed": SEED,
         "mode": "smoke" if smoke else "full",
         "refutation": refutation,
@@ -285,9 +259,8 @@ def main() -> None:
         "floors": floors,
     }
     out_path.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
-    print(f"refute  : seq {refutation['sequential_candidates_per_sec']:>9} c/s | "
-          f"2w x{refutation['parallel_ratio_2w']} | "
-          f"4w x{refutation['parallel_ratio_4w']} (not gated; core-bound)")
+    print(f"refute  : seq {refutation['sequential_candidates_per_sec']:>9} c/s"
+          f" (not gated)")
     print(f"async   : direct {asynchronous['direct_qps']:>8} op/s | "
           f"async  {asynchronous['async_qps']:>9} op/s | "
           f"x{asynchronous['speedup']}")
@@ -298,7 +271,8 @@ def main() -> None:
 
     failures = []
     if not refutation["verdicts_agree"]:
-        failures.append("refutation verdicts diverged across worker counts")
+        failures.append("a timed refutation search found a counterexample "
+                        "the drawn problem does not have")
     if not asynchronous["decisions_match"]:
         failures.append("async decisions diverged from direct StreamEnforcer")
     if asynchronous["speedup"] < floors["async"]:

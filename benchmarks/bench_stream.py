@@ -1,6 +1,6 @@
 """Online enforcement throughput: delta-maintained masks vs re-validation.
 
-Three sections, checksummed so the compared paths provably behave
+Two sections, checksummed so the compared paths provably behave
 identically:
 
 * **enforcement** — one seeded update log (ops, transaction brackets and a
@@ -18,11 +18,6 @@ identically:
   (:func:`repro.xpath.bitset.slots_of` / ``iter_slots``) vs the old
   big-int bit-kernel loop, extracting every mask of a >10k-node document
   (ROADMAP follow-up: the bitset ceiling on large documents).
-* **sharded** — a fleet of independent streams through
-  :func:`repro.stream.shard.run_sharded`, sequential vs a 2-worker pool.
-  The checksum pins cross-process determinism; the ``parallel_ratio`` is
-  reported for observability but deliberately not gated (CI runners have
-  wildly varying core counts).
 
 Run:  PYTHONPATH=src python benchmarks/bench_stream.py [output.json]
           [--smoke] [--compare BASELINE.json] [--tolerance 0.2]
@@ -37,15 +32,13 @@ from __future__ import annotations
 import json
 import random
 import sys
-import time
 from pathlib import Path
 
-from bench_helpers import compare_reports
+from bench_helpers import compare_reports, timed
 from repro.constraints.validity import Violation
-from repro.errors import TreeError
-from repro.stream import AddLeaf, Move, StreamEnforcer, StreamJob, run_sharded
-from repro.stream.shard import decision_checksum
+from repro.stream import StreamEnforcer, decision_checksum
 from repro.trees.index import TreeIndex
+from repro.trees.tree import DataTree
 from repro.workloads import (
     FragmentSpec,
     random_constraints,
@@ -58,14 +51,26 @@ SEED = 20070611  # PODS 2007
 LABELS = [f"l{i}" for i in range(8)]
 
 
-def timed(fn, units: int, rounds: int) -> float:
-    """Best-of-``rounds`` units/sec for ``fn`` (runs the whole workload)."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return units / best
+class RawEdits:
+    """The ``apply_*`` edit surface of a snapshot, on the bare tree.
+
+    The shared edit journal (:func:`repro.stream.ops.perform` /
+    :func:`~repro.stream.ops.undo`) drives whatever it is handed; this
+    hands it the tree itself, so no snapshot is maintained per edit.
+    """
+
+    def __init__(self, tree: DataTree):
+        self.tree = tree
+
+    def apply_add_leaf(self, parent: int, label: str,
+                       nid: int | None = None) -> int:
+        return self.tree.add_child(parent, label, nid=nid)
+
+    def apply_move(self, nid: int, new_parent: int) -> None:
+        self.tree.move(nid, new_parent)
+
+    def apply_remove_subtree(self, nid: int) -> None:
+        self.tree.remove_subtree(nid)
 
 
 class ScratchEnforcer(StreamEnforcer):
@@ -77,40 +82,16 @@ class ScratchEnforcer(StreamEnforcer):
     incremental engine's; only the work per operation differs.
     """
 
+    def __init__(self, constraints, tree: DataTree) -> None:
+        super().__init__(constraints, tree, analysis=False)
+        self._ctx = RawEdits(tree)  # the journal edits the bare tree
+
     def _check_fresh(self) -> None:  # the initial snapshot is left behind
         pass
 
     def _current_violations(self) -> tuple[Violation, ...]:
         fresh = BitsetEvaluator.for_tree(self._tree)
         return tuple(self._checker.violations(self._tree, context=fresh))
-
-    def _perform(self, op):
-        tree = self._tree
-        if isinstance(op, AddLeaf):
-            nid = tree.add_child(op.parent, op.label, nid=op.nid)
-            return ("unadd", nid)
-        if isinstance(op, Move):
-            old_parent = tree.parent(op.nid)
-            tree.move(op.nid, op.new_parent)
-            return ("move", op.nid, old_parent)
-        if op.nid not in tree:
-            raise TreeError(f"node {op.nid} not in tree")
-        spec = tuple((n, tree.parent(n), tree.label(n))
-                     for n in tree.descendants(op.nid, include_self=True))
-        tree.remove_subtree(op.nid)
-        return ("revive", spec)
-
-    def _undo(self, journal) -> None:
-        tree = self._tree
-        for entry in reversed(journal):
-            tag = entry[0]
-            if tag == "move":
-                tree.move(entry[1], entry[2])
-            elif tag == "unadd":
-                tree.remove_subtree(entry[1])
-            else:
-                for nid, parent, label in entry[1]:
-                    tree.add_child(parent, label, nid=nid)
 
 
 def bench_enforcement(tree_size: int, ops: int, rounds: int) -> dict:
@@ -134,10 +115,10 @@ def bench_enforcement(tree_size: int, ops: int, rounds: int) -> dict:
 
     def scratch():
         scratch_out.clear()
-        # analysis=False: the scratch baseline leaves the live snapshot
-        # behind, so the analyzer must not consult it — and an honest
-        # recompute baseline takes no fast path anyway.
-        stream = ScratchEnforcer(constraints, base.copy(), analysis=False)
+        # ScratchEnforcer runs with analysis off: it leaves the live
+        # snapshot behind, so the analyzer must not consult it — and an
+        # honest recompute baseline takes no fast path anyway.
+        stream = ScratchEnforcer(constraints, base.copy())
         scratch_out.extend(stream.submit(log))
 
     incremental_qps = timed(incremental, len(log), rounds)
@@ -200,48 +181,6 @@ def bench_decoder(tree_size: int, rounds: int) -> dict:
     }
 
 
-def bench_sharded(jobs: int, tree_size: int, ops: int, rounds: int) -> dict:
-    rng = random.Random(SEED)
-    spec = FragmentSpec(predicates=True, descendant=True, wildcard=False)
-    bundle = []
-    for i in range(jobs):
-        tree = random_tree(rng, LABELS, size=tree_size)
-        constraints = random_constraints(rng, LABELS, spec, count=4,
-                                         types="mixed", spine=2)
-        log = random_update_stream(rng, tree, LABELS,
-                                   constraints=constraints, ops=ops,
-                                   violation_rate=0.3)
-        bundle.append(StreamJob.build(constraints, tree, log, name=f"doc{i}"))
-
-    sequential_out, sharded_out = [], []
-
-    def sequential():
-        sequential_out[:] = run_sharded(bundle, workers=1)
-
-    def sharded():
-        sharded_out[:] = run_sharded(bundle, workers=2)
-
-    total_ops = jobs * ops
-    sequential_qps = timed(sequential, total_ops, rounds)
-    sharded_qps = timed(sharded, total_ops, rounds)
-    fold = 0
-    for report in sequential_out:
-        fold = (fold * 1_000_003 + report.decision_checksum) % (2 ** 61)
-    match = [r.decision_checksum for r in sequential_out] == \
-            [r.decision_checksum for r in sharded_out]
-    return {
-        "jobs": jobs,
-        "tree_size": tree_size,
-        "ops_per_job": ops,
-        "sequential_qps": round(sequential_qps, 1),
-        "sharded_qps": round(sharded_qps, 1),
-        # Reported, not gated: runner core counts vary too much.
-        "parallel_ratio": round(sharded_qps / sequential_qps, 2),
-        "reports_match": match,
-        "fleet_checksum": fold,
-    }
-
-
 def main() -> None:
     args = list(sys.argv[1:])
     smoke = "--smoke" in args
@@ -263,12 +202,10 @@ def main() -> None:
     if smoke:
         enforcement = bench_enforcement(tree_size=300, ops=40, rounds=2)
         decoder = bench_decoder(tree_size=2_000, rounds=2)
-        sharded = bench_sharded(jobs=2, tree_size=60, ops=12, rounds=1)
         floors = {"enforcement": 1.3, "decoder": 1.05}
     else:
         enforcement = bench_enforcement(tree_size=2_000, ops=150, rounds=3)
         decoder = bench_decoder(tree_size=12_000, rounds=5)
-        sharded = bench_sharded(jobs=3, tree_size=150, ops=30, rounds=2)
         floors = {"enforcement": 3.0, "decoder": 1.2}
 
     report = {
@@ -277,7 +214,6 @@ def main() -> None:
         "mode": "smoke" if smoke else "full",
         "enforcement": enforcement,
         "decoder": decoder,
-        "sharded": sharded,
         "floors": floors,
     }
     out_path.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
@@ -287,9 +223,6 @@ def main() -> None:
     print(f"decoder : kernel {decoder['bitkernel_slots_per_sec']:>9} sl/s | "
           f"batch       {decoder['batch_slots_per_sec']:>9} sl/s | "
           f"x{decoder['speedup']}")
-    print(f"sharded : seq    {sharded['sequential_qps']:>9} op/s | "
-          f"pool        {sharded['sharded_qps']:>9} op/s | "
-          f"x{sharded['parallel_ratio']} (not gated)")
     print(f"wrote {out_path}")
 
     failures = []
@@ -298,8 +231,6 @@ def main() -> None:
                         "and recompute-from-scratch")
     if not decoder["answers_match"]:
         failures.append("decoder slot sets diverged from the bit-kernel")
-    if not sharded["reports_match"]:
-        failures.append("sharded reports diverged from the sequential run")
     for name in ("enforcement", "decoder"):
         row = report[name]
         if row["speedup"] < floors[name]:

@@ -31,9 +31,8 @@ that breaks the policy, and keeps an audit trail of witnesses.
 Fleets of documents live behind the multi-document service:
 ``ConstraintService`` registers named documents and named compiled
 constraint sets once and answers a JSON-serialisable request protocol
-(implication, instance queries, enforcement) through pluggable executors
-— inline, process-pooled, or the ``AsyncService`` asyncio front end with
-per-document ordering.
+(implication, instance queries, enforcement), synchronously or through
+the ``AsyncService`` asyncio front end with per-document ordering.
 
 Thousands of *small* documents under one shared policy check fastest as
 one batch: ``FleetEvaluator`` (:mod:`repro.masks`) evaluates every
@@ -47,7 +46,7 @@ Sub-packages: ``service`` (the multi-document front door), ``api``
 fragment, containment, intersections), ``automata`` (linear-path
 machinery), ``constraints`` (update constraints + validity),
 ``implication`` (Table 1 engines), ``instance`` (Table 2 engines),
-``stream`` (online update-log enforcement + shard runner), ``masks``
+``stream`` (online update-log enforcement), ``masks``
 (pluggable mask backends + the fleet evaluator), ``reductions``
 (hardness constructions), ``keys`` / ``xic`` (the related formalisms of
 Section 3), ``bruteforce`` (ground-truth oracles) and ``workloads``
@@ -100,7 +99,6 @@ from repro.service import (
     ConstraintService,
     DocumentStore,
     InlineExecutor,
-    ProcessExecutor,
 )
 from repro.stream import (
     AddLeaf,
@@ -111,18 +109,11 @@ from repro.stream import (
     Move,
     RemoveSubtree,
     Rollback,
-    FleetJob,
-    FleetRunReport,
     StreamEnforcer,
-    StreamJob,
-    StreamReport,
-    run_fleet,
-    run_sharded,
 )
 from repro.trees import DataTree, Node, TreeIndex, branch, build, leaf, parse_tree
 from repro.xpath import (
     BitsetEvaluator,
-    IndexedEvaluator,
     Pattern,
     contained,
     equivalent,
@@ -140,7 +131,7 @@ __all__ = [
     "DataTree", "TreeIndex", "Node", "branch", "build", "leaf", "parse_tree",
     # xpath
     "Pattern", "parse", "evaluate", "contained", "equivalent",
-    "IndexedEvaluator", "BitsetEvaluator",
+    "BitsetEvaluator",
     # constraints
     "ConstraintType", "UpdateConstraint", "ConstraintSet", "constraint_set",
     "no_remove", "no_insert", "immutable", "relative", "RelativeConstraint",
@@ -148,13 +139,12 @@ __all__ = [
     "satisfies_relative", "BaselineValidity",
     # service
     "ConstraintService", "DocumentStore", "AsyncService",
-    "InlineExecutor", "ProcessExecutor",
+    "InlineExecutor",
     # stream
     "StreamEnforcer", "AuditTrail", "Decision",
     "AddLeaf", "Move", "RemoveSubtree", "Begin", "Commit", "Rollback",
-    "StreamJob", "StreamReport", "run_sharded",
     # fleet / mask backends
-    "FleetEvaluator", "FleetJob", "FleetRunReport", "run_fleet",
+    "FleetEvaluator",
     "get_backend", "available_backends", "numpy_available",
     # implication
     "implies", "implies_single", "implies_on",

@@ -4,9 +4,8 @@
 enforcement stream: it turns a :class:`~repro.constraints.model.
 ConstraintSet` into per-constraint :class:`ImpactSignature` values and a
 whole-set :class:`IndependenceIndex`, from which the stream engine's
-zero-work fast path and the intra-document shard planner
-(:func:`repro.stream.shard.partition_document`) both decide — without
-mask work — that an update cannot affect any constraint.
+zero-work fast path decides — without mask work — that an update cannot
+affect any constraint.
 """
 
 from repro.analysis.independence import (

@@ -71,13 +71,11 @@ from repro.xpath.ast import Pattern
 from repro.xpath.containment import contained
 from repro.xpath.bitset import BitsetEvaluator
 from repro.xpath.evaluator import evaluate_ids
-from repro.xpath.indexed import IndexedEvaluator
 from repro.xpath.intersection import intersect_child_only
 from repro.xpath.properties import Fragment, is_linear
 
 
-# The require_decision=True failure texts, shared with the service layer
-# (whose executors replicate the raise when assembling fanned-out batches).
+# The require_decision=True failure texts.
 GENERAL_UNDECIDED = (
     "mixed types with predicates and descendant axis (the paper's "
     "NEXPTIME cell): sound tests were inconclusive"
@@ -257,31 +255,28 @@ class Reasoner:
         decide = partial(self.implies, require_decision=require_decision)
         return run_batch(decide, conclusions, fail_fast=fail_fast)
 
-    def bind(self, current: DataTree, indexed: bool = True,
-             engine: str | None = None) -> "BoundReasoner":
+    def bind(self, current: DataTree,
+             engine: str = "bitset") -> "BoundReasoner":
         """Fix the current instance ``J`` for instance-based queries.
 
         ``engine`` selects the evaluation substrate for every range
-        evaluation on the binding — verdicts are bit-identical across all
-        three (enforced by the Hypothesis three-way suite):
+        evaluation on the binding — verdicts are bit-identical across
+        both (enforced by the Hypothesis equivalence suite):
 
         * ``"bitset"`` (default) — set-at-a-time evaluation over a
           :class:`repro.trees.index.TreeIndex` snapshot
           (:class:`repro.xpath.bitset.BitsetEvaluator`): whole frontiers
           as masks, one cached bitset per canonical predicate;
-        * ``"indexed"`` — the node-at-a-time label-indexed evaluator
-          (:class:`repro.xpath.indexed.IndexedEvaluator`);
         * ``"naive"`` — no snapshot at all (the legacy wrapper and the
           benchmarks' baseline).
 
-        ``indexed=False`` is the legacy spelling of ``engine="naive"``.
-
         Routes through :mod:`repro.service.dispatch`, the one dispatch
-        layer shared with the service executors and the legacy wrappers.
+        layer shared with the service's document store and the legacy
+        wrappers.
         """
         from repro.service.dispatch import bind_session
 
-        return bind_session(self, current, indexed=indexed, engine=engine)
+        return bind_session(self, current, engine=engine)
 
     def implies_on(self, current: DataTree, conclusion: UpdateConstraint,
                    require_decision: bool = False,
@@ -292,8 +287,7 @@ class Reasoner:
             conclusion, require_decision=require_decision,
             max_moves=max_moves, search_budget=search_budget)
 
-    def open_stream(self, tree: DataTree,
-                    engine: str = "bitset") -> StreamEnforcer:
+    def open_stream(self, tree: DataTree) -> StreamEnforcer:
         """Enforce the compiled constraint set online over ``tree``.
 
         Returns a :class:`repro.stream.engine.StreamEnforcer` that
@@ -303,11 +297,12 @@ class Reasoner:
         cumulative edit invalid — are rolled back automatically.
 
         Routes through :mod:`repro.service.dispatch`, the one dispatch
-        layer shared with the service executors and the legacy wrappers.
+        layer shared with the service's document store and the legacy
+        wrappers.
         """
         from repro.service.dispatch import open_enforcer
 
-        return open_enforcer(self._premises, tree, engine=engine)
+        return open_enforcer(self._premises, tree)
 
     @property
     def stats(self) -> CacheStats:
@@ -362,16 +357,16 @@ class BoundReasoner:
     """A :class:`Reasoner` bound to one current instance ``J``.
 
     Caches everything that depends on ``J`` but not on the conclusion —
-    the :class:`~repro.trees.index.TreeIndex` snapshot powering bitset or
-    label-indexed evaluation (see :meth:`Reasoner.bind` for the engine
-    choices), the answer set of every premise range on ``J`` (which the
+    the :class:`~repro.trees.index.TreeIndex` snapshot powering bitset
+    evaluation (see :meth:`Reasoner.bind` for the engine choices), the
+    answer set of every premise range on ``J`` (which the
     per-witness no-insert engine consumes for each conclusion), and a
     result memo keyed on canonical conclusions.
 
     The bound tree must not be mutated while the binding is in use;
     mutate-and-requery through a fresh :meth:`Reasoner.bind`.  The
     snapshot's mutation-version guard catches every structural change
-    (snapshot engines); naive bindings fall back to the cheaper
+    (bitset engine); naive bindings fall back to the cheaper
     size-based guard, which moves and relabels can escape.
 
     ``snapshot`` optionally hands in a fresh index of ``current`` to bind
@@ -380,13 +375,11 @@ class BoundReasoner:
     memos) over it, and goes stale as soon as the index's revision moves.
     """
 
-    ENGINES = ("bitset", "indexed", "naive")
+    ENGINES = ("bitset", "naive")
 
     def __init__(self, reasoner: Reasoner, current: DataTree,
-                 indexed: bool = True, engine: str | None = None, *,
+                 engine: str = "bitset", *,
                  snapshot: TreeIndex | None = None):
-        if engine is None:
-            engine = "bitset" if indexed else "naive"
         if engine not in self.ENGINES:
             raise ValueError(f"unknown evaluation engine {engine!r}; "
                              f"expected one of {self.ENGINES}")
@@ -394,15 +387,14 @@ class BoundReasoner:
         self._current = current
         self._size_at_bind = current.size
         self._engine = engine
-        self._context: BitsetEvaluator | IndexedEvaluator | None = None
-        if engine != "naive":
+        self._context: BitsetEvaluator | None = None
+        if engine == "bitset":
             if snapshot is None:
                 snapshot = TreeIndex(current)
             elif not snapshot.covers(current):
                 raise ValueError("snapshot is not a fresh index of the "
                                  "bound tree")
-            evaluator = BitsetEvaluator if engine == "bitset" else IndexedEvaluator
-            self._context = evaluator(snapshot)
+            self._context = BitsetEvaluator(snapshot)
             # A shared index edited in place by its owner (a live stream)
             # stays fresh, so staleness is also keyed on its revision.
             self._revision_at_bind = snapshot.revision
@@ -419,11 +411,11 @@ class BoundReasoner:
 
     @property
     def engine(self) -> str:
-        """The binding's evaluation substrate (``bitset``/``indexed``/``naive``)."""
+        """The binding's evaluation substrate (``bitset`` or ``naive``)."""
         return self._engine
 
     @property
-    def context(self) -> BitsetEvaluator | IndexedEvaluator | None:
+    def context(self) -> BitsetEvaluator | None:
         """The binding's snapshot evaluator (``None`` on the naive engine)."""
         return self._context
 
@@ -469,24 +461,13 @@ class BoundReasoner:
     def implies_on(self, conclusion: UpdateConstraint,
                    require_decision: bool = False,
                    max_moves: int = 2,
-                   search_budget: int = 5000,
-                   search_workers: int = 1) -> ImplicationResult:
-        """Decide ``C ⊨_J c`` (Definition 2.5) with per-tree caching.
-
-        ``search_workers > 1`` fans the refutation search's cascade family
-        across a process pool (see
-        :func:`repro.instance.search.cascade_refutation`) — verdicts are
-        identical to the sequential search, only the wall-clock differs.
-        """
+                   search_budget: int = 5000) -> ImplicationResult:
+        """Decide ``C ⊨_J c`` (Definition 2.5) with per-tree caching."""
         conclusion.require_concrete()
         self._check_fresh()
-        # search_workers is an execution hint, not part of the query: the
-        # sharded walk is verdict-identical by construction (and pinned by
-        # the equivalence tests), so worker counts share one cache line.
         result = self._memo.get_or_compute(
             ("instance", conclusion.canonical_key, max_moves, search_budget),
-            lambda: self._decide_instance(conclusion, max_moves, search_budget,
-                                          search_workers),
+            lambda: self._decide_instance(conclusion, max_moves, search_budget),
         )
         if result.is_unknown and require_decision:
             raise UnsupportedProblemError(INSTANCE_UNDECIDED)
@@ -496,8 +477,7 @@ class BoundReasoner:
                     fail_fast: bool = False,
                     require_decision: bool = False,
                     max_moves: int = 2,
-                    search_budget: int = 5000,
-                    search_workers: int = 1) -> BatchReport:
+                    search_budget: int = 5000) -> BatchReport:
         """Batch instance-based queries against the bound tree.
 
         The search knobs are forwarded to every per-conclusion query, so
@@ -505,12 +485,10 @@ class BoundReasoner:
         :meth:`implies_on` calls with the same arguments.
         """
         decide = partial(self.implies_on, require_decision=require_decision,
-                         max_moves=max_moves, search_budget=search_budget,
-                         search_workers=search_workers)
+                         max_moves=max_moves, search_budget=search_budget)
         return run_batch(decide, conclusions, fail_fast=fail_fast)
 
-    def open_stream(self, copy: bool = True,
-                    engine: str | None = None) -> StreamEnforcer:
+    def open_stream(self, copy: bool = True) -> StreamEnforcer:
         """Open an enforcement stream on the bound instance.
 
         With ``copy=True`` (default) the stream adopts a private
@@ -519,14 +497,10 @@ class BoundReasoner:
         ``copy=False`` the stream adopts the bound tree itself — the
         binding is effectively consumed: its snapshot goes stale on the
         first applied operation and further :meth:`implies_on` calls
-        raise.  ``engine`` defaults to this binding's substrate (bitset
-        for naive bindings, which have no snapshot engine of their own).
+        raise.
         """
-        if engine is None:
-            engine = (self._engine if self._engine in StreamEnforcer.ENGINES
-                      else "bitset")
         tree = self._current.copy() if copy else self._current
-        return self._reasoner.open_stream(tree, engine=engine)
+        return self._reasoner.open_stream(tree)
 
     @property
     def stats(self) -> CacheStats:
@@ -540,8 +514,7 @@ class BoundReasoner:
     # The Table 2 dispatch (moved verbatim from instance.general)
     # ------------------------------------------------------------------
     def _decide_instance(self, conclusion: UpdateConstraint,
-                         max_moves: int, search_budget: int,
-                         search_workers: int = 1) -> ImplicationResult:
+                         max_moves: int, search_budget: int) -> ImplicationResult:
         premises = self._reasoner.premises
         current = self._current
         same = self._reasoner.of_type(conclusion.type)
@@ -575,8 +548,7 @@ class BoundReasoner:
             certificate = cascade_refutation(premises, current, conclusion,
                                              max_moves=max_moves,
                                              budget=search_budget,
-                                             context=self._context,
-                                             workers=search_workers)
+                                             context=self._context)
         if certificate is not None:
             return not_implied(INSTANCE_HYBRID_ENGINE, premises, conclusion,
                                certificate,

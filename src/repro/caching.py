@@ -10,7 +10,6 @@ search knobs), so syntactic variants of the same query (permuted or
 duplicated predicates) share one cache line.
 
 The same primitive caps the per-snapshot query and predicate memos of the
-:class:`repro.xpath.indexed.IndexedEvaluator` and
 :class:`repro.xpath.bitset.BitsetEvaluator` — long-lived bindings serving
 adversarial query streams must not grow without bound.  It lives here (not
 under :mod:`repro.api`) because ``api`` already imports ``xpath``.

@@ -76,7 +76,7 @@ def violation_of(before: DataTree, after: DataTree,
     """The violation witness of one constraint on ``(before, after)``.
 
     ``before_ctx`` / ``after_ctx`` optionally carry
-    :class:`repro.xpath.indexed.IndexedEvaluator` snapshots of the two
+    :class:`repro.xpath.bitset.BitsetEvaluator` snapshots of the two
     trees; the refutation searches re-check thousands of candidate pasts
     against one fixed ``after``, so its snapshot amortises across them all.
     """
@@ -204,7 +204,7 @@ def check_sequence(instances: Sequence[DataTree],
     data-oriented *valid for I_k* notion.  Returns all violations found,
     tagged with the pair indices.
     """
-    from repro.xpath.indexed import IndexedEvaluator
+    from repro.xpath.bitset import BitsetEvaluator
 
     constraint_list = list(constraints)
     problems: list[tuple[int, int, Violation]] = []
@@ -220,7 +220,7 @@ def check_sequence(instances: Sequence[DataTree],
     # per instance shares every range's evaluation across them.  Instances
     # outside `pairs` (non-pairwise mode) never pay for a snapshot.
     needed = {index for pair in pairs for index in pair}
-    contexts = {index: IndexedEvaluator.for_tree(instances[index])
+    contexts = {index: BitsetEvaluator.for_tree(instances[index])
                 for index in needed}
     for i, j in pairs:
         for violation in explain_violations(instances[i], instances[j],

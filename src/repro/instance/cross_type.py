@@ -33,7 +33,7 @@ def implies_cross_type(premises: ConstraintSet, current: DataTree,
                        context=None) -> ImplicationResult:
     """Exact answer when no premise has the conclusion's type.
 
-    ``context`` optionally carries an indexed snapshot of ``current``.
+    ``context`` optionally carries a bitset snapshot of ``current``.
     """
     assert len(premises.of_type(conclusion.type)) == 0
     if conclusion.type is ConstraintType.NO_INSERT:

@@ -37,19 +37,17 @@ def implies_on(premises: ConstraintSet | Iterable[UpdateConstraint],
                require_decision: bool = False,
                max_moves: int = 2,
                search_budget: int = 5000,
-               indexed: bool = False,
-               engine: str | None = None) -> ImplicationResult:
+               engine: str = "naive") -> ImplicationResult:
     """Decide ``C ⊨_J c`` (Definition 2.5).
 
     The dispatch lives in :class:`repro.api.session.BoundReasoner`; this
     free function is a thin route through :mod:`repro.service.dispatch`
     (a transient, cache-free session).  Callers asking many conclusions
     against one ``(C, J)`` should hold ``Reasoner(C).bind(J)`` instead
-    and reuse its snapshot and per-tree answer sets.  ``indexed=True``
-    (or an explicit ``engine=`` of ``"bitset"``/``"indexed"``) builds the
-    snapshot even for this one-shot call (worth it on large ``J``); the
-    default keeps the naive path, which the benchmarks use as their
-    baseline.
+    and reuse its snapshot and per-tree answer sets.  ``engine="bitset"``
+    builds the snapshot even for this one-shot call (worth it on large
+    ``J``); the default ``"naive"`` keeps the naive path, which the
+    benchmarks use as their baseline.
     """
     from repro.service.dispatch import one_shot_implies_on
 
@@ -57,4 +55,4 @@ def implies_on(premises: ConstraintSet | Iterable[UpdateConstraint],
                                require_decision=require_decision,
                                max_moves=max_moves,
                                search_budget=search_budget,
-                               indexed=indexed, engine=engine)
+                               engine=engine)

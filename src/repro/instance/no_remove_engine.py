@@ -241,9 +241,9 @@ def implies_no_remove(premises: ConstraintSet, current: DataTree,
     elsewhere (a :class:`repro.api.BoundReasoner` shares them across
     conclusions); otherwise they are evaluated once here and reused for
     every candidate embedding.  ``context`` optionally carries a snapshot
-    evaluator of ``current`` (a :class:`repro.xpath.bitset.BitsetEvaluator`
-    or :class:`repro.xpath.indexed.IndexedEvaluator`, as a bound reasoner
-    holds) for the ``J``-side evaluations; candidate embeddings get their
+    evaluator of ``current`` (the
+    :class:`repro.xpath.bitset.BitsetEvaluator` a bound reasoner holds)
+    for the ``J``-side evaluations; candidate embeddings get their
     own incremental snapshot only on quotient walks over models of at
     least :data:`MERGE_SNAPSHOT_MIN_SIZE` nodes.
     """

@@ -38,9 +38,6 @@ The search never lies: an exhausted budget yields ``UNKNOWN``.
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
-import multiprocessing.pool
 from itertools import combinations
 
 from repro.constraints.model import ConstraintSet, ConstraintType, UpdateConstraint
@@ -49,7 +46,6 @@ from repro.errors import TreeError
 from repro.implication.result import Counterexample, ImplicationResult
 from repro.instance.no_insert_engine import implies_no_insert
 from repro.instance.no_remove_engine import implies_no_remove
-from repro.trees.serialize import from_dict, to_dict
 from repro.trees.tree import DataTree
 from repro.xpath.bitset import BitsetEvaluator
 
@@ -157,134 +153,43 @@ def _assignments(nodes, targets):
             yield ((head, target),) + tail
 
 
-def _search_cascades(scratch: DataTree, current: DataTree,
-                     premises: ConstraintSet, conclusion: UpdateConstraint,
-                     max_moves: int, budget: int, shard: int, nshards: int,
-                     context, scratch_ctx) -> tuple[int, DataTree, int | None] | None:
-    """Walk the cascade family, validating one stride of the candidates.
-
-    Every shard replays the *same* global enumeration (the journal moves
-    are cheap) but runs the expensive validity re-check only on candidates
-    whose 0-based index falls in its stride — the union over ``nshards``
-    shards covers exactly the candidates the sequential search validates,
-    with the same budget accounting.  Returns ``(index, past, witness)``
-    of the shard's first refutation, so a master can pick the globally
-    first one (what the sequential walk would have returned).
-    """
-    for idx, (past, witness) in enumerate(_cascade_walk(scratch, max_moves,
-                                                        budget,
-                                                        context=scratch_ctx)):
-        if idx % nshards != shard:
-            continue
-        if _candidate_is_refutation(past, current, premises, conclusion,
-                                    context=context, past_ctx=scratch_ctx):
-            # The scratch tree is reused by the generator: materialise the
-            # one candidate that escapes the search.
-            return idx, past.copy(), witness
-    return None
-
-
-def _refute_shard(payload: tuple) -> tuple[int, dict, int | None] | None:
-    """Process-pool entry point: one shard of the cascade search.
-
-    The worker rebuilds the problem from its picklable wire form and owns
-    a private scratch tree plus (on trees worth indexing) its own
-    incremental :class:`BitsetEvaluator` snapshot driven by the move
-    journal — the shard-runner pattern of :mod:`repro.stream.shard`
-    applied inside a single refutation problem.
-    """
-    constraints, tree_dict, conclusion, max_moves, budget, shard, nshards = payload
-    premises = ConstraintSet(constraints)
-    current = from_dict(tree_dict)
-    context = (BitsetEvaluator.for_tree(current)
-               if current.size >= SNAPSHOT_MIN_SIZE else None)
-    scratch = current.copy()
-    scratch_ctx = (BitsetEvaluator.for_tree(scratch)
-                   if scratch.size >= SNAPSHOT_MIN_SIZE else None)
-    hit = _search_cascades(scratch, current, premises, conclusion,
-                           max_moves, budget, shard, nshards,
-                           context, scratch_ctx)
-    if hit is None:
-        return None
-    idx, past, witness = hit
-    return idx, to_dict(past), witness
-
-
-# Worker pools are reused across searches (keyed by worker count): a
-# batch of parallel refutations must not pay pool start-up per query.
-_POOLS: dict[int, multiprocessing.pool.Pool] = {}
-
-
-def _shared_pool(workers: int) -> multiprocessing.pool.Pool:
-    pool = _POOLS.get(workers)
-    if pool is None:
-        pool = _POOLS[workers] = multiprocessing.Pool(processes=workers)
-    return pool
-
-
-def _close_pools() -> None:
-    for pool in _POOLS.values():
-        pool.terminate()
-        pool.join()
-    _POOLS.clear()
-
-
-atexit.register(_close_pools)
-
-
 def cascade_refutation(premises: ConstraintSet, current: DataTree,
                        conclusion: UpdateConstraint,
                        max_moves: int = 2, budget: int = 5000,
-                       context=None, workers: int = 1) -> Counterexample | None:
+                       context=None) -> Counterexample | None:
     """The cascade family alone; see :func:`bounded_refutation`.
 
     With ``max_moves < 1`` the family is empty, so nothing is set up —
-    no scratch copy, no snapshot, no worker pool.
+    no scratch copy, no snapshot.
     """
     if max_moves < 1:
         return None
-    if workers > 1:
-        payloads = [(tuple(premises), to_dict(current), conclusion,
-                     max_moves, budget, shard, workers)
-                    for shard in range(workers)]
-        hits = [h for h in _shared_pool(workers).map(_refute_shard, payloads)
-                if h is not None]
-        if not hits:
-            return None
-        _, past_dict, witness = min(hits, key=lambda h: h[0])
-        return Counterexample(from_dict(past_dict), current, witness=witness)
     scratch = current.copy()
     scratch_ctx = (BitsetEvaluator.for_tree(scratch)
                    if scratch.size >= SNAPSHOT_MIN_SIZE else None)
-    hit = _search_cascades(scratch, current, premises, conclusion,
-                           max_moves, budget, shard=0, nshards=1,
-                           context=context, scratch_ctx=scratch_ctx)
-    if hit is None:
-        return None
-    _, past, witness = hit
-    return Counterexample(past, current, witness=witness)
+    for past, witness in _cascade_walk(scratch, max_moves, budget,
+                                       context=scratch_ctx):
+        if _candidate_is_refutation(past, current, premises, conclusion,
+                                    context=context, past_ctx=scratch_ctx):
+            # The scratch tree is reused by the walk: materialise the one
+            # candidate that escapes the search.
+            return Counterexample(past.copy(), current, witness=witness)
+    return None
 
 
 def bounded_refutation(premises: ConstraintSet, current: DataTree,
                        conclusion: UpdateConstraint,
                        max_moves: int = 2, budget: int = 5000,
-                       context=None, workers: int = 1) -> Counterexample | None:
+                       context=None) -> Counterexample | None:
     """Search the candidate families; return a *validated* certificate.
 
-    ``context`` optionally carries an indexed snapshot of ``current``; the
+    ``context`` optionally carries a bitset snapshot of ``current``; the
     fixed side of every candidate's validity re-check then comes from
     set-at-a-time evaluation with memos shared across the whole search.
     The mutable side gets its own incremental snapshot of the scratch tree
     (on trees above :data:`SNAPSHOT_MIN_SIZE`), updated in place by the
-    move journal.
-
-    ``workers > 1`` fans the cascade family across a process pool — each
-    worker replays the same enumeration on a private scratch tree (and
-    private snapshots) and validates every ``workers``-th candidate.  The
-    verdict, the returned counterexample and the budget accounting are
-    identical to the sequential search: the globally first refutation in
-    enumeration order wins, and the single-relocation family is always
-    checked inline first.
+    move journal.  The single-relocation family is checked first; the
+    first cascade refutation in enumeration order wins.
     """
     same_type = same_type_implication(premises.of_type(conclusion.type),
                                       current, conclusion, context=context)
@@ -294,4 +199,4 @@ def bounded_refutation(premises: ConstraintSet, current: DataTree,
         return certificate
     return cascade_refutation(premises, current, conclusion,
                               max_moves=max_moves, budget=budget,
-                              context=context, workers=workers)
+                              context=context)

@@ -197,7 +197,7 @@ class ServerJournal:
             self._fault("journal-fsync")
 
     # ------------------------------------------------------------------
-    # Store hooks (called by DocumentStore / the executors)
+    # Store hooks (called by DocumentStore / the executor)
     # ------------------------------------------------------------------
     def constraints_registered(self, name: str, constraints: Iterable,
                                replace: bool) -> None:
@@ -542,8 +542,13 @@ class ServerJournal:
                     f"checkpoint for document {name!r} names constraint "
                     f"set {data['set']!r} which the journals do not "
                     f"register: {err}") from None
-            enforcer = StreamEnforcer.restore(constraints, data["state"])
-            store.adopt_stream(name, data["set"], enforcer)
+            try:
+                enforcer = StreamEnforcer.restore(constraints, data["state"])
+                store.adopt_stream(name, data["set"], enforcer)
+            except Exception as err:
+                raise JournalError(
+                    f"restore of checkpoint (lsn {data['lsn']}) for "
+                    f"document {name!r} failed: {err}") from err
             self._next_id[name] = int(data.get("next_id", 1))
             self._since_checkpoint[name] = 0
             if name not in report.documents:

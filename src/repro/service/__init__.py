@@ -1,4 +1,4 @@
-"""Multi-document constraint service with pluggable executors.
+"""Multi-document constraint service.
 
 The serving layer over everything below it: register named documents and
 named constraint sets once, then drive implication queries, instance
@@ -23,15 +23,15 @@ False
 Components: :mod:`~repro.service.protocol` (the wire-level request and
 response dataclasses, ``to_dict``/``from_dict`` round-trippable),
 :mod:`~repro.service.store` (:class:`DocumentStore`),
-:mod:`~repro.service.executors` (:class:`InlineExecutor`,
-:class:`ProcessExecutor`), :mod:`~repro.service.async_service`
+:mod:`~repro.service.executors` (:class:`InlineExecutor`),
+:mod:`~repro.service.async_service`
 (:class:`AsyncService`, the ``asyncio`` front end with per-document
 ordering) and :mod:`~repro.service.dispatch` (the single dispatch layer
 the session API and the legacy free functions also route through).
 """
 
 from repro.service.async_service import AsyncService
-from repro.service.executors import Executor, InlineExecutor, ProcessExecutor
+from repro.service.executors import InlineExecutor
 from repro.service.protocol import (
     Ack,
     CertifiedSubmit,
@@ -67,7 +67,7 @@ from repro.service.store import DocumentStore
 
 __all__ = [
     "ConstraintService", "DocumentStore", "AsyncService",
-    "Executor", "InlineExecutor", "ProcessExecutor",
+    "InlineExecutor",
     "Request", "RegisterConstraints", "RegisterDocument",
     "RegisterTemplate", "CertifiedSubmit",
     "ImplicationQuery", "InstanceQuery", "StreamSubmit", "StreamStatus",

@@ -10,12 +10,11 @@ registration, pure implication queries) flow through a shared control
 queue.
 
 The façade adds no semantics: every request is served by the underlying
-:class:`~repro.service.service.ConstraintService` (and thus by whichever
-executor it holds), so answer streams are bit-identical to synchronous
-calls — the equivalence suite compares response checksums.  Single-client
-overhead is one queue hop and one future per request; the service
-benchmark pins it within a few percent of direct
-:meth:`~repro.stream.engine.StreamEnforcer.apply` calls.
+:class:`~repro.service.service.ConstraintService`, so answer streams are
+bit-identical to synchronous calls — the equivalence suite compares
+response checksums.  Single-client overhead is one queue hop and one
+future per request; the service benchmark pins it within a few percent
+of direct :meth:`~repro.stream.engine.StreamEnforcer.apply` calls.
 
 >>> import asyncio
 >>> from repro import AsyncService, DataTree
@@ -41,7 +40,6 @@ from collections.abc import Iterable, Sequence
 from repro.constraints.model import ConstraintSet, UpdateConstraint
 from repro.errors import ServiceError
 from repro.obs import registry as _obs_registry, trace_id, tracing
-from repro.service.executors import Executor
 from repro.service.protocol import (
     Ack,
     CertifiedSubmit,
@@ -77,10 +75,9 @@ def _route_key(request: Request) -> str | None:
 class AsyncService:
     """Awaitable façade over a (synchronous) :class:`ConstraintService`."""
 
-    def __init__(self, service: ConstraintService | None = None, *,
-                 executor: Executor | None = None):
+    def __init__(self, service: ConstraintService | None = None):
         self._service = (service if service is not None
-                         else ConstraintService(executor=executor))
+                         else ConstraintService())
         self._queues: dict[str | None, asyncio.Queue] = {}
         self._workers: dict[str | None, asyncio.Task] = {}
         # The future of the most recently submitted *registration*: every
@@ -108,7 +105,7 @@ class AsyncService:
         await self.close()
 
     async def close(self) -> None:
-        """Drain every queue, stop the workers, close the executor."""
+        """Drain every queue and stop the workers."""
         self._closed = True
         for queue in self._queues.values():
             queue.put_nowait(None)
@@ -116,7 +113,6 @@ class AsyncService:
             await task
         self._queues.clear()
         self._workers.clear()
-        self._service.close()
 
     # ------------------------------------------------------------------
     # Submission

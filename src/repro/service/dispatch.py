@@ -6,9 +6,9 @@ Each already funnelled into :class:`~repro.api.session.Reasoner`'s Table 1
 / Table 2 dispatch; this module makes the funnel explicit: the session
 methods (``Reasoner.bind`` / ``Reasoner.open_stream``), the legacy free
 functions (:func:`repro.implication.general.implies`,
-:func:`repro.instance.general.implies_on`) and the service executors all
-route through the helpers below, so a change to how sessions are built,
-bound or streamed happens in exactly one place.
+:func:`repro.instance.general.implies_on`) and the service's document
+store all route through the helpers below, so a change to how sessions
+are built, bound or streamed happens in exactly one place.
 """
 
 from __future__ import annotations
@@ -37,17 +37,16 @@ def transient_session(constraints: ConstraintSet | Iterable[UpdateConstraint],
 
 
 def bind_session(reasoner: Reasoner, current: DataTree, *,
-                 indexed: bool = True, engine: str | None = None,
+                 engine: str = "bitset",
                  snapshot: TreeIndex | None = None) -> BoundReasoner:
     """Fix a current instance for a session (the Table 2 entry point)."""
-    return BoundReasoner(reasoner, current, indexed=indexed, engine=engine,
-                         snapshot=snapshot)
+    return BoundReasoner(reasoner, current, engine=engine, snapshot=snapshot)
 
 
 def open_enforcer(constraints: ConstraintSet | Iterable[UpdateConstraint],
-                  tree: DataTree, *, engine: str = "bitset") -> StreamEnforcer:
+                  tree: DataTree) -> StreamEnforcer:
     """Open an online enforcement stream (adopts ``tree``)."""
-    return StreamEnforcer(constraints, tree, engine=engine)
+    return StreamEnforcer(constraints, tree)
 
 
 def one_shot_implies(premises: ConstraintSet | Iterable[UpdateConstraint],
@@ -61,11 +60,11 @@ def one_shot_implies(premises: ConstraintSet | Iterable[UpdateConstraint],
 def one_shot_implies_on(premises: ConstraintSet | Iterable[UpdateConstraint],
                         current: DataTree, conclusion: UpdateConstraint, *,
                         require_decision: bool = False, max_moves: int = 2,
-                        search_budget: int = 5000, indexed: bool = False,
-                        engine: str | None = None) -> ImplicationResult:
+                        search_budget: int = 5000,
+                        engine: str = "naive") -> ImplicationResult:
     """The legacy ``implies_on(C, J, c)`` semantics, one binding, one query."""
     session = transient_session(premises)
-    bound = bind_session(session, current, indexed=indexed, engine=engine)
+    bound = bind_session(session, current, engine=engine)
     return bound.implies_on(conclusion, require_decision=require_decision,
                             max_moves=max_moves, search_budget=search_budget)
 

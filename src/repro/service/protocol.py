@@ -14,10 +14,10 @@ JSON-safe dict form via ``to_dict`` / ``from_dict``:
 * update logs travel through :func:`repro.stream.ops.op_to_dict`.
 
 The dict forms are stable across processes — ``request_from_dict(
-request.to_dict())`` rebuilds an equivalent request anywhere (the shard
-workers and a future network front end rely on this), and
+request.to_dict())`` rebuilds an equivalent request anywhere (the socket
+server and the durable journal rely on this), and
 :func:`response_checksum` folds a response's wire form into one integer so
-two executors' answer streams can be compared wholesale.
+two serving paths' answer streams can be compared wholesale.
 """
 
 from __future__ import annotations
@@ -877,8 +877,8 @@ def response_checksum(response: Response) -> int:
     """CRC of the canonical JSON wire form — one integer per response.
 
     Folding a whole answer stream (``fold = fold * P + checksum``) lets
-    two executors' behaviour be compared wholesale; the equivalence suite
-    and the service benchmark both gate on it.
+    two serving paths' behaviour be compared wholesale; the equivalence
+    suite and the service benchmark both gate on it.
     """
     return zlib.crc32(response.to_json().encode())
 

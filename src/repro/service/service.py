@@ -2,8 +2,8 @@
 
 A :class:`ConstraintService` pairs a
 :class:`~repro.service.store.DocumentStore` (named documents, named
-compiled constraint sets, live enforcement streams) with a pluggable
-:class:`~repro.service.executors.Executor`, and answers the whole
+compiled constraint sets, live enforcement streams) with the
+:class:`~repro.service.executors.InlineExecutor`, and answers the whole
 protocol of :mod:`repro.service.protocol` through one method —
 :meth:`handle` — with wire-level twins (:meth:`handle_dict`,
 :meth:`handle_json`) for callers on the other side of a serialisation
@@ -38,7 +38,7 @@ from collections.abc import Iterable
 from repro.api.session import BoundReasoner, Reasoner
 from repro.constraints.model import ConstraintSet
 from repro.errors import ReproError
-from repro.service.executors import Executor, InlineExecutor
+from repro.service.executors import InlineExecutor
 from repro.service.protocol import (
     ErrorResponse,
     Request,
@@ -53,28 +53,13 @@ from repro.trees.tree import DataTree
 class ConstraintService:
     """Documents + compiled constraint sets behind one request protocol."""
 
-    def __init__(self, *, executor: Executor | None = None,
-                 store: DocumentStore | None = None):
+    def __init__(self, *, store: DocumentStore | None = None):
         self._store = store if store is not None else DocumentStore()
-        self._executor = executor if executor is not None else InlineExecutor()
+        self._executor = InlineExecutor()
 
     @property
     def store(self) -> DocumentStore:
         return self._store
-
-    @property
-    def executor(self) -> Executor:
-        return self._executor
-
-    def close(self) -> None:
-        """Release the executor's pooled resources (idempotent)."""
-        self._executor.close()
-
-    def __enter__(self) -> "ConstraintService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # The protocol surface
@@ -129,7 +114,7 @@ class ConstraintService:
         return self._store.enforcer(document, constraints)
 
     def __repr__(self) -> str:
-        return f"ConstraintService({self._store!r}, {self._executor!r})"
+        return f"ConstraintService({self._store!r})"
 
 
 __all__ = ["ConstraintService"]

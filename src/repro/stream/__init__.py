@@ -16,12 +16,12 @@ False
 See :mod:`repro.stream.engine` for the enforcement model (one live
 incremental snapshot, delta-maintained predicate masks, transaction
 brackets with undo journals), :mod:`repro.stream.ops` for the operation
-language, :mod:`repro.stream.log` for the audit trail and
-:mod:`repro.stream.shard` for the multiprocessing shard runner.
+language and its shared edit journal, and :mod:`repro.stream.log` for
+the audit trail and the :func:`decision_checksum` fold.
 """
 
 from repro.stream.engine import StreamEnforcer, StreamStats
-from repro.stream.log import AuditTrail, Decision
+from repro.stream.log import AuditTrail, Decision, decision_checksum
 from repro.stream.ops import (
     AddLeaf,
     Begin,
@@ -30,26 +30,9 @@ from repro.stream.ops import (
     RemoveSubtree,
     Rollback,
 )
-from repro.stream.shard import (
-    DocumentPartition,
-    FleetJob,
-    FleetRunReport,
-    StreamJob,
-    StreamReport,
-    decision_checksum,
-    partition_document,
-    run_fleet,
-    run_partitioned,
-    run_sharded,
-    run_stream,
-)
 
 __all__ = [
     "StreamEnforcer", "StreamStats",
-    "AuditTrail", "Decision",
+    "AuditTrail", "Decision", "decision_checksum",
     "AddLeaf", "Move", "RemoveSubtree", "Begin", "Commit", "Rollback",
-    "StreamJob", "StreamReport", "run_stream", "run_sharded",
-    "decision_checksum",
-    "FleetJob", "FleetRunReport", "run_fleet",
-    "DocumentPartition", "partition_document", "run_partitioned",
 ]

@@ -20,13 +20,15 @@ The hot loop never re-snapshots:
   open, and frozen (:class:`~repro.constraints.validity.BaselineValidity`).
 
 Rejected operations — and transactions whose commit finds the cumulative
-edit invalid — are rolled back through a move/undo journal in the style of
-the refutation search: every applied edit records its inverse (a move
-records the old parent, an add records the leaf to re-remove, a remove
-records the doomed subtree's preorder spec for revival into the freed slot
-run), and a rollback replays the inverses newest-first.  Every submitted
-entry yields exactly one :class:`~repro.stream.log.Decision` in the
-append-only :class:`~repro.stream.log.AuditTrail`, with per-constraint
+edit invalid — are rolled back through the shared edit journal of
+:mod:`repro.stream.ops` (:func:`~repro.stream.ops.perform` /
+:func:`~repro.stream.ops.undo`): every applied edit records its inverse (a
+move records the old parent, an add records the leaf to re-remove, a
+remove records the doomed subtree's preorder spec for revival into the
+freed slot run), and a rollback replays the inverses newest-first.
+Every submitted entry yields exactly one
+:class:`~repro.stream.log.Decision` in the append-only
+:class:`~repro.stream.log.AuditTrail`, with per-constraint
 :class:`~repro.constraints.validity.Violation` witnesses on rejection.
 """
 
@@ -52,24 +54,18 @@ from repro.masks.baseline import MaskedBaseline
 from repro.obs import MetricsRegistry, registry as _obs_registry
 from repro.stream.log import AuditTrail, Decision
 from repro.stream.ops import (
-    AddLeaf,
     Begin,
     Commit,
-    Move,
-    RemoveSubtree,
     Rollback,
     StreamOp,
+    UndoEntry,
+    perform,
+    undo,
 )
 from repro.trees import serialize
 from repro.trees.node import Node
 from repro.trees.tree import DataTree
 from repro.xpath.bitset import BitsetEvaluator
-from repro.xpath.indexed import IndexedEvaluator
-
-# Undo-journal entry tags (inverse edits, replayed newest-first).
-_UNDO_MOVE = "move"      # (tag, nid, old_parent)
-_UNDO_UNADD = "unadd"    # (tag, nid)
-_UNDO_REVIVE = "revive"  # (tag, ((nid, parent, label), ...) preorder)
 
 
 def _build_analyzer(constraints: ConstraintSet, tree_index
@@ -133,10 +129,9 @@ class StreamEnforcer:
             constraints, or specs accepted by :func:`constraint_set`).
         tree: the document — **adopted**: the enforcer mutates it in place
             and the caller must not (foreign mutations stale the snapshot
-            and raise on the next operation).
-        engine: evaluation substrate for the per-op re-checks —
-            ``"bitset"`` (default, delta-maintained predicate masks) or
-            ``"indexed"`` (node-at-a-time; masks rebuilt per revision).
+            and raise on the next operation).  Per-op re-checks run on a
+            :class:`~repro.xpath.bitset.BitsetEvaluator` over it, with
+            delta-maintained predicate masks.
         analysis: enable the static independence fast path (default).
             An op no constraint's impact signature intersects is accepted
             with zero mask work — still journaled for rollback, audited
@@ -150,27 +145,16 @@ class StreamEnforcer:
             disable instrumentation (the overhead benchmark's baseline).
     """
 
-    ENGINES = ("bitset", "indexed")
-
     def __init__(self,
                  constraints: ConstraintSet | Iterable[UpdateConstraint],
-                 tree: DataTree, *, engine: str = "bitset",
-                 analysis: bool = True,
+                 tree: DataTree, *, analysis: bool = True,
                  metrics: MetricsRegistry | None = None):
         if not isinstance(constraints, ConstraintSet):
             constraints = constraint_set(*constraints)
         constraints.require_concrete()
-        if engine not in self.ENGINES:
-            raise ValueError(f"unknown evaluation engine {engine!r}; "
-                             f"expected one of {self.ENGINES}")
         self._constraints = constraints
         self._tree = tree
-        self._engine = engine
-        if engine == "bitset":
-            self._ctx: BitsetEvaluator | IndexedEvaluator = (
-                BitsetEvaluator.for_tree(tree))
-        else:
-            self._ctx = IndexedEvaluator.for_tree(tree)
+        self._ctx = BitsetEvaluator.for_tree(tree)
         self._checker = BaselineValidity(constraints, tree, context=self._ctx)
         self._metrics = metrics
         self._finish_init(analysis)
@@ -189,17 +173,15 @@ class StreamEnforcer:
         self._m_decisions = m.counter("stream.decisions_total")
         self._m_certified = m.counter("stream.certified_ops_total")
         self._m_certified_seconds = m.histogram("certify.certified_seconds")
-        # The bitset engine compares whole answer masks per op; the
-        # indexed engine re-checks through the generic node-set diff.
-        self._masked = (MaskedBaseline(self._checker, self._ctx)
-                        if self._engine == "bitset" else None)
+        # Per-op checks compare whole answer masks against the baseline.
+        self._masked = MaskedBaseline(self._checker, self._ctx)
         self._analyzer = (_build_analyzer(self._constraints, self._ctx.index)
                           if analysis else None)
         # Violations standing after the last full check — the fast path's
         # gate: independence verdicts assume a currently-valid pair.
         self._standing: tuple[Violation, ...] = ()
         self._audit = AuditTrail()
-        self._journal: list[tuple] | None = None  # open txn's undo journal
+        self._journal: list[UndoEntry] | None = None  # open txn's undo journal
         self._txn_id: int | None = None
         self._txn_count = 0
         self._ops = 0
@@ -223,11 +205,7 @@ class StreamEnforcer:
         return self._tree
 
     @property
-    def engine(self) -> str:
-        return self._engine
-
-    @property
-    def context(self) -> BitsetEvaluator | IndexedEvaluator:
+    def context(self) -> BitsetEvaluator:
         """The live snapshot evaluator driving the per-op re-checks."""
         return self._ctx
 
@@ -268,9 +246,7 @@ class StreamEnforcer:
         """The per-op re-check — the one override point for alternative
         validation strategies (the benchmarks' recompute-from-scratch
         baseline replaces the live snapshot with a fresh one per call)."""
-        if self._masked is not None:
-            return self._masked.violations()
-        return tuple(self._checker.violations(self._tree, context=self._ctx))
+        return self._masked.violations()
 
     def is_valid(self) -> bool:
         """Does the cumulative edit satisfy every constraint right now?"""
@@ -362,12 +338,12 @@ class StreamEnforcer:
             raise CertifyError(
                 f"template {template.name!r} has {len(template.ops)} "
                 f"op(s) but {len(concrete)} were supplied")
-        undos: list[tuple] = []
+        undos: list[UndoEntry] = []
         try:
             for op in concrete:
-                undos.append(self._perform(op))
+                undos.append(perform(self._ctx, op))
         except TreeError as err:
-            self._undo(undos)
+            undo(self._ctx, undos)
             raise CertifyError(
                 f"template {template.name!r} op {len(undos)} failed "
                 f"structurally after the guard passed (an earlier op in "
@@ -419,7 +395,7 @@ class StreamEnforcer:
         base = self._checker.baseline_answers()
         return {
             "version": self.STATE_VERSION,
-            "engine": self._engine,
+            "engine": "bitset",
             "analysis": self._analyzer is not None,
             "tree": serialize.to_dict(self._tree),
             "baseline": [sorted([n.nid, n.label] for n in base[c])
@@ -457,18 +433,14 @@ class StreamEnforcer:
         if not isinstance(constraints, ConstraintSet):
             constraints = constraint_set(*constraints)
         constraints.require_concrete()
-        engine = state["engine"]
-        if engine not in cls.ENGINES:
+        engine = state.get("engine")
+        if engine != "bitset":
             raise StreamError(f"unknown evaluation engine {engine!r} in "
-                              f"stream checkpoint")
+                              f"stream checkpoint (expected 'bitset')")
         stream = cls.__new__(cls)
         stream._constraints = constraints
         stream._tree = serialize.from_dict(state["tree"])
-        stream._engine = engine
-        if engine == "bitset":
-            stream._ctx = BitsetEvaluator.for_tree(stream._tree)
-        else:
-            stream._ctx = IndexedEvaluator.for_tree(stream._tree)
+        stream._ctx = BitsetEvaluator.for_tree(stream._tree)
         answers = [frozenset(Node(int(nid), label) for nid, label in entry)
                    for entry in state["baseline"]]
         try:
@@ -514,7 +486,7 @@ class StreamEnforcer:
         fast = (self._analyzer is not None and not self._standing
                 and self._analyzer.independent(op))
         try:
-            undo = self._perform(op)
+            inverse = perform(self._ctx, op)
         except TreeError as err:
             # Nothing was applied: the edit paths validate before mutating.
             self._rejected += 1
@@ -531,12 +503,12 @@ class StreamEnforcer:
         if self._journal is not None:
             # Inside a bracket: the edit stands until commit decides; the
             # verdict recorded here is the provisional cumulative one.
-            self._journal.append(undo)
+            self._journal.append(inverse)
             return self._record(op, accepted=not violations,
                                 violations=violations, txn=self._txn_id,
                                 pending=True, independent=fast)
         if violations:
-            self._undo([undo])
+            undo(self._ctx, [inverse])
             self._standing = ()  # the undo restored the last valid state
             self._rejected += 1
             self._m_rejected.inc()
@@ -544,43 +516,6 @@ class StreamEnforcer:
         self._accepted += 1
         self._m_accepted.inc()
         return self._record(op, accepted=True, independent=fast)
-
-    def _perform(self, op: StreamOp) -> tuple:
-        """Apply one edit through the live snapshot; return its inverse."""
-        ctx = self._ctx
-        if isinstance(op, AddLeaf):
-            nid = ctx.apply_add_leaf(op.parent, op.label, nid=op.nid)
-            return (_UNDO_UNADD, nid)
-        if isinstance(op, Move):
-            old_parent = self._tree.parent(op.nid)
-            if old_parent is None:
-                raise TreeError("cannot move the root")
-            ctx.apply_move(op.nid, op.new_parent)
-            return (_UNDO_MOVE, op.nid, old_parent)
-        if isinstance(op, RemoveSubtree):
-            tree = self._tree
-            if op.nid not in tree:
-                raise TreeError(f"node {op.nid} not in tree")
-            spec = tuple((n, tree.parent(n), tree.label(n))
-                         for n in tree.descendants(op.nid, include_self=True))
-            ctx.apply_remove_subtree(op.nid)
-            return (_UNDO_REVIVE, spec)
-        raise StreamError(f"unknown stream operation {op!r}")
-
-    def _undo(self, journal: Sequence[tuple]) -> None:
-        """Replay inverse edits newest-first (the search-journal pattern:
-        an undone move finds the gap the original left, a revived subtree
-        compacts into the freed slot run)."""
-        ctx = self._ctx
-        for entry in reversed(journal):
-            tag = entry[0]
-            if tag == _UNDO_MOVE:
-                ctx.apply_move(entry[1], entry[2])
-            elif tag == _UNDO_UNADD:
-                ctx.apply_remove_subtree(entry[1])
-            else:
-                for nid, parent, label in entry[1]:
-                    ctx.apply_add_leaf(parent, label, nid=nid)
 
     # ------------------------------------------------------------------
     # Transactions (flat brackets)
@@ -600,7 +535,7 @@ class StreamEnforcer:
         txn = self._txn_id
         applied = len(journal)
         if violations:
-            self._undo(journal)
+            undo(self._ctx, journal)
             self._rolled_back += 1
             self._rejected += applied
             self._m_rollbacks.inc()
@@ -623,7 +558,7 @@ class StreamEnforcer:
         journal = self._require_open("rollback")
         txn = self._txn_id
         applied = len(journal)
-        self._undo(journal)
+        undo(self._ctx, journal)
         self._rolled_back += 1
         self._rejected += applied
         self._m_rollbacks.inc()
@@ -634,7 +569,7 @@ class StreamEnforcer:
         return self._record(op, accepted=True, txn=txn,
                             note=f"{applied} op(s) rolled back")
 
-    def _require_open(self, what: str) -> list[tuple]:
+    def _require_open(self, what: str) -> list[UndoEntry]:
         if self._journal is None:
             raise StreamError(f"{what} outside a transaction")
         return self._journal
@@ -653,7 +588,7 @@ class StreamEnforcer:
     def __repr__(self) -> str:
         state = f"txn {self._txn_id} open" if self.in_transaction else "idle"
         return (f"StreamEnforcer({len(self._constraints)} constraints, "
-                f"|J|={self._tree.size}, {self._engine}, {state}, "
+                f"|J|={self._tree.size}, {state}, "
                 f"{self.stats})")
 
 

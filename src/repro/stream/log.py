@@ -12,7 +12,7 @@ the offline checker attaches to invalid pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.constraints.validity import Violation
 from repro.stream.ops import StreamOp
@@ -117,4 +117,22 @@ class AuditTrail:
                 f"{accepted} accepted, {rejected} rejected{compacted})")
 
 
-__all__ = ["Decision", "AuditTrail"]
+_FOLD = 1_000_003
+_MOD = 2 ** 61
+
+
+def decision_checksum(decisions: Iterable[Decision]) -> int:
+    """Order-sensitive fold of per-decision verdicts (id-independent).
+
+    Folds every decision's (accepted, pending, violation-count) triple in
+    order, so two replays of one log can be compared bit for bit — across
+    engines, analyzer settings, processes and machines.
+    """
+    total = 0
+    for d in decisions:
+        code = int(d.accepted) << 1 | int(d.pending)
+        total = (total * _FOLD + code * 31 + len(d.violations)) % _MOD
+    return total
+
+
+__all__ = ["Decision", "AuditTrail", "decision_checksum"]

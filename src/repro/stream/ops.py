@@ -11,15 +11,25 @@ sequence of these operations interleaved with transaction markers:
   transaction brackets.  Operations outside a bracket are *autocommit*:
   each one is its own transaction.
 
-All operations are frozen dataclasses — hashable, picklable (the shard
-runner ships whole logs to worker processes) and printable in the audit
-trail's one-line form.
+All operations are frozen dataclasses — hashable, picklable and printable
+in the audit trail's one-line form.
+
+:func:`perform` and :func:`undo` are the one edit journal every writer
+shares (the enforcement stream and the fleet evaluator): an edit applied
+through a live snapshot returns its inverse, and a journal of inverses
+replays newest-first to restore the pre-edit document.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, Union
+
+from repro.errors import StreamError, TreeError
+
+if TYPE_CHECKING:  # annotations only: the op model stays import-light
+    from repro.xpath.snapshot import SnapshotEvaluator
 
 
 @dataclass(frozen=True)
@@ -27,8 +37,8 @@ class AddLeaf:
     """Insert a fresh leaf labelled ``label`` under ``parent``.
 
     ``nid`` pins the new node's identifier; logs meant to be replayed
-    (benchmarks, the equivalence suite, shard jobs) always pin it, so the
-    same log produces the same instance on every replay.
+    (benchmarks, the equivalence suite, the durable journal) always pin
+    it, so the same log produces the same instance on every replay.
     """
 
     parent: int
@@ -95,6 +105,59 @@ StreamOp = Union[UpdateOp, Marker]
 
 UPDATE_OPS = (AddLeaf, Move, RemoveSubtree)
 MARKERS = (Begin, Commit, Rollback)
+
+
+# ----------------------------------------------------------------------
+# The edit journal (inverse edits, replayed newest-first)
+# ----------------------------------------------------------------------
+_UNDO_MOVE = "move"      # (tag, nid, old_parent)
+_UNDO_UNADD = "unadd"    # (tag, nid)
+_UNDO_REVIVE = "revive"  # (tag, ((nid, parent, label), ...) preorder)
+
+#: One journal entry: the inverse of one applied edit.
+UndoEntry = tuple[Any, ...]
+
+
+def perform(ctx: SnapshotEvaluator, op: StreamOp) -> UndoEntry:
+    """Apply one edit through the live snapshot ``ctx``; return its inverse.
+
+    A structurally invalid edit raises :class:`~repro.errors.TreeError`
+    with nothing applied (the ``apply_*`` paths validate before mutating);
+    a marker is a :class:`~repro.errors.StreamError`.
+    """
+    if isinstance(op, AddLeaf):
+        nid = ctx.apply_add_leaf(op.parent, op.label, nid=op.nid)
+        return (_UNDO_UNADD, nid)
+    tree = ctx.tree
+    if isinstance(op, Move):
+        old_parent = tree.parent(op.nid)
+        if old_parent is None:
+            raise TreeError("cannot move the root")
+        ctx.apply_move(op.nid, op.new_parent)
+        return (_UNDO_MOVE, op.nid, old_parent)
+    if isinstance(op, RemoveSubtree):
+        if op.nid not in tree:
+            raise TreeError(f"node {op.nid} not in tree")
+        spec = tuple((n, tree.parent(n), tree.label(n))
+                     for n in tree.descendants(op.nid, include_self=True))
+        ctx.apply_remove_subtree(op.nid)
+        return (_UNDO_REVIVE, spec)
+    raise StreamError(f"unknown stream operation {op!r}")
+
+
+def undo(ctx: SnapshotEvaluator, journal: Sequence[UndoEntry]) -> None:
+    """Replay inverse edits newest-first (the search-journal pattern: an
+    undone move finds the gap the original left, a revived subtree
+    compacts into the freed slot run)."""
+    for entry in reversed(journal):
+        tag = entry[0]
+        if tag == _UNDO_MOVE:
+            ctx.apply_move(entry[1], entry[2])
+        elif tag == _UNDO_UNADD:
+            ctx.apply_remove_subtree(entry[1])
+        else:
+            for nid, parent, label in entry[1]:
+                ctx.apply_add_leaf(parent, label, nid=nid)
 
 
 # ----------------------------------------------------------------------
@@ -167,5 +230,6 @@ __all__ = [
     "Begin", "Commit", "Rollback",
     "UpdateOp", "Marker", "StreamOp",
     "UPDATE_OPS", "MARKERS",
+    "UndoEntry", "perform", "undo",
     "op_to_dict", "op_from_dict",
 ]

@@ -301,9 +301,11 @@ def random_requests(rng: random.Random, labels: list[str], *,
     references nodes that exist at its point in the stream regardless of
     how the batches interleave with queries.
 
-    The same sequence replayed against any executor must produce the
+    The same sequence replayed through any serving path must produce the
     same response stream — the service equivalence suite feeds these to
-    all three executors and compares response checksums.
+    direct calls, :class:`~repro.service.service.ConstraintService` and
+    :class:`~repro.service.async_service.AsyncService` and compares
+    response checksums.
     """
     from repro.service.protocol import (
         ImplicationQuery,

@@ -18,7 +18,6 @@ from repro.xpath.containment import (
     hom_contained,
 )
 from repro.xpath.evaluator import evaluate, evaluate_ids, matches_at, selects
-from repro.xpath.indexed import IndexedEvaluator
 from repro.xpath.intersection import (
     escape_witness,
     intersect_child_only,
@@ -50,7 +49,6 @@ __all__ = [
     "evaluate_ids",
     "selects",
     "matches_at",
-    "IndexedEvaluator",
     "BitsetEvaluator",
     "contained",
     "hom_contained",

@@ -1,12 +1,11 @@
 """Set-at-a-time tree-pattern evaluation: node-sets as bitsets.
 
-Third evaluation substrate, same semantics as :mod:`repro.xpath.evaluator`
-(naive) and :mod:`repro.xpath.indexed` (node-at-a-time over a
-:class:`~repro.trees.index.TreeIndex`) — the three are cross-checked by a
-Hypothesis three-way equivalence suite.  Where the indexed evaluator still
-loops "for each candidate, does the predicate hold?", this one evaluates
-whole frontiers at once as Python ``int`` masks keyed by the snapshot's
-slot numbering:
+The snapshot evaluation substrate, same semantics as
+:mod:`repro.xpath.evaluator` (naive, the oracle) — the two are
+cross-checked by a Hypothesis equivalence suite.  Where a node-at-a-time
+evaluator loops "for each candidate, does the predicate hold?", this one
+evaluates whole frontiers at once as Python ``int`` masks keyed by the
+:class:`~repro.trees.index.TreeIndex` snapshot's slot numbering:
 
 * a step's *test* is one mask — the label's bitset intersected with one
   **predicate mask per canonical predicate**, each computed once per
@@ -36,7 +35,7 @@ query stream cannot grow without bound.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, cast
+from typing import Callable, cast
 
 from repro.caching import LRUMemo
 # The big-int mask helpers live with the backends now (repro.masks); they
@@ -60,7 +59,6 @@ __all__ = [
     "evaluate_ids",
     "iter_slots",
     "matches_at",
-    "region_mask",
     "selects",
     "slots_of",
 ]
@@ -69,20 +67,6 @@ PRED_MASK_MEMO_SIZE = 4096   # canonical predicate -> satisfaction mask
 QUERY_MEMO_SIZE = 4096       # (canonical pattern, anchor) -> answer ids
 
 _MISS = object()
-
-
-def region_mask(index: TreeIndex, anchors: Iterable[int]) -> int:
-    """Occupied-slot mask of the subtrees rooted at ``anchors`` (selves
-    included) — the bitset form of a preorder-interval region.
-
-    The independence analyzer and the intra-document shard planner both
-    describe tree regions as anchor frontiers; this folds a frontier into
-    one mask comparable against answer and baseline masks.
-    """
-    mask = 0
-    for nid in index.minimal_cover(anchors):
-        mask |= index.subtree_mask(nid, include_self=True)
-    return mask & index.all_mask()
 
 
 class DirtyBatch:
@@ -117,10 +101,10 @@ class DirtyBatch:
 class BitsetEvaluator(SnapshotEvaluator):
     """A set-at-a-time evaluation session over one tree snapshot.
 
-    Interface-compatible with :class:`repro.xpath.indexed.IndexedEvaluator`
-    (both derive the session plumbing — ``covers``, ``apply_*``, revision
-    sync, canonicalisation — from the shared base), so every ``context=``
-    fast path accepts either.
+    The session plumbing — ``covers``, ``apply_*``, revision sync,
+    canonicalisation — comes from
+    :class:`~repro.xpath.snapshot.SnapshotEvaluator`; every ``context=``
+    fast path accepts one.
     """
 
     __slots__ = ("_pred_masks", "_query_memo", "_masks_rev")

@@ -75,11 +75,12 @@ def evaluate(pattern: Pattern, tree: DataTree, start: int | None = None,
 
     Returns the set of selected nodes as ``(id, label)`` pairs.
 
-    ``context`` optionally supplies an
-    :class:`repro.xpath.indexed.IndexedEvaluator` snapshot of ``tree``; when
-    it is fresh for this very tree the label-indexed fast path answers
-    (bit-identically), sharing its predicate memo with every other query on
-    the snapshot.  A stale or foreign context falls back to the naive sweep.
+    ``context`` optionally supplies a
+    :class:`repro.xpath.bitset.BitsetEvaluator` snapshot of ``tree``; when
+    it is fresh for this very tree the set-at-a-time fast path answers
+    (bit-identically), sharing its predicate masks with every other query
+    on the snapshot.  A stale or foreign context falls back to the naive
+    sweep.
     """
     if context is not None and context.covers(tree):
         return context.evaluate(pattern, start)

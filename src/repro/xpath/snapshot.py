@@ -1,12 +1,10 @@
-"""Shared session plumbing of the snapshot-backed evaluators.
+"""Session plumbing of the snapshot-backed evaluator.
 
-:class:`repro.xpath.indexed.IndexedEvaluator` (node-at-a-time) and
-:class:`repro.xpath.bitset.BitsetEvaluator` (set-at-a-time) differ only in
-*how* they answer a query against a :class:`~repro.trees.index.TreeIndex`;
-everything around that — snapshot coercion and identity, the revision
-tracking that keeps memos honest across in-place index edits, the
-``apply_*`` passthroughs, and process-wide canonicalisation — is this base
-class, so a fix to the session machinery cannot drift between substrates.
+:class:`repro.xpath.bitset.BitsetEvaluator` answers queries against a
+:class:`~repro.trees.index.TreeIndex`; everything around that — snapshot
+coercion and identity, the revision tracking that keeps memos honest
+across in-place index edits, the ``apply_*`` passthroughs, and
+process-wide canonicalisation — is this base class.
 """
 
 from __future__ import annotations

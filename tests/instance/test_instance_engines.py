@@ -337,19 +337,25 @@ class TestSearchSplit:
                 assert result.is_refuted
                 self.same_certificate(result.counterexample, whole, current)
 
-    def test_no_cascades_means_no_worker_pool(self, rng, monkeypatch):
+    def test_no_cascades_means_no_search(self, rng, monkeypatch):
         from repro.instance import search
 
-        monkeypatch.setattr(search, "_POOLS", {})
+        def no_walk(*args, **kwargs):
+            raise AssertionError("max_moves=0 started a cascade walk")
+
+        monkeypatch.setattr(search, "_cascade_walk", no_walk)
         for premises, current, conclusion in self.problems(rng, 8, 8):
-            sequential = bounded_refutation(premises, current, conclusion,
-                                            max_moves=0, workers=1)
-            pooled = bounded_refutation(premises, current, conclusion,
-                                        max_moves=0, workers=2)
-            self.same_certificate(pooled, sequential, current)
-            # One binding per worker count: the result memo ignores it.
-            one, two = (Reasoner(premises).bind(current).implies_on(
-                conclusion, max_moves=0, search_workers=workers)
-                for workers in (1, 2))
-            assert (one.answer, one.reason) == (two.answer, two.reason)
-        assert search._POOLS == {}
+            assert cascade_refutation(premises, current, conclusion,
+                                      max_moves=0) is None
+            # With the cascade family empty, only single relocations count.
+            same = premises.of_type(conclusion.type)
+            subset = same_type_implication(same, current, conclusion)
+            relocation = relocation_refutation(premises, current, conclusion,
+                                               subset)
+            whole = bounded_refutation(premises, current, conclusion,
+                                       max_moves=0)
+            self.same_certificate(whole, relocation, current)
+            result = Reasoner(premises).bind(current).implies_on(
+                conclusion, max_moves=0)
+            assert result.is_refuted == (not subset.is_implied
+                                         and relocation is not None)

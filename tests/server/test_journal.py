@@ -10,6 +10,7 @@ checkpoint/compaction mechanics.  End-to-end crash recovery lives in
 from __future__ import annotations
 
 import json
+import re
 import zlib
 
 import pytest
@@ -288,7 +289,25 @@ class TestCheckpoints:
         assert record["doc"] == "ward"
         assert record["set"] == "policy"
         assert record["state"]["version"] == 1
+        assert record["state"]["engine"] == "bitset"
         json.dumps(record)  # JSON-safe throughout
+
+    @pytest.mark.parametrize("field, value", [("engine", "indexed"),
+                                              ("version", 2)])
+    def test_refused_checkpoint_names_document_and_lsn(self, tmp_path,
+                                                        field, value):
+        svc, journal, _ = durable_service(tmp_path, checkpoint_every=1)
+        self.register(svc)
+        svc.handle(StreamSubmit("ward", "policy", (AddLeaf(10, "note"),)))
+        journal.close()
+        path = journal.doc_checkpoint_path("ward")
+        (record,), _ = scan_records(path.read_bytes())
+        record["state"][field] = value
+        path.write_bytes(encode_record(record))  # CRC-valid, refused state
+        where = re.escape(f"(lsn {record['lsn']}) for document 'ward'")
+        with pytest.raises(JournalError,
+                           match=f"{where}.*{re.escape(repr(value))}"):
+            ServerJournal(tmp_path).recover(DocumentStore())
 
 
 # ----------------------------------------------------------------------

@@ -196,7 +196,7 @@ class TestCertifiedSubmit:
         # Compare modulo the ``independent`` analyzer flag: the store's
         # uncertified enforcer runs the PR 6 analysis (which may stamp
         # ops independent), the certified path never does — the same
-        # field :func:`repro.stream.shard.decision_checksum` excludes.
+        # field :func:`repro.stream.decision_checksum` excludes.
         def normalized(decisions):
             return [{**d.to_dict(), "independent": False}
                     for d in decisions.decisions]
@@ -244,22 +244,6 @@ class TestCertifiedSubmit:
         status = svc.handle(StreamStatus("ward")).to_dict()
         assert dict(status["stats"])["certified"] == 2
         assert dict(status["stats"])["ops"] == 2
-
-    def test_process_executor_routes_certified_inline(self):
-        from repro.service.executors import ProcessExecutor
-        svc = ConstraintService(executor=ProcessExecutor(workers=1))
-        try:
-            svc.handle(RegisterConstraints("policy", tuple(POLICY)))
-            svc.handle(RegisterDocument("ward", ward()))
-            ack = svc.handle(RegisterTemplate("annotate", ANNOTATE,
-                                              "policy"))
-            assert dict(ack.stats)["certify.certified"] == 1
-            response = svc.handle(CertifiedSubmit(
-                "ward", "policy", "annotate", (("l", "note"), ("p", 5))))
-            assert isinstance(response, StreamDecisions)
-            assert len(response.decisions) == 3
-        finally:
-            svc.close()
 
 
 # ----------------------------------------------------------------------

@@ -87,7 +87,6 @@ def test_live_verdicts_match_a_fresh_binding(seed):
         reply = svc.handle(StreamSubmit("d", "p", tuple(log[at:at + BATCH])))
         assert isinstance(reply, StreamDecisions)
         ask(svc, policy, rng)
-    svc.close()
 
 
 def test_held_binding_goes_stale_after_a_size_preserving_move():
@@ -117,4 +116,3 @@ def test_held_binding_goes_stale_after_a_size_preserving_move():
     assert rebound is not bound
     assert rebound.context.index is enforcer.context.index
     assert rebound.implies_on(conclusion).answer == before.answer
-    svc.close()

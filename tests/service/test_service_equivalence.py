@@ -1,8 +1,8 @@
-"""Hypothesis equivalence: every executor answers like direct calls.
+"""Hypothesis equivalence: every serving path answers like direct calls.
 
 The acceptance contract of :mod:`repro.service`: for any request
-sequence, the response streams of :class:`InlineExecutor`,
-:class:`ProcessExecutor` and :class:`AsyncService` are identical —
+sequence, the response streams of :class:`ConstraintService` and
+:class:`AsyncService` are identical —
 checksum-compared via :func:`response_checksum` — to a *direct* reference
 replay that drives raw :class:`~repro.api.session.Reasoner` /
 :class:`~repro.api.session.BoundReasoner` /
@@ -14,7 +14,6 @@ round-trip through ``to_dict``/``from_dict``.
 from __future__ import annotations
 
 import asyncio
-import atexit
 import json
 import random
 
@@ -28,7 +27,6 @@ from repro.service import (
     Ack,
     ImplicationQuery,
     InstanceQuery,
-    ProcessExecutor,
     QueryAnswers,
     RegisterConstraints,
     RegisterDocument,
@@ -46,12 +44,6 @@ LABELS = ["a", "b", "c"]
 
 RELAXED = settings(max_examples=8, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
-
-# One persistent pool for the whole module — ProcessExecutor is built to
-# be shared across services (its only state is the pool).  Closed at exit
-# so the pool does not linger into interpreter shutdown.
-PROCESS = ProcessExecutor(workers=2)
-atexit.register(PROCESS.close)
 
 
 def reload(requests):
@@ -114,8 +106,8 @@ def direct_replay(requests):
     return out
 
 
-def service_replay(requests, executor=None):
-    svc = ConstraintService(executor=executor)
+def service_replay(requests):
+    svc = ConstraintService()
     return [svc.handle(r) for r in requests]
 
 
@@ -141,8 +133,6 @@ def test_all_executors_match_direct_calls(seed):
     reference = checksums(direct_replay(reload(requests)))
     inline = checksums(service_replay(reload(requests)))
     assert inline == reference
-    process = checksums(service_replay(reload(requests), executor=PROCESS))
-    assert process == reference
     asynchronous = checksums(asyncio.run(async_replay(reload(requests))))
     assert asynchronous == reference
 
@@ -182,14 +172,13 @@ def test_fail_fast_masks_identically_across_executors():
             forced.append(r)
     reference = checksums(direct_replay(reload(forced)))
     assert checksums(service_replay(reload(forced))) == reference
-    assert checksums(service_replay(reload(forced),
-                                    executor=PROCESS)) == reference
+    assert checksums(asyncio.run(async_replay(reload(forced)))) == reference
 
 
 def test_fail_fast_hides_errors_past_the_cutoff_on_every_executor():
     # A wildcard-output conclusion raises NotConcreteError when decided;
     # behind a fail_fast cutoff it must never be decided at all — and
-    # when it IS reached, both executors must return the same error.
+    # when it IS reached, sync and async serving return the same error.
     from repro.constraints import no_insert
 
     register = RegisterConstraints("policy", (no_insert("/a"),))
@@ -199,34 +188,11 @@ def test_fail_fast_hides_errors_past_the_cutoff_on_every_executor():
     reached = ImplicationQuery("policy",
                                (no_insert("/b"), no_insert("/a/*")))
     inline = service_replay(reload([register, masked, reached]))
-    process = service_replay(reload([register, masked, reached]),
-                             executor=PROCESS)
-    assert [r.to_dict() for r in inline] == [r.to_dict() for r in process]
+    asynchronous = asyncio.run(async_replay(reload([register, masked,
+                                                    reached])))
+    assert ([r.to_dict() for r in inline]
+            == [r.to_dict() for r in asynchronous])
     assert isinstance(inline[1], QueryAnswers)       # error stayed masked
     assert inline[1].answers == ("not-implied", None)
     assert not inline[2].ok                          # error surfaced
 
-
-def test_parallel_refutation_search_matches_sequential():
-    """search_workers shards the cascade family without changing verdicts."""
-    rng = random.Random(7)
-    from repro.workloads import (FragmentSpec, random_constraints,
-                                 random_pattern, random_tree)
-    from repro.constraints.model import ConstraintType, UpdateConstraint
-
-    spec = FragmentSpec(predicates=True, descendant=False, wildcard=False)
-    agreements = 0
-    for _ in range(6):
-        tree = random_tree(rng, LABELS, size=7)
-        premises = random_constraints(rng, LABELS, spec, count=4,
-                                      types="mixed", spine=2)
-        conclusion = UpdateConstraint(
-            random_pattern(rng, LABELS, spec, spine=2),
-            rng.choice(list(ConstraintType)))
-        sequential = Reasoner(premises).bind(tree).implies_on(
-            conclusion, max_moves=2, search_budget=150)
-        parallel = Reasoner(premises).bind(tree).implies_on(
-            conclusion, max_moves=2, search_budget=150, search_workers=2)
-        assert sequential.answer is parallel.answer
-        agreements += 1
-    assert agreements == 6

@@ -158,9 +158,7 @@ BAD_PAYLOADS = [
 
 @pytest.fixture(scope="module")
 def service():
-    svc = ConstraintService()
-    yield svc
-    svc.close()
+    return ConstraintService()
 
 
 class TestHandleJsonNeverRaises:
@@ -197,7 +195,6 @@ def test_refused_string_replace_leaves_the_document_registered():
     assert reply["response"] == "error"
     assert svc.store.document("d") is original
     assert original.size == 1
-    svc.close()
 
 
 class TestDictBoundary:

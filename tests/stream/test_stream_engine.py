@@ -159,14 +159,14 @@ class TestStreamSurface:
         ops = random_update_stream(rng, doc, ["patient", "visit"],
                                    constraints=POLICY, ops=20,
                                    violation_rate=0.4)
-        bit = StreamEnforcer(POLICY, doc.copy(), engine="bitset")
-        ind = StreamEnforcer(POLICY, doc.copy(), engine="indexed")
+        fast = StreamEnforcer(POLICY, doc.copy(), analysis=True)
+        full = StreamEnforcer(POLICY, doc.copy(), analysis=False)
         for op in ops:
-            a = bit.apply(op)
-            b = ind.apply(op)
+            a = fast.apply(op)
+            b = full.apply(op)
             assert (a.accepted, a.pending, list(a.violations)) == \
                    (b.accepted, b.pending, list(b.violations))
-        assert bit.tree.same_instance(ind.tree)
+        assert fast.tree.same_instance(full.tree)
 
     def test_open_stream_from_sessions(self):
         doc = hospital()

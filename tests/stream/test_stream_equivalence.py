@@ -13,6 +13,7 @@ pair.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -137,7 +138,7 @@ def test_verdicts_and_witnesses_match_recompute_on_every_prefix(seed, idx):
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_replaying_one_log_is_deterministic(seed):
-    """Same log, two engines (and two substrates): identical behaviour."""
+    """Same log, analysis on and off: identical behaviour."""
     rng = random.Random(seed)
     start = random_tree(rng, LABELS, size=rng.randint(2, 15))
     constraints = random_constraints(rng, LABELS, SPECS[2],
@@ -145,10 +146,11 @@ def test_replaying_one_log_is_deterministic(seed):
     ops = random_update_stream(rng, start, LABELS, constraints=constraints,
                                ops=12, violation_rate=0.4)
     first = StreamEnforcer(constraints, start.copy())
-    second = StreamEnforcer(constraints, start.copy(), engine="indexed")
+    second = StreamEnforcer(constraints, start.copy(), analysis=False)
     for op in ops:
         a, b = first.apply(op), second.apply(op)
         assert (a.accepted, a.pending, list(a.violations)) == \
                (b.accepted, b.pending, list(b.violations))
     assert first.tree.same_instance(second.tree)
-    assert first.stats == second.stats
+    # Only the fast-path witness count may differ between the two.
+    assert replace(first.stats, independent=0) == second.stats

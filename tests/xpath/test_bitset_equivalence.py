@@ -1,10 +1,11 @@
-"""Hypothesis three-way equivalence: naive vs indexed vs bitset.
+"""Hypothesis equivalence: the bitset snapshot evaluator vs naive.
 
 The contract of the set-at-a-time layer is *bit-identical answers*: for
 every tree and every pattern, mask evaluation over a ``TreeIndex`` must
-agree with both the naive two-phase evaluator and the node-at-a-time
-indexed evaluator — including after in-place index edits driven by the
-refutation-search journals (move/undo cascades, merge/revive quotients).
+agree with the naive two-phase evaluator (the oracle) — including after
+in-place index edits driven by the refutation-search journals (move/undo
+cascades, merge/revive quotients) — and every engine verdict must be
+unchanged by the snapshot fast path.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.workloads import (
     random_pattern,
     random_tree,
 )
-from repro.xpath import BitsetEvaluator, IndexedEvaluator
+from repro.xpath import BitsetEvaluator
 from repro.xpath import bitset as bitset_mod
 from repro.xpath.evaluator import evaluate, evaluate_ids, matches_at, selects
 
@@ -49,19 +50,19 @@ RELAXED = settings(max_examples=40, deadline=None,
 
 @given(seed=seeds, idx=spec_idx)
 @RELAXED
-def test_three_way_evaluate_agreement(seed, idx):
+def test_bitset_evaluate_matches_naive(seed, idx):
     rng = random.Random(seed)
     tree = random_tree(rng, LABELS, size=rng.randint(1, 20))
     snapshot = TreeIndex(tree)
     bit = BitsetEvaluator(snapshot)
-    ind = IndexedEvaluator(snapshot)
     for _ in range(4):
         pattern = random_pattern(rng, LABELS, SPECS[idx],
                                  spine=rng.randint(1, 4))
         expected = evaluate_ids(pattern, tree)
         assert bit.evaluate_ids(pattern) == expected
-        assert ind.evaluate_ids(pattern) == expected
+        assert bitset_mod.evaluate_ids(pattern, snapshot) == expected
         assert bit.evaluate(pattern) == evaluate(pattern, tree)
+        assert bitset_mod.evaluate(pattern, bit) == evaluate(pattern, tree)
         # evaluation anchored below the root must agree too
         start = rng.choice(list(tree.node_ids()))
         assert bit.evaluate_ids(pattern, start) == evaluate_ids(pattern, tree, start)
@@ -69,18 +70,19 @@ def test_three_way_evaluate_agreement(seed, idx):
 
 @given(seed=seeds, idx=spec_idx)
 @RELAXED
-def test_three_way_selects_and_matches_at(seed, idx):
+def test_bitset_selects_and_matches_at(seed, idx):
     rng = random.Random(seed)
     tree = random_tree(rng, LABELS, size=rng.randint(1, 15))
     bit = BitsetEvaluator.for_tree(tree)
-    ind = IndexedEvaluator.for_tree(tree)
     pattern = random_pattern(rng, LABELS, SPECS[idx], spine=rng.randint(1, 3))
     pred = pattern.as_boolean()
     for nid in tree.node_ids():
         naive_sel = selects(pattern, tree, nid)
-        assert bit.selects(pattern, nid) == naive_sel == ind.selects(pattern, nid)
+        assert bit.selects(pattern, nid) == naive_sel
+        assert bitset_mod.selects(pattern, bit, nid) == naive_sel
         naive_pred = matches_at(pred, tree, nid)
-        assert bit.matches_at(pred, nid) == naive_pred == ind.matches_at(pred, nid)
+        assert bit.matches_at(pred, nid) == naive_pred
+        assert bitset_mod.matches_at(pred, bit, nid) == naive_pred
 
 
 @given(seed=seeds)
@@ -103,13 +105,12 @@ def test_bitset_context_fast_path_is_transparent(seed):
 @given(seed=seeds)
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_three_way_agreement_after_incremental_edits(seed):
-    """Both snapshot evaluators stay exact across in-place index edits."""
+def test_bitset_agrees_after_incremental_edits(seed):
+    """The snapshot evaluator stays exact across in-place index edits."""
     rng = random.Random(seed)
     tree = random_tree(rng, LABELS, size=rng.randint(2, 18))
     snapshot = TreeIndex(tree)
     bit = BitsetEvaluator(snapshot)
-    ind = IndexedEvaluator(snapshot)
     for _ in range(8):
         op = rng.random()
         nodes = [n for n in tree.node_ids() if n != tree.root]
@@ -128,12 +129,9 @@ def test_three_way_agreement_after_incremental_edits(seed):
         pattern = random_pattern(rng, LABELS, SPECS[4], spine=rng.randint(1, 3))
         expected = evaluate_ids(pattern, tree)
         assert bit.evaluate_ids(pattern) == expected
-        assert ind.evaluate_ids(pattern) == expected
         pred = pattern.as_boolean()
         probe = rng.choice(list(tree.node_ids()))
-        naive_pred = matches_at(pred, tree, probe)
-        assert bit.matches_at(pred, probe) == naive_pred
-        assert ind.matches_at(pred, probe) == naive_pred
+        assert bit.matches_at(pred, probe) == matches_at(pred, tree, probe)
 
 
 @given(seed=seeds)
@@ -183,8 +181,8 @@ def test_merge_journal_keeps_snapshot_exact(seed):
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_engine_verdicts_identical_across_engines(seed):
-    """Table 2 dispatch: bitset, indexed and naive bindings, plus the
-    legacy free function, give the same answer through the same engine."""
+    """Table 2 dispatch: bitset and naive bindings, plus the legacy free
+    function, give the same answer through the same engine."""
     rng = random.Random(seed)
     spec = SPECS[rng.randint(0, len(SPECS) - 1)]
     types = rng.choice(["up", "down", "mixed"])
@@ -193,7 +191,7 @@ def test_engine_verdicts_identical_across_engines(seed):
     current = random_tree(rng, LABELS[:2], size=rng.randint(1, 6))
     reasoner = Reasoner(premises)
     bindings = [reasoner.bind(current, engine=engine)
-                for engine in ("bitset", "indexed", "naive")]
+                for engine in ("bitset", "naive")]
     for _ in range(2):
         kind = rng.choice(list(ConstraintType))
         conclusion = UpdateConstraint(
