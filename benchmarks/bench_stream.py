@@ -69,6 +69,10 @@ class RawEdits:
     def apply_move(self, nid: int, new_parent: int) -> None:
         self.tree.move(nid, new_parent)
 
+    def apply_add_subtree(self, spec) -> None:
+        for nid, parent, label in spec:
+            self.tree.add_child(parent, label, nid=nid)
+
     def apply_remove_subtree(self, nid: int) -> None:
         self.tree.remove_subtree(nid)
 
@@ -89,7 +93,9 @@ class ScratchEnforcer(StreamEnforcer):
     def _check_fresh(self) -> None:  # the initial snapshot is left behind
         pass
 
-    def _current_violations(self) -> tuple[Violation, ...]:
+    def _current_violations(self, only=None) -> tuple[Violation, ...]:
+        # A full recheck answers any restricted one (``only`` names the
+        # constraints that may have changed; the rest are known to hold).
         fresh = BitsetEvaluator.for_tree(self._tree)
         return tuple(self._checker.violations(self._tree, context=fresh))
 

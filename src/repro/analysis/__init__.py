@@ -3,9 +3,10 @@
 ``repro.analysis`` sits between the compiled constraint layer and the
 enforcement stream: it turns a :class:`~repro.constraints.model.
 ConstraintSet` into per-constraint :class:`ImpactSignature` values and a
-whole-set :class:`IndependenceIndex`, from which the stream engine's
-zero-work fast path decides — without mask work — that an update cannot
-affect any constraint.
+whole-set :class:`IndependenceIndex`, from which the stream engine learns
+— without mask work — which constraints an update can affect: it
+re-checks only those, and none at all (the zero-work fast path) when the
+update can affect nothing.
 """
 
 from repro.analysis.independence import (

@@ -30,30 +30,34 @@ the moved/removed subtree — miss the alphabet can neither create nor
 destroy matches.
 
 **Regions.**  Every match is contained in the subtree of the node its
-first spine step maps to (:func:`repro.xpath.canonical.spine_anchor`).
-The nodes passing the first step's test form the constraint's *anchor
-frontier* on the live :class:`~repro.trees.index.TreeIndex`, and the
-preorder intervals below them are the only regions where the answer can
-change.  An edit entirely outside the frontier — and unable to create a
-new anchor (a fresh root child for ``/``-anchored patterns, a fresh node
-carrying the anchor label for ``//``-anchored ones) — is independent
-even when its labels intersect the alphabet.
+first spine step maps to (:func:`repro.xpath.canonical.spine_anchor`) —
+an *anchor*: any node carrying the anchor label for a ``//``-anchored
+range, a matching root child for a ``/``-anchored one.  An edit point
+lies inside the constraint's region iff one of its ancestors-or-self is
+an anchor, which one walk up its ancestor chain decides
+(:meth:`ImpactSignature.in_region` on the point's path-label word).  An
+edit entirely outside the region — and unable to create a new anchor (a
+fresh root child for ``/``-anchored patterns, a fresh node carrying the
+anchor label for ``//``-anchored ones) — cannot touch the constraint's
+answers even when its labels intersect the alphabet.
 
 The whole-set :class:`IndependenceIndex` inverts the signatures into an
-``(op kind × label)`` table for O(1) per-op candidate lookup, and the
-:class:`IndependenceAnalyzer` binds the index to a live tree snapshot:
-``analyzer.independent(op)`` returns True only when, *given the
-cumulative edit is currently valid*, applying ``op`` provably cannot
-change any constraint's verdict or witnesses.  The stream engine gates
-its zero-work fast path on exactly that precondition; the Hypothesis
+``(op kind × label)`` table of constraint *positions* for O(1) per-op
+candidate lookup, and the :class:`IndependenceAnalyzer` binds the index
+to a live tree snapshot: ``analyzer.dependent(op)`` returns the positions
+of the constraints ``op`` may affect.  Every other constraint's answer
+set can only move in its safe direction (a ``NO_REMOVE`` range grows or
+stays, a ``NO_INSERT`` range shrinks or stays), so a constraint that
+holds before the op still holds after it.  The stream engine re-checks
+only the dependent constraints plus whatever is currently violated, and
+takes its zero-work fast path when that leaves nothing; the Hypothesis
 equivalence suite pins decision streams bit-identical to full checking.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 from repro.constraints.model import (
     ConstraintSet,
@@ -84,9 +88,8 @@ class ImpactSignature:
 
     ``labels is None`` encodes ⊤ (the range contains a wildcard, so any
     label may participate in a match).  ``first_axis``/``first_label``
-    describe the range's first spine step — the anchor frontier the
-    region dimension is derived from at lookup time, against the live
-    snapshot.
+    describe the range's first spine step — the anchors the region
+    dimension is derived from at lookup time, against the live snapshot.
     """
 
     constraint: UpdateConstraint
@@ -100,20 +103,21 @@ class ImpactSignature:
         """True when the label dimension is ⊤ (wildcard in the range)."""
         return self.labels is None
 
-    def region_anchors(self, index: TreeIndex) -> list[int] | None:
-        """The anchor frontier on ``index`` — nodes whose subtrees can
-        contain matches.  ``None`` means the whole tree (``//*``-style
-        first steps anchor anywhere)."""
+    def in_region(self, path: tuple[str, ...], root_label: str) -> bool:
+        """Is a node inside some anchor's subtree (itself included)?
+
+        ``path`` is the node's word — the labels on its root path, root
+        excluded (:meth:`~repro.trees.index.TreeIndex.path_labels`) — and
+        ``root_label`` the root's label.  A ``//``-anchored region holds
+        every node with an ancestor-or-self carrying the anchor label (the
+        root included; ``//*`` covers every node); a ``/``-anchored one
+        every node whose root-child ancestor-or-self carries it (``/*``
+        covers every node but the root).
+        """
+        label = self.first_label
         if self.first_axis is Axis.DESC:
-            if self.first_label is None:
-                return None
-            return index.minimal_cover(
-                index.nodes_with_label(self.first_label))
-        root = index.root
-        if self.first_label is None:
-            return list(index.children(root))
-        return [c for c in index.children(root)
-                if index.label(c) == self.first_label]
+            return label is None or label in path or label == root_label
+        return bool(path) and (label is None or path[0] == label)
 
     def __str__(self) -> str:
         labels = "⊤" if self.labels is None else \
@@ -136,11 +140,14 @@ def impact_signature(constraint: UpdateConstraint) -> ImpactSignature:
 
 class IndependenceIndex:
     """Whole-set inversion of the signatures: ``(op kind × label)`` →
-    possibly-impacted signatures, for O(1) per-op candidate lookup.
+    positions of the possibly-impacted constraints, for O(1) per-op
+    candidate lookup.
 
-    Signatures whose label dimension is ⊤ cannot be excluded by any
-    label, so they are kept in a per-kind side table consulted on every
-    lookup (their region dimension still prunes at analysis time).
+    Positions index the policy's constraint tuple, duplicates included —
+    the order every checker iterates.  Signatures whose label dimension
+    is ⊤ cannot be excluded by any label, so every key's entry includes
+    them (and they are the whole answer for an unkeyed label); their
+    region dimension still prunes at analysis time.
     """
 
     __slots__ = ("_signatures", "_by_key", "_top", "_probe_labels")
@@ -149,27 +156,28 @@ class IndependenceIndex:
         if not isinstance(constraints, ConstraintSet):
             constraints = ConstraintSet(constraints)
         self._signatures = tuple(impact_signature(c) for c in constraints)
-        by_key: dict[tuple[str, str], list[ImpactSignature]] = {}
-        top: dict[str, list[ImpactSignature]] = {
-            KIND_ADD: [], KIND_MOVE: [], KIND_REMOVE: []}
+        by_key: dict[tuple[str, str], list[int]] = {}
+        top: dict[str, list[int]] = {KIND_ADD: [], KIND_MOVE: [],
+                                     KIND_REMOVE: []}
         probe: set[str] = set()
-        for sig in self._signatures:
+        for pos, sig in enumerate(self._signatures):
             if sig.labels is None:
                 for kind in sig.kinds:
-                    top[kind].append(sig)
+                    top[kind].append(pos)
             else:
                 probe.update(sig.labels)
                 for kind in sig.kinds:
                     for label in sig.labels:
-                        by_key.setdefault((kind, label), []).append(sig)
+                        by_key.setdefault((kind, label), []).append(pos)
             # Anchor labels of ⊤ signatures still matter to the subtree
             # probes of move/remove (a moved anchor relocates matches).
             if sig.first_label is not None:
                 probe.add(sig.first_label)
-        self._by_key: dict[tuple[str, str], tuple[ImpactSignature, ...]] = {
-            key: tuple(sigs) for key, sigs in by_key.items()}
-        self._top: dict[str, tuple[ImpactSignature, ...]] = {
-            kind: tuple(sigs) for kind, sigs in top.items()}
+        self._top: dict[str, tuple[int, ...]] = {
+            kind: tuple(positions) for kind, positions in top.items()}
+        self._by_key: dict[tuple[str, str], tuple[int, ...]] = {
+            key: tuple(sorted(positions + top[key[0]]))
+            for key, positions in by_key.items()}
         self._probe_labels = frozenset(probe)
 
     @property
@@ -181,22 +189,18 @@ class IndependenceIndex:
         """Labels worth probing for inside a moved/removed subtree."""
         return self._probe_labels
 
-    def lookup(self, kind: str, label: str) -> tuple[ImpactSignature, ...]:
-        """Signatures possibly impacted by a ``kind`` op touching
-        ``label`` — one dict probe plus the ⊤ side table."""
-        keyed = self._by_key.get((kind, label), ())
-        return keyed + self._top.get(kind, ())
+    def lookup(self, kind: str, label: str) -> tuple[int, ...]:
+        """Sorted positions of the constraints possibly impacted by a
+        ``kind`` op touching ``label`` — one dict probe."""
+        return self._by_key.get((kind, label), self._top.get(kind, ()))
 
-    def candidates(self, kind: str,
-                   labels: Iterable[str]) -> tuple[ImpactSignature, ...]:
-        """Deduplicated union of :meth:`lookup` over several labels."""
-        found: dict[int, ImpactSignature] = {
-            id(sig): sig for sig in self._top.get(kind, ())}
+    def candidates(self, kind: str, labels: Iterable[str]) -> tuple[int, ...]:
+        """Sorted, deduplicated union of :meth:`lookup` over ``labels``."""
+        found = set(self._top.get(kind, ()))
         by_key = self._by_key
         for label in labels:
-            for sig in by_key.get((kind, label), ()):
-                found[id(sig)] = sig
-        return tuple(found.values())
+            found.update(by_key.get((kind, label), ()))
+        return tuple(sorted(found))
 
     def stats(self) -> dict[str, int]:
         """Shape of the compiled index (exposed through the service)."""
@@ -218,24 +222,21 @@ class IndependenceIndex:
 class IndependenceAnalyzer:
     """The compiled index bound to one live tree snapshot.
 
-    :meth:`independent` must be consulted *before* the edit is applied
-    (region tests read pre-edit slots) and its verdict is only meaningful
-    under the caller-guaranteed precondition that the cumulative edit is
-    currently valid — the stream engine's fast-path gate.  Any op the
-    analyzer cannot place (unknown nodes, the root) is conservatively
-    reported dependent; the engine's structural validation then produces
-    the exact same rejection it always did.
+    :meth:`dependent` must be consulted *before* the edit is applied (the
+    region tests read the pre-edit ancestor chains).  A constraint it
+    leaves out keeps its verdict if it currently holds; a constraint that
+    is currently violated must be re-checked regardless — the stream
+    engine's re-check set is exactly that union.  Any op the analyzer
+    cannot place (unknown nodes, the root, a marker) gets ``None``; the
+    engine then checks every constraint, and its structural validation
+    produces the exact same rejection it always did.
     """
 
-    __slots__ = ("_index", "_tree", "_regions", "_regions_rev")
+    __slots__ = ("_index", "_tree")
 
     def __init__(self, index: IndependenceIndex, tree_index: TreeIndex):
         self._index = index
         self._tree = tree_index
-        # sig-id -> sorted anchor intervals (None = whole tree), per rev.
-        self._regions: dict[int, tuple[tuple[int, ...],
-                                       tuple[int, ...]] | None] = {}
-        self._regions_rev = tree_index.revision
 
     @property
     def index(self) -> IndependenceIndex:
@@ -246,110 +247,97 @@ class IndependenceAnalyzer:
         return self._tree
 
     # ------------------------------------------------------------------
-    # Region signatures (anchor frontiers, cached per revision)
-    # ------------------------------------------------------------------
-    def _region_of(self, sig: ImpactSignature
-                   ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        idx = self._tree
-        if self._regions_rev != idx.revision:
-            self._regions.clear()
-            self._regions_rev = idx.revision
-        key = id(sig)
-        if key not in self._regions:
-            anchors = sig.region_anchors(idx)
-            if anchors is None:
-                region = None
-            else:
-                intervals = sorted(idx.interval(a) for a in anchors)
-                region = (tuple(lo for lo, _ in intervals),
-                          tuple(hi for _, hi in intervals))
-            self._regions[key] = region
-        return self._regions[key]
-
-    def _in_region(self, sig: ImpactSignature, slot: int) -> bool:
-        """Is ``slot`` inside the signature's anchor frontier?"""
-        region = self._region_of(sig)
-        if region is None:
-            return True
-        starts, ends = region
-        at = bisect_right(starts, slot) - 1
-        return at >= 0 and slot <= ends[at]
-
-    # ------------------------------------------------------------------
     # Per-op verdicts
     # ------------------------------------------------------------------
+    def dependent(self, op: StreamOp) -> tuple[int, ...] | None:
+        """Sorted positions of the constraints ``op`` may affect.
+
+        ``()`` means none: given a currently valid cumulative pair, the op
+        provably cannot change any verdict or witness.  ``None`` means the
+        op cannot be placed on the snapshot.
+        """
+        if isinstance(op, AddLeaf):
+            return self._add_dependent(op)
+        if isinstance(op, Move):
+            return self._move_dependent(op)
+        if isinstance(op, RemoveSubtree):
+            return self._remove_dependent(op)
+        return None  # markers always take the engine's marker paths
+
     def independent(self, op: StreamOp) -> bool:
         """Provably unable to change any constraint's verdict, given the
-        cumulative edit is currently valid?"""
-        if isinstance(op, AddLeaf):
-            return self._add_independent(op)
-        if isinstance(op, Move):
-            return self._move_independent(op)
-        if isinstance(op, RemoveSubtree):
-            return self._remove_independent(op)
-        return False  # markers always take the engine's marker paths
+        cumulative edit is currently valid?  (``dependent(op) == ()``.)"""
+        return self.dependent(op) == ()
 
-    def _add_independent(self, op: AddLeaf) -> bool:
+    def _add_dependent(self, op: AddLeaf) -> tuple[int, ...] | None:
         idx = self._tree
         if op.parent not in idx:
-            return False
-        sigs = self._index.lookup(KIND_ADD, op.label)
-        if not sigs:
-            return True
-        slot = idx.pre(op.parent)
+            return None
+        positions = self._index.lookup(KIND_ADD, op.label)
+        if not positions:
+            return ()
+        sigs = self._index.signatures
+        path = idx.path_labels(op.parent)
         root = idx.root
-        for sig in sigs:
-            # Inside an anchor subtree: the new leaf may witness a match.
-            if self._in_region(sig, slot):
-                return False
-            # Outside every anchor — but could the leaf itself become one?
-            if sig.first_axis is Axis.DESC:
-                if sig.first_label is None or op.label == sig.first_label:
-                    return False
-            elif op.parent == root and (sig.first_label is None
-                                        or op.label == sig.first_label):
-                return False
-        return True
+        root_label = idx.label(root)
+        at_root = op.parent == root
+        out: list[int] = []
+        for pos in positions:
+            sig = sigs[pos]
+            anchor = sig.first_label
+            # Inside an anchor subtree the new leaf may witness a match;
+            # outside every anchor, it could still become one itself.
+            if (sig.in_region(path, root_label)
+                    or ((sig.first_axis is Axis.DESC or at_root)
+                        and (anchor is None or op.label == anchor))):
+                out.append(pos)
+        return tuple(out)
 
-    def _move_independent(self, op: Move) -> bool:
+    def _move_dependent(self, op: Move) -> tuple[int, ...] | None:
         idx = self._tree
-        if op.nid not in idx or op.new_parent not in idx or op.nid == idx.root:
-            return False
-        present = self._present_labels(op.nid)
-        sigs = self._index.candidates(KIND_MOVE, present)
-        if not sigs:
-            return True
-        slot = idx.pre(op.nid)
-        dest = idx.pre(op.new_parent)
         root = idx.root
-        for sig in sigs:
-            # Leaving or entering an anchor subtree changes its contents.
-            if self._in_region(sig, slot) or self._in_region(sig, dest):
-                return False
-            if not self._subtree_clear_of_anchors(sig, op.nid, present):
-                return False
-            # A move to the root can mint a '/'-anchored frontier node.
-            if (sig.first_axis is Axis.CHILD and op.new_parent == root
-                    and (sig.first_label is None
-                         or idx.label(op.nid) == sig.first_label)):
-                return False
-        return True
-
-    def _remove_independent(self, op: RemoveSubtree) -> bool:
-        idx = self._tree
-        if op.nid not in idx or op.nid == idx.root:
-            return False
+        if op.nid not in idx or op.new_parent not in idx or op.nid == root:
+            return None
         present = self._present_labels(op.nid)
-        sigs = self._index.candidates(KIND_REMOVE, present)
-        if not sigs:
-            return True
-        slot = idx.pre(op.nid)
-        for sig in sigs:
-            if self._in_region(sig, slot):
-                return False
-            if not self._subtree_clear_of_anchors(sig, op.nid, present):
-                return False
-        return True
+        positions = self._index.candidates(KIND_MOVE, present)
+        if not positions:
+            return ()
+        sigs = self._index.signatures
+        source = idx.path_labels(op.nid)
+        dest = idx.path_labels(op.new_parent)
+        root_label = idx.label(root)
+        to_root = op.new_parent == root
+        moved = idx.label(op.nid)
+        out: list[int] = []
+        for pos in positions:
+            sig = sigs[pos]
+            anchor = sig.first_label
+            # Leaving or entering an anchor subtree changes its contents;
+            # so does carrying an anchor along, and a move to the root can
+            # mint a '/'-anchored one.
+            if (sig.in_region(source, root_label)
+                    or sig.in_region(dest, root_label)
+                    or self._carries_anchor(sig, present)
+                    or (sig.first_axis is Axis.CHILD and to_root
+                        and (anchor is None or moved == anchor))):
+                out.append(pos)
+        return tuple(out)
+
+    def _remove_dependent(self, op: RemoveSubtree) -> tuple[int, ...] | None:
+        idx = self._tree
+        root = idx.root
+        if op.nid not in idx or op.nid == root:
+            return None
+        present = self._present_labels(op.nid)
+        positions = self._index.candidates(KIND_REMOVE, present)
+        if not positions:
+            return ()
+        sigs = self._index.signatures
+        path = idx.path_labels(op.nid)
+        root_label = idx.label(root)
+        return tuple(pos for pos in positions
+                     if sigs[pos].in_region(path, root_label)
+                     or self._carries_anchor(sigs[pos], present))
 
     def _present_labels(self, nid: int) -> list[str]:
         """Probe labels occurring in the subtree at ``nid`` (self incl.)."""
@@ -359,21 +347,20 @@ class IndependenceAnalyzer:
                 if label == own
                 or idx.count_descendants_with_label(label, nid) > 0]
 
-    def _subtree_clear_of_anchors(self, sig: ImpactSignature, nid: int,
-                                  present: list[str]) -> bool:
-        """No potential anchor of ``sig`` inside the subtree at ``nid``?
+    @staticmethod
+    def _carries_anchor(sig: ImpactSignature, present: list[str]) -> bool:
+        """Might the subtree whose probe labels are ``present`` hold an
+        anchor of ``sig``?
 
         ``//``-anchored signatures anchor at any node carrying the anchor
         label, so relocating or deleting such a node relocates or deletes
-        a whole match region.  (``/``-anchored frontiers are root
-        children; a root child's own interval is part of the region, so
-        the caller's region test already covers them.)
+        a whole match region.  (``/``-anchored anchors are root children;
+        a root child is inside its own region, so the caller's region test
+        already covers them.)
         """
         if sig.first_axis is not Axis.DESC:
-            return True
-        if sig.first_label is None:
             return False
-        return sig.first_label not in present
+        return sig.first_label is None or sig.first_label in present
 
     def __repr__(self) -> str:
         return (f"IndependenceAnalyzer({self._index!r}, "

@@ -572,6 +572,11 @@ def bindings_to_wire(bindings: Bindings) -> dict[str, Binding]:
 
 
 def bindings_from_wire(data: Mapping[str, Any]) -> dict[str, Binding]:
+    """Decode :func:`bindings_to_wire`; anything but a JSON object of node
+    ids and labels is a :class:`~repro.errors.CertifyError`."""
+    if not isinstance(data, Mapping):
+        raise CertifyError(f"bindings must be a JSON object of hole "
+                           f"values, got {data!r}")
     out: dict[str, Binding] = {}
     for name, value in data.items():
         if isinstance(value, bool) or not isinstance(value, (int, str)):

@@ -7,8 +7,9 @@ range evaluated *at* ``x`` only grows (``↑``) or only shrinks (``↓``)::
     (I, J) ⊨ (q_s, q_r, ↑)   iff   ∀ x ∈ q_s(I) ∩ q_s(J):  q_r(x, I) ⊆ q_r(x, J)
 
 The paper only sketches this extension; we implement its semantics exactly
-(Definition 6.2), the absolute-constraint embedding (scope = root), and the
-two phenomena it demonstrates:
+(Definition 6.2) and the two phenomena it demonstrates (an absolute
+constraint is the relative one with root scope; it needs none of this
+machinery and is checked by :mod:`repro.constraints.validity`):
 
 * Example 6.1 — the *same-type property* of Theorem 4.1 fails for relative
   constraints even in ``XP{/,[]}``;
@@ -87,21 +88,6 @@ def relative_violations(before: DataTree, after: DataTree,
         if bad:
             problems.append((scope_nid, frozenset(bad)))
     return problems
-
-
-def as_absolute(constraint: UpdateConstraint) -> RelativeConstraint:
-    """Embed an absolute constraint: scope = the root.
-
-    The paper notes (Example 6.1) that ``(q, σ)`` is the relative constraint
-    with root scope.  We model the root scope with the trivial scope pattern
-    handled specially in :func:`satisfies_scoped_or_absolute`; here we simply
-    keep the range and type and mark the scope as ``None``-like by using the
-    range itself, so prefer :func:`satisfies` for absolute constraints.
-    """
-    raise NotImplementedError(
-        "absolute constraints are checked by repro.constraints.validity; "
-        "the root scope needs no relative machinery"
-    )
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ stream-equivalence suite pins this).
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from typing import TYPE_CHECKING, Any
 
 from repro.constraints.model import ConstraintType, UpdateConstraint
@@ -122,7 +123,16 @@ class MaskedBaseline:
         return [(entry[0], entry[1], entry[2], entry[3])
                 for entry in self._entries]
 
-    def violations(self) -> tuple[Violation, ...]:
+    def violations(self, only: Collection[int] | None = None
+                   ) -> tuple[Violation, ...]:
+        """The cumulative check, in constraint order (duplicates included).
+
+        ``only`` restricts the sweeps to those constraint positions — the
+        caller vouches that every other constraint holds (the stream
+        engine passes what its independence analysis says an edit can
+        reach, plus whatever is currently violated), so the result is
+        still the full check's.  ``None`` checks every constraint.
+        """
         self.sync()
         ctx = self._ctx
         idx = ctx.index
@@ -131,7 +141,10 @@ class MaskedBaseline:
         # directions over one range (the immutability pair) must not pay
         # for the answer mask twice.
         swept: dict[Pattern, int] = {}
-        for constraint, labels, base_mask, missing in self._entries:
+        for pos, (constraint, labels, base_mask, missing) in enumerate(
+                self._entries):
+            if only is not None and pos not in only:
+                continue
             answer_mask = swept.get(constraint.range)
             if answer_mask is None:
                 answer_mask = ctx.evaluate_mask(constraint.range)

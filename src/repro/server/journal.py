@@ -576,14 +576,25 @@ class ServerJournal:
         every journal truncated back to its last fsync'd offset.  The
         journal object is closed (the "process" died).
         """
-        for path, handle in list(self._handles.items()):
-            handle.close()
+        paths = list(self._handles)
+        self.abandon()
+        for path in paths:
             # A compaction may have atomically replaced the file with a
             # *smaller* durable one after the last tracked fsync; never
             # "restore" past the real end (truncate would zero-pad).
             synced = min(self._synced.get(path, 0), path.stat().st_size)
             with open(path, "ab") as repair:
                 repair.truncate(synced)
+
+    def abandon(self) -> None:
+        """Let go of every handle the way a killed process does.
+
+        The operating system closes a dead process's files without an
+        fsync; writes are unbuffered, so every written byte stays in the
+        file.  The journal is closed.
+        """
+        for handle in self._handles.values():
+            handle.close()
         self._handles.clear()
         self._closed = True
 

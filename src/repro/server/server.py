@@ -24,8 +24,9 @@ Robustness contract, pinned by ``tests/server``:
 * **bounded backpressure** — at most ``max_inflight`` requests execute
   at once; excess requests are refused immediately with an
   ``ErrorResponse`` rather than queued without bound;
-* **no silent failure** — a request whose handling raises anything but a
-  :class:`~repro.errors.ReproError` is still answered, with a typed
+* **no silent failure** — a request whose decoding or handling raises
+  anything but a :class:`~repro.errors.ReproError` is still answered
+  (and its connection kept), with a typed
   ``ErrorResponse`` (``details={"internal": True}``), logged and counted
   in ``server.internal_errors_total``;
 * **graceful shutdown** — :meth:`close` stops accepting, lets every
@@ -182,10 +183,7 @@ class ReproServer:
         on-disk state is clean, with no torn tail.
         """
         self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server = self._stop_listening()
         for task in list(self._connections):
             task.cancel()
         if self._connections:
@@ -195,6 +193,8 @@ class ReproServer:
         for writer in list(self._writers):
             writer.close()
         self._writers.clear()
+        if server is not None:
+            await server.wait_closed()
         await self._service.close()
         if self._journal is not None:
             self._journal.close()
@@ -202,16 +202,14 @@ class ReproServer:
     async def abort(self) -> None:
         """Simulated ``kill -9``: drop connections and in-flight work.
 
-        Nothing is drained, responded to, flushed or checkpointed — the
-        journal is left exactly as the last fsync left it.  The
-        recovery tests restart from the same directory and must
-        reconverge on every acknowledged operation.
+        Nothing is drained, responded to, fsync'd or checkpointed; the
+        journal files are let go as the operating system lets go of a
+        dead process's (:meth:`ServerJournal.abandon`).  The recovery
+        tests restart from the same directory and must reconverge on
+        every acknowledged operation.
         """
         self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        server = self._stop_listening()
         for task in list(self._connections) + list(self._requests):
             task.cancel()
         await asyncio.gather(*self._connections, *self._requests,
@@ -219,8 +217,24 @@ class ReproServer:
         for writer in list(self._writers):
             writer.transport.abort()
         self._writers.clear()
+        if server is not None:
+            await server.wait_closed()
         # Deliberately neither service.close() (would drain queues) nor
-        # journal.close() (would flush): the process just "died".
+        # journal.close() (would fsync): the process just "died".
+        if self._journal is not None:
+            self._journal.abandon()
+
+    def _stop_listening(self) -> asyncio.Server | None:
+        """Refuse new connections; returns the server to wait on.
+
+        Its ``wait_closed()`` must come after the accepted connections
+        are closed: from Python 3.12.1 on it also waits for every one of
+        them, so awaiting it first would never return.
+        """
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        return server
 
     async def __aenter__(self) -> "ReproServer":
         await self.start()
@@ -296,6 +310,19 @@ class ReproServer:
                     await self._send(writer, lock, envelope_id, ErrorResponse(
                         error=type(err).__name__, message=str(err)),
                         trace=trace)
+                    continue
+                except Exception as err:
+                    # A decoder bug must not kill the connection (requests
+                    # pipelined behind it would only see EOF): answer it
+                    # exactly as _serve answers a handler bug.
+                    self._m_internal_errors.inc()
+                    _logger.error("internal error decoding a %r request",
+                                  body.get("request"), exc_info=err)
+                    await self._send(writer, lock, envelope_id, ErrorResponse(
+                        error=type(err).__name__,
+                        message=f"internal error while decoding the "
+                                f"request: {err}",
+                        details={"internal": True}), trace=trace)
                     continue
                 self._inflight += 1
                 self._m_inflight.set(self._inflight)

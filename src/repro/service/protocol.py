@@ -349,16 +349,24 @@ class FleetSubmit(Request):
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetSubmit":
+        documents = data["documents"]
+        if not isinstance(documents, list):
+            # A string would otherwise decode as one document per char.
+            raise ValueError(f"'documents' must be a list of names, got "
+                             f"{documents!r}")
+        backend = data.get("backend")
+        if backend is not None and not isinstance(backend, str):
+            raise ValueError(f"'backend' must be a string or null, got "
+                             f"{backend!r}")
         return cls(
-            documents=tuple(_name(doc, "documents")
-                            for doc in data["documents"]),
+            documents=tuple(_name(doc, "documents") for doc in documents),
             constraints=_name(data["constraints"], "constraints"),
             epochs=tuple(
                 tuple((_name(doc, "epochs"),
                        tuple(op_from_dict(d) for d in ops))
                       for doc, ops in epoch)
                 for epoch in data["epochs"]),
-            backend=data.get("backend"))
+            backend=backend)
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,19 @@ The hot loop never re-snapshots:
   index's :class:`~repro.trees.index.EditDelta` log — per-op re-checking
   costs the edit's footprint (ancestor chains), not the document;
 * the baseline side of every constraint is evaluated exactly once, at
-  open, and frozen (:class:`~repro.constraints.validity.BaselineValidity`).
+  open, and frozen (:class:`~repro.constraints.validity.BaselineValidity`);
+* the static independence analysis (:mod:`repro.analysis`) narrows each
+  re-check to the constraints the op can reach, and skips it outright
+  when the op reaches none while nothing is violated.
 
 Rejected operations — and transactions whose commit finds the cumulative
 edit invalid — are rolled back through the shared edit journal of
 :mod:`repro.stream.ops` (:func:`~repro.stream.ops.perform` /
 :func:`~repro.stream.ops.undo`): every applied edit records its inverse (a
 move records the old parent, an add records the leaf to re-remove, a
-remove records the doomed subtree's preorder spec for revival into the
-freed slot run), and a rollback replays the inverses newest-first.
+remove records the doomed subtree's preorder spec, revived as one edit
+into the freed slot run), and a rollback replays the inverses
+newest-first.
 Every submitted entry yields exactly one
 :class:`~repro.stream.log.Decision` in the append-only
 :class:`~repro.stream.log.AuditTrail`, with per-constraint
@@ -37,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 
 if TYPE_CHECKING:  # imported lazily at runtime (see _build_analyzer)
     from repro.analysis.independence import IndependenceAnalyzer
@@ -132,13 +136,16 @@ class StreamEnforcer:
             and raise on the next operation).  Per-op re-checks run on a
             :class:`~repro.xpath.bitset.BitsetEvaluator` over it, with
             delta-maintained predicate masks.
-        analysis: enable the static independence fast path (default).
-            An op no constraint's impact signature intersects is accepted
-            with zero mask work — still journaled for rollback, audited
-            with an ``independent=True`` witness, and bit-identical in
-            verdict to full checking (:mod:`repro.analysis`).  Subclasses
-            that bypass the live snapshot (recompute-from-scratch
-            baselines) must pass ``analysis=False``.
+        analysis: enable the static independence analysis (default).
+            Each op re-checks only the constraints its impact signatures
+            say it can reach, plus any currently violated; an op reaching
+            none while nothing is violated is accepted with zero mask
+            work — still journaled for rollback, audited with an
+            ``independent=True`` witness.  Verdicts and witnesses are
+            bit-identical to full checking (:mod:`repro.analysis`).
+            Subclasses that bypass the live snapshot
+            (recompute-from-scratch baselines) must pass
+            ``analysis=False``.
         metrics: the :class:`~repro.obs.MetricsRegistry` the stream
             counts into (``stream.*`` counters).  Defaults to the
             process-global registry; pass :data:`repro.obs.NULL` to
@@ -177,8 +184,10 @@ class StreamEnforcer:
         self._masked = MaskedBaseline(self._checker, self._ctx)
         self._analyzer = (_build_analyzer(self._constraints, self._ctx.index)
                           if analysis else None)
-        # Violations standing after the last full check — the fast path's
-        # gate: independence verdicts assume a currently-valid pair.
+        # Violations standing after the last per-op check, exactly what a
+        # full check would report: the analyzer only vouches for
+        # constraints that currently hold, so every re-check covers these
+        # too, and the zero-work fast path needs them empty.
         self._standing: tuple[Violation, ...] = ()
         self._audit = AuditTrail()
         self._journal: list[UndoEntry] | None = None  # open txn's undo journal
@@ -242,11 +251,17 @@ class StreamEnforcer:
         self._check_fresh()
         return list(self._current_violations())
 
-    def _current_violations(self) -> tuple[Violation, ...]:
+    def _current_violations(self, only: Collection[int] | None = None
+                            ) -> tuple[Violation, ...]:
         """The per-op re-check — the one override point for alternative
         validation strategies (the benchmarks' recompute-from-scratch
-        baseline replaces the live snapshot with a fresh one per call)."""
-        return self._masked.violations()
+        baseline replaces the live snapshot with a fresh one per call).
+
+        ``only`` restricts it to those constraint positions; the caller
+        vouches that every other constraint holds, so a full check is a
+        correct answer too.
+        """
+        return self._masked.violations(only)
 
     def is_valid(self) -> bool:
         """Does the cumulative edit satisfy every constraint right now?"""
@@ -478,13 +493,10 @@ class StreamEnforcer:
     def _apply_update(self, op: StreamOp) -> Decision:
         self._ops += 1
         self._m_ops.inc()
-        # The zero-work fast path: decided on the *pre-edit* snapshot,
-        # only meaningful when no violations are standing (the analyzer's
-        # verdicts assume a currently-valid cumulative pair — see
-        # repro.analysis).  Outside a bracket the pair is always valid
-        # here; inside one, `_standing` carries the last full check.
-        fast = (self._analyzer is not None and not self._standing
-                and self._analyzer.independent(op))
+        # What the re-check must cover, decided on the *pre-edit*
+        # snapshot; an empty set is the zero-work fast path.
+        recheck = self._recheck(op)
+        fast = recheck is not None and not recheck
         try:
             inverse = perform(self._ctx, op)
         except TreeError as err:
@@ -498,7 +510,7 @@ class StreamEnforcer:
             self._m_independent.inc()
             violations: tuple[Violation, ...] = ()
         else:
-            violations = self._current_violations()
+            violations = self._current_violations(recheck)
             self._standing = violations
         if self._journal is not None:
             # Inside a bracket: the edit stands until commit decides; the
@@ -516,6 +528,26 @@ class StreamEnforcer:
         self._accepted += 1
         self._m_accepted.inc()
         return self._record(op, accepted=True, independent=fast)
+
+    def _recheck(self, op: StreamOp) -> Collection[int] | None:
+        """Constraint positions the check after ``op`` must cover.
+
+        The analyzer's dependent set — the constraints ``op`` can reach —
+        plus every constraint standing violated (its exclusions only hold
+        for constraints that currently hold; see :mod:`repro.analysis`).
+        Outside a bracket nothing is ever standing.  ``None`` (analysis
+        off, or an op the analyzer cannot place) means all of them.
+        """
+        analyzer = self._analyzer
+        if analyzer is None:
+            return None
+        reach = analyzer.dependent(op)
+        if reach is None or not self._standing:
+            return reach
+        bad = {v.constraint for v in self._standing}
+        return set(reach).union(
+            pos for pos, c in enumerate(self._checker.constraints)
+            if c in bad)
 
     # ------------------------------------------------------------------
     # Transactions (flat brackets)

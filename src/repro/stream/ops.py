@@ -148,7 +148,12 @@ def perform(ctx: SnapshotEvaluator, op: StreamOp) -> UndoEntry:
 def undo(ctx: SnapshotEvaluator, journal: Sequence[UndoEntry]) -> None:
     """Replay inverse edits newest-first (the search-journal pattern: an
     undone move finds the gap the original left, a revived subtree
-    compacts into the freed slot run)."""
+    compacts into the freed slot run).
+
+    Each inverse is one edit: a removed subtree revives whole through
+    ``apply_add_subtree`` — one revision and one delta however many
+    nodes it carries — as its top node's parent's last child.
+    """
     for entry in reversed(journal):
         tag = entry[0]
         if tag == _UNDO_MOVE:
@@ -156,8 +161,7 @@ def undo(ctx: SnapshotEvaluator, journal: Sequence[UndoEntry]) -> None:
         elif tag == _UNDO_UNADD:
             ctx.apply_remove_subtree(entry[1])
         else:
-            for nid, parent, label in entry[1]:
-                ctx.apply_add_leaf(parent, label, nid=nid)
+            ctx.apply_add_subtree(entry[1])
 
 
 # ----------------------------------------------------------------------

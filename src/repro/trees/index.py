@@ -21,22 +21,23 @@ A :class:`TreeIndex` encodes one tree into flat lookup structures:
 * **bitset views** (:meth:`label_mask`, :meth:`all_mask`,
   :meth:`subtree_mask`) — node-sets as Python ``int`` masks keyed by slot,
   the substrate of the set-at-a-time
-  :class:`repro.xpath.bitset.BitsetEvaluator`;
-* the canonical shape/hash of the snapshot, computed by the shared
-  iterative (non-recursive) hasher.
+  :class:`repro.xpath.bitset.BitsetEvaluator`.
 
 Incremental maintenance
 -----------------------
 Slots are allocated with gaps (``SLOT_GAP`` per node at build time), so the
 snapshot survives small edits *in place*: :meth:`apply_move`,
-:meth:`apply_add_leaf` and :meth:`apply_remove_subtree` mutate the tree
-**and** the index together, renumbering only the smallest enclosing subtree
-whose interval still has room (a weight-balanced host search; the root is
-renumbered with fresh gaps when nothing smaller fits).  This is what lets
-the move/undo journals of the refutation search
-(:mod:`repro.instance.search`, :func:`repro.instance.no_remove_engine.
-merge_variants`) keep one live snapshot across thousands of candidate
-pasts instead of rebinding per candidate.
+:meth:`apply_add_leaf`, :meth:`apply_add_subtree` and
+:meth:`apply_remove_subtree` mutate the tree **and** the index together,
+renumbering only the smallest enclosing subtree whose interval still has
+room (a weight-balanced host search; the root is renumbered with fresh
+gaps when nothing smaller fits).  This is what lets the move/undo journals
+of the refutation search (:mod:`repro.instance.search`,
+:func:`repro.instance.no_remove_engine.merge_variants`) keep one live
+snapshot across thousands of candidate pasts instead of rebinding per
+candidate, and what lets the stream's rollback journal revive a removed
+subtree as one edit — compacted into the slot run its removal freed —
+instead of one leaf at a time.
 
 Every applied edit bumps :attr:`revision` — evaluators key their memos on
 it — appends an :class:`EditDelta` to a bounded log (:meth:`deltas_since`),
@@ -51,11 +52,11 @@ as before: an index never observes mutations it did not apply.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Iterable
+from collections.abc import Iterable, Sequence
 
 from repro.errors import TreeError
 from repro.trees.node import Node
-from repro.trees.tree import DataTree, iter_canonical_shape
+from repro.trees.tree import DataTree
 
 SLOT_GAP = 8       # slots allocated per node at (re)build time
 HOST_DENSITY = 2   # a renumber host needs >= DENSITY * nodes slots of width
@@ -85,7 +86,9 @@ class EditDelta:
     * ``vanished`` — ``(nid, old_slot)`` for every deleted node (remove
       only; the id lets baseline-mask maintainers recognise a later
       revival of the same node);
-    * ``added`` — identifiers of freshly attached nodes (add-leaf only);
+    * ``added`` — identifiers of freshly attached nodes, in preorder: the
+      new leaf of an add-leaf, or a revived subtree
+      (:meth:`TreeIndex.apply_add_subtree`);
     * ``dirty`` — identifiers whose *subtree contents* changed: the
       ancestor chains of the old and new attachment points.  This set is
       upward closed, which is what makes patching sound for nested
@@ -179,9 +182,9 @@ class TreeIndex:
 
     __slots__ = ("_tree", "_built_version", "_root", "_slot", "_post",
                  "_slots", "_node_at", "_depth", "_labels", "_children",
-                 "_parent", "_by_label", "_paths", "_shape", "_shape_hash",
-                 "_revision", "_rebuilds", "_label_masks", "_all_mask",
-                 "_kids_masks", "_parent_slots", "_delta_log", "_capture")
+                 "_parent", "_by_label", "_paths", "_revision", "_rebuilds",
+                 "_label_masks", "_all_mask", "_kids_masks", "_parent_slots",
+                 "_delta_log", "_capture")
 
     def __init__(self, tree: DataTree):
         self._tree = tree
@@ -237,8 +240,6 @@ class TreeIndex:
         self._parent = parent
         self._by_label = by_label
         self._paths: dict[int, tuple[str, ...]] = {tree.root: ()}
-        self._shape: tuple | None = None
-        self._shape_hash: int | None = None
         self._revision = 0
         self._rebuilds = 0
         self._label_masks: dict[str | None, int] = {}
@@ -335,10 +336,6 @@ class TreeIndex:
         """Strict ancestry in O(1): interval containment."""
         return self._slot[anc] < self._slot[nid] <= self._post[anc]
 
-    def in_subtree(self, nid: int, anchor: int) -> bool:
-        """Is ``nid`` in the subtree rooted at ``anchor`` (self included)?"""
-        return self._slot[anchor] <= self._slot[nid] <= self._post[anchor]
-
     def mask_export(self) -> tuple[list[int], list[int], list[str],
                                    list[int]]:
         """Flat preorder arrays for the fleet mask kernels.
@@ -433,21 +430,6 @@ class TreeIndex:
             return 0
         lo = bisect_right(pres, self._slot[anchor])
         return bisect_right(pres, self._post[anchor], lo=lo) - lo
-
-    def minimal_cover(self, nids: Iterable[int]) -> list[int]:
-        """Drop every node lying in another given node's subtree.
-
-        The survivors' descendant intervals are disjoint and cover exactly
-        the union of the inputs' intervals — the right anchor set for a
-        ``//`` step over a whole frontier.
-        """
-        survivors: list[int] = []
-        covered = -1
-        for nid in sorted(nids, key=self._slot.__getitem__):
-            if self._slot[nid] > covered:
-                survivors.append(nid)
-                covered = self._post[nid]
-        return survivors
 
     # ------------------------------------------------------------------
     # Bitset views (node-sets as int masks keyed by slot)
@@ -638,8 +620,6 @@ class TreeIndex:
         self._revision += 1
         self._built_version = self._tree.version
         self._paths = {self._root: ()}
-        self._shape = None
-        self._shape_hash = None
 
     def _chain(self, nid: int) -> list[int]:
         """``nid`` and its ancestors up to the root (post-edit pointers)."""
@@ -930,7 +910,8 @@ class TreeIndex:
 
         Appending after a subtree's end usually finds a free slot in O(log
         n) (the gap a removed sibling left behind — the merge journals'
-        revive pattern); otherwise the host renumber kicks in.
+        leaf-revive pattern; whole subtrees revive through
+        :meth:`apply_add_subtree`); otherwise the host renumber kicks in.
         """
         if parent not in self._slot:
             raise TreeError(f"parent {parent} not in snapshot")
@@ -975,6 +956,68 @@ class TreeIndex:
                         dirty_anchors=(parent,))
         return new_id
 
+    def apply_add_subtree(self, spec: Sequence[tuple[int, int, str]]
+                          ) -> None:
+        """Attach a subtree of fresh nodes in the tree *and* the index.
+
+        ``spec`` lists the subtree as ``(nid, parent, label)`` triples in
+        preorder — the shape :func:`repro.stream.ops.perform` records for
+        a removal: the first entry's parent is in the snapshot and every
+        later entry's parent is an earlier entry.  The top node becomes
+        its parent's last child and siblings keep their spec order, which
+        is the tree a leaf-by-leaf :meth:`apply_add_leaf` replay builds —
+        but as one edit: one revision, one :class:`EditDelta` whose
+        ``added`` is the subtree in preorder, and at most one host
+        renumber (the compact attach usually finds the slot run the
+        subtree's removal freed).  A malformed spec raises
+        :class:`TreeError` with tree, index and revision untouched.
+        """
+        if not spec:
+            raise TreeError("empty subtree spec")
+        top, top_parent, _ = spec[0]
+        if top_parent not in self._slot:
+            raise TreeError(f"parent {top_parent} not in snapshot")
+        # Validate the whole spec before touching anything.
+        kids: dict[int, list[int]] = {}
+        for nid, parent, _ in spec:
+            if nid in self._slot or nid in kids:
+                raise TreeError(f"node id {nid} already present")
+            if kids:
+                if parent not in kids:
+                    raise TreeError(
+                        f"parent {parent} of node {nid} is not an earlier "
+                        f"node of the subtree spec")
+                kids[parent].append(nid)
+            kids[nid] = []
+        tree = self._tree
+        labels = self._labels
+        parent_d = self._parent
+        children = self._children
+        for nid, parent, label in spec:
+            tree.add_child(parent, label, nid=nid)
+            labels[nid] = label
+            parent_d[nid] = parent
+            children[nid] = tuple(kids[nid])
+        children[top_parent] = children[top_parent] + (top,)
+        self._kids_masks.pop(top_parent, None)
+        order: list[int] = []
+        stack = [top]
+        while stack:
+            n = stack.pop()
+            order.append(n)
+            stack.extend(reversed(kids[n]))
+        capture: dict[int, int] = {}
+        self._capture = capture
+        try:
+            if not self._attach_after(top_parent, order):
+                self._renumber_subtree(
+                    self._find_host(top_parent, len(order)))
+        finally:
+            self._capture = None
+        self._bump()
+        self._log_delta(capture, vanished=(), added=tuple(order),
+                        dirty_anchors=(top_parent,))
+
     def apply_remove_subtree(self, nid: int) -> None:
         """Delete ``nid``'s subtree from the tree *and* the index."""
         if nid not in self._slot:
@@ -1000,24 +1043,6 @@ class TreeIndex:
         self._bump()
         self._log_delta({}, vanished=tuple(capture.items()), added=(),
                         dirty_anchors=(parent,))
-
-    # ------------------------------------------------------------------
-    # Canonical shape (iterative hasher)
-    # ------------------------------------------------------------------
-    def canonical_shape(self) -> tuple:
-        """Canonical shape of the snapshot, iteratively folded and cached."""
-        if self._shape is None:
-            self._shape = iter_canonical_shape(self._root, self._labels,
-                                               self._children)
-            self._shape_hash = hash(self._shape)
-        return self._shape
-
-    def canonical_hash(self) -> int:
-        """Hash of :meth:`canonical_shape` (computed once per snapshot)."""
-        if self._shape_hash is None:
-            self.canonical_shape()
-        assert self._shape_hash is not None
-        return self._shape_hash
 
     def __repr__(self) -> str:
         state = "fresh" if self.fresh else "STALE"

@@ -29,14 +29,6 @@ class Node:
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.label}#{self.nid}"
 
-    def with_fresh_id(self) -> "Node":
-        """Return a copy of this node carrying a brand-new identifier.
-
-        Used by the paper's counterexample constructions ("replacing n with
-        a new node n' with the same label", proof of Theorem 3.1).
-        """
-        return Node(fresh_id(), self.label)
-
 
 class IdAllocator:
     """Monotone counter producing process-unique node identifiers."""

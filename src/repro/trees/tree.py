@@ -35,8 +35,7 @@ def iter_canonical_shape(root: int, labels: dict[int, str],
 
     One preorder pass collects the subtree, then a reversed sweep (children
     always precede their parent in reversed preorder) folds shapes bottom-up.
-    Shared by :meth:`DataTree.canonical_shape` and the
-    :class:`repro.trees.index.TreeIndex` snapshot hasher.
+    The engine of :meth:`DataTree.canonical_shape`.
     """
     order: list[int] = []
     stack = [root]

@@ -28,14 +28,6 @@ class FragmentSpec:
     descendant: bool = True
     wildcard: bool = True
 
-    @staticmethod
-    def from_name(name: str) -> "FragmentSpec":
-        return FragmentSpec(
-            predicates="[]" in name,
-            descendant="//" in name,
-            wildcard="*" in name,
-        )
-
 
 def random_pattern(rng: random.Random, labels: list[str], spec: FragmentSpec,
                    spine: int = 3, pred_prob: float = 0.4,

@@ -171,14 +171,6 @@ class Pattern:
             current = (Pred(step.axis, step.label, step.preds + current),)
         return current[0]
 
-    def with_predicate(self, pred: Pred, at: int = -1) -> "Pattern":
-        """Return a copy with ``pred`` added to the step at index ``at``."""
-        steps = list(self.steps)
-        idx = at if at >= 0 else len(steps) + at
-        step = steps[idx]
-        steps[idx] = Step(step.axis, step.label, normalize_preds(step.preds + (pred,)))
-        return Pattern(tuple(steps))
-
     def __str__(self) -> str:
         return "".join(str(s) for s in self.steps)
 

@@ -48,10 +48,9 @@ def spine_anchor(pattern: Pattern) -> tuple[Axis, str | None]:
     Every match of a pattern is contained in the subtree of the node its
     first step maps to — a child (``/``) or descendant (``//``) of the
     root passing the step's label test.  The nodes passing that test are
-    therefore the *anchor frontier* of the pattern: the preorder intervals
-    below them are the only tree regions where the pattern's answer can
-    change (:mod:`repro.analysis` derives its region signatures from this,
-    against the live :class:`~repro.trees.index.TreeIndex`).
+    therefore the *anchors* of the pattern: the subtrees below them are
+    the only tree regions where the pattern's answer can change
+    (:mod:`repro.analysis` tests an edit point's ancestor chain for one).
     """
     first = canonical_pattern(pattern).steps[0]
     return (first.axis, first.label)

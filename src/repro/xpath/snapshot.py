@@ -9,6 +9,7 @@ process-wide canonicalisation — is this base class.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Self
 
 from repro.caching import LRUMemo
@@ -68,6 +69,10 @@ class SnapshotEvaluator:
     def apply_add_leaf(self, parent: int, label: str,
                        nid: int | None = None) -> int:
         return self._index.apply_add_leaf(parent, label, nid=nid)
+
+    def apply_add_subtree(self, spec: Sequence[tuple[int, int, str]]
+                          ) -> None:
+        self._index.apply_add_subtree(spec)
 
     def apply_remove_subtree(self, nid: int) -> None:
         self._index.apply_remove_subtree(nid)

@@ -33,6 +33,11 @@ from repro.trees.node import fresh_id
 from repro.xpath.ast import Axis
 
 
+def analyzer(constraints, tree):
+    return IndependenceAnalyzer(IndependenceIndex(constraints),
+                                TreeIndex(tree))
+
+
 def sample():
     """root -> a1(b1), c1(a2, d1): two ``a`` anchors, one nested deeper."""
     tree = DataTree()
@@ -65,25 +70,38 @@ class TestImpactSignature:
 
     def test_child_axis_region_is_the_matching_root_children(self):
         tree, a1, b1, c1, a2, d1 = sample()
-        index = TreeIndex(tree)
-        assert impact_signature(no_remove("/a/b")).region_anchors(index) \
-            == [a1]
-        # A wildcard first step anchors at every root child.
-        assert impact_signature(no_remove("/*/b")).region_anchors(index) \
-            == [a1, c1]
+        # Position 0 is anchored at the /a root child a1 only; a wildcard
+        # first step (position 1) anchors at every root child.
+        az = analyzer([no_remove("/a/b"), no_remove("/*/b")], tree)
+        assert az.dependent(RemoveSubtree(nid=b1)) == (0, 1)
+        assert az.dependent(RemoveSubtree(nid=a2)) == (1,)
+        sig = impact_signature(no_remove("/a/b"))
+        assert sig.in_region(("a",), "root")
+        assert sig.in_region(("a", "b"), "root")
+        assert not sig.in_region(("c", "a"), "root")
+        # The root itself is outside every '/'-anchored region.
+        assert not impact_signature(no_remove("/*/b")).in_region((), "root")
 
-    def test_desc_axis_region_is_the_minimal_label_cover(self):
+    def test_desc_axis_region_is_every_node_below_an_anchor_label(self):
         tree, a1, b1, c1, a2, d1 = sample()
         a3 = tree.add_child(b1, "a")  # nested under a1 — covered by it
-        index = TreeIndex(tree)
-        anchors = impact_signature(no_remove("//a/b")).region_anchors(index)
-        assert sorted(anchors) == sorted([a1, a2])
-        assert a3 not in anchors
+        b2 = tree.add_child(a3, "b")
+        b3 = tree.add_child(d1, "b")  # under c1/d1: no anchor above
+        az = analyzer([no_remove("//a/b")], tree)
+        assert az.dependent(RemoveSubtree(nid=b2)) == (0,)
+        assert az.dependent(RemoveSubtree(nid=b3)) == ()
+        sig = impact_signature(no_remove("//a/b"))
+        assert sig.in_region(("a", "b", "a"), "root")
+        assert not sig.in_region(("c", "d"), "root")
+        # A root carrying the anchor label puts every node inside.
+        assert sig.in_region((), "a") and sig.in_region(("c",), "a")
 
     def test_desc_wildcard_region_is_the_whole_tree(self):
-        tree = sample()[0]
-        index = TreeIndex(tree)
-        assert impact_signature(no_remove("//*")).region_anchors(index) is None
+        tree, a1, b1, c1, a2, d1 = sample()
+        az = analyzer([no_remove("//*")], tree)
+        for nid in (a1, b1, c1, a2, d1):
+            assert az.dependent(RemoveSubtree(nid=nid)) == (0,)
+        assert impact_signature(no_remove("//*")).in_region((), "root")
 
 
 class TestIndependenceIndex:

@@ -339,6 +339,7 @@ class TestMetricsAcrossCrash:
             await client.enforce("ward", "policy", (AddLeaf(5, "note"),))
             before = await client.metrics()
             await server.abort()  # kill -9: no drain, no flush, no goodbye
+            await client.close()
 
             revived = ReproServer.durable(tmp_path)
             await revived.start()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import json
 
+from repro.certify import LabelHole, NodeHole, TemplateAdd, UpdateTemplate
 from repro.constraints import constraint_set
 from repro.server import ReproClient, ReproServer
 from repro.server.framing import encode_record, read_frame, write_frame
@@ -31,9 +32,16 @@ from repro.service.protocol import (
 )
 from repro.stream.ops import AddLeaf, Begin, Commit, RemoveSubtree, Rollback
 from repro.trees.tree import DataTree
+from repro.xpath.parser import parse
 
 POLICY = constraint_set(("/patient[/clinicalTrial]", "up"),
                         ("/patient[/visit]", "down"))
+
+
+ANNOTATE = UpdateTemplate("annotate", (
+    TemplateAdd(NodeHole("p", parse("//patient")),
+                LabelHole("l", frozenset({"note", "memo"}))),
+))
 
 
 def fresh_doc() -> DataTree:
@@ -230,6 +238,98 @@ class TestWireRobustness:
         assert "'document' must be a string" in bad.message
         key = "server.internal_errors_total"
         assert after.counters.get(key, 0) == before.counters.get(key, 0)
+
+
+    def test_bad_bindings_frame_is_answered_and_the_next_one_too(self):
+        """A ``certified-submit`` whose bindings are a JSON list, with a
+        ``metrics`` frame pipelined behind it: both are answered (the
+        decoder once raised AttributeError and the connection died)."""
+        async def run():
+            async with ReproServer() as server:
+                reader, writer = await dial_raw(server)
+                await write_frame(writer,
+                                  {"hello": {"protocol": PROTOCOL_VERSION}})
+                await read_frame(reader)
+                await write_frame(writer, {"id": 1, "body": {
+                    "request": "certified-submit", "document": "d",
+                    "constraints": "p", "template": "t",
+                    "bindings": [["p", 5]]}})
+                await write_frame(writer, {"id": 2,
+                                           "body": {"request": "metrics"}})
+                frames = [await read_frame(reader), await read_frame(reader)]
+                writer.close()
+                return frames
+
+        bad, metrics = asyncio.run(run())
+        assert bad["id"] == 1
+        assert bad["body"]["error"] == "ServiceError"
+        assert "bindings must be a JSON object" in bad["body"]["message"]
+        assert metrics["id"] == 2
+        assert metrics["body"]["response"] == "metrics-snapshot"
+
+    def test_decoder_bug_is_answered_and_the_connection_survives(
+            self, monkeypatch):
+        """A decode failure outside ReproError is answered like a handler
+        bug — typed, flagged internal, counted — and the connection keeps
+        serving."""
+        import repro.server.server as server_module
+        decode = server_module.request_from_dict
+
+        def buggy(body):
+            if body.get("request") == "stream-status":
+                raise RuntimeError("decoder bug")
+            return decode(body)
+
+        monkeypatch.setattr(server_module, "request_from_dict", buggy)
+
+        async def run():
+            async with ReproServer() as server:
+                host, port = server.address
+                client = await ReproClient.connect(host, port)
+                before = await client.metrics()
+                bad = await asyncio.wait_for(
+                    client.request(StreamStatus("d")), timeout=5)
+                ack = await asyncio.wait_for(
+                    client.register_constraints("p", tuple(POLICY)),
+                    timeout=5)
+                after = await client.metrics()
+                await client.close()
+                return bad, ack, before, after
+
+        bad, ack, before, after = asyncio.run(run())
+        assert isinstance(bad, ErrorResponse)
+        assert bad.error == "RuntimeError"
+        assert bad.details == {"internal": True}
+        assert ack.to_dict()["registered"] == "constraints"
+        key = "server.internal_errors_total"
+        assert after.counters.get(key, 0) == before.counters.get(key, 0) + 1
+
+
+class TestCertifiedClientCalls:
+    def test_register_template_then_certified_submit(self):
+        async def run():
+            async with ReproServer() as server:
+                host, port = server.address
+                client = await ReproClient.connect(host, port)
+                await client.register_constraints("p", tuple(POLICY))
+                await client.register_document("d", fresh_doc())
+                ack = await client.register_template("annotate", ANNOTATE,
+                                                     "p")
+                duplicate = await client.register_template(
+                    "annotate", ANNOTATE, "p")
+                replaced = await client.register_template(
+                    "annotate", ANNOTATE, "p", replace=True)
+                out = await client.certified_submit(
+                    "d", "p", "annotate", {"p": 5, "l": "note"})
+                await client.close()
+                return ack, duplicate, replaced, out
+
+        ack, duplicate, replaced, out = asyncio.run(run())
+        assert ack.to_dict()["registered"] == "template"
+        assert dict(ack.stats)["certify.certified"] == 1
+        assert isinstance(duplicate, ErrorResponse)
+        assert dict(replaced.stats)["certify.certified"] == 1
+        assert [d.accepted for d in out.decisions] == [True] * 3
 
 
 class _BuggyStatusService(AsyncService):

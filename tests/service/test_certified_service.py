@@ -163,9 +163,12 @@ class TestCertifiedSubmit:
         from repro.server.journal import ServerJournal
         from repro.service.store import DocumentStore
 
+        journals = []
+
         def durable(root):
             store = DocumentStore()
             journal = ServerJournal(root)
+            journals.append(journal)
             journal.recover(store)
             store.attach_journal(journal)
             return ConstraintService(store=store)
@@ -193,6 +196,8 @@ class TestCertifiedSubmit:
         assert nid is not None
         twin = slow.handle(StreamSubmit("ward", "policy", (
             Begin("annotate"), AddLeaf(5, "note", nid=nid), Commit())))
+        for journal in journals:
+            journal.close()
         # Compare modulo the ``independent`` analyzer flag: the store's
         # uncertified enforcer runs the PR 6 analysis (which may stamp
         # ops independent), the certified path never does — the same

@@ -126,6 +126,21 @@ BAD_PAYLOADS = [
      req("fleet-submit", documents=["d", ["x"]], constraints="p",
          epochs=[]),
      "ServiceError", "'documents' must be a string"),
+    # Containers are typed too: a string is not a list of one-character
+    # names, and a list is not a backend name.
+    ("fleet-submit-string-documents",
+     req("fleet-submit", documents="abc", constraints="p", epochs=[]),
+     "ServiceError", "'documents' must be a list of names"),
+    ("fleet-submit-list-backend",
+     req("fleet-submit", documents=["d"], constraints="p", epochs=[],
+         backend=["x"]),
+     "ServiceError", "'backend' must be a string or null"),
+    # Bindings are a JSON object: a list once raised AttributeError in
+    # the decoder and killed the socket connection carrying it.
+    ("certified-submit-list-bindings",
+     req("certified-submit", document="d", constraints="p", template="t",
+         bindings=[["p", 5]]),
+     "ServiceError", "bindings must be a JSON object"),
     # Flags are JSON booleans: a string "false" must not read as true.
     ("register-document-string-replace",
      req("register-document", name="d", tree=TREE, replace="false"),

@@ -15,7 +15,15 @@ import pytest
 from repro import constraint_set
 from repro.constraints.validity import BaselineValidity
 from repro.errors import StreamError
-from repro.stream import AddLeaf, Begin, Move, RemoveSubtree, StreamEnforcer
+from repro.masks.baseline import MaskedBaseline
+from repro.stream import (
+    AddLeaf,
+    Begin,
+    Commit,
+    Move,
+    RemoveSubtree,
+    StreamEnforcer,
+)
 from repro.trees import branch, build
 from repro.trees.index import DELTA_LOG_CAP, TreeIndex
 from repro.xpath.bitset import BitsetEvaluator
@@ -119,6 +127,52 @@ class TestBracketProtocol:
         decision = stream.commit()
         assert decision.accepted and "0 op(s) committed" in decision.note
         assert stream.stats.committed == 1 and stream.stats.accepted == 0
+
+
+class TestPartialRechecks:
+    """Inside a bracket an op re-checks only what it can reach plus what
+    is standing violated, and decides exactly as a full check would."""
+
+    POLICY = constraint_set(
+        ("//clinicalTrial", "up"),     # A
+        ("//prescription", "down"),    # B
+        ("/patient[/visit]", "down"),  # C
+        ("//clinicalTrial", "up"),     # A again: re-checked together
+    )
+    BRACKET = (
+        Begin("partial"),
+        RemoveSubtree(9001),           # violates A (and its duplicate)
+        Move(9003, 9102),              # can reach B only; B still holds
+        AddLeaf(9002, "note", nid=9700),  # can reach nothing
+        Commit(),
+    )
+
+    def test_decisions_equal_the_unanalyzed_run(self, monkeypatch):
+        checked: list = []
+        check = MaskedBaseline.violations
+
+        def spy(self, only=None):
+            checked.append(None if only is None else sorted(only))
+            return check(self, only)
+
+        monkeypatch.setattr(MaskedBaseline, "violations", spy)
+        base = hospital()
+        analyzed_doc, full_doc = base.copy(), base.copy()
+        analyzed = StreamEnforcer(self.POLICY, analyzed_doc).submit(
+            self.BRACKET)
+        assert checked == [[0, 3], [0, 1, 3], [0, 3], None]
+        full = StreamEnforcer(self.POLICY, full_doc,
+                              analysis=False).submit(self.BRACKET)
+        assert analyzed == full
+        _, remove, move, add, commit = analyzed
+        a, _, _, a_again = self.POLICY.constraints
+        for decision in (remove, move, add):
+            assert decision.pending and not decision.independent
+            assert [v.constraint for v in decision.violations] == \
+                [a, a_again]
+        assert commit.rejected and "3 op(s) rolled back" in commit.note
+        assert analyzed_doc.same_instance(base)
+        assert full_doc.same_instance(base)
 
 
 class TestDeltaLogHorizon:

