@@ -32,14 +32,11 @@ Fleets of documents live behind the multi-document service:
 ``ConstraintService`` registers named documents and named compiled
 constraint sets once and answers a JSON-serialisable request protocol
 (implication, instance queries, enforcement), synchronously or through
-the ``AsyncService`` asyncio front end with per-document ordering.
-
-Thousands of *small* documents under one shared policy check fastest as
-one batch: ``FleetEvaluator`` (:mod:`repro.masks`) evaluates every
-constraint range for the whole fleet per write *epoch* through a
-pluggable mask backend — exact big-int semantics always, vectorized
-numpy rows when numpy is installed (``REPRO_MASK_BACKEND`` selects;
-decisions are checksum-identical across backends).
+the ``AsyncService`` asyncio front end with per-document ordering.  A
+``fleet-submit`` request writes many documents under one shared policy
+in *epochs*: each member's share of an epoch runs as one transaction
+bracket on that member's own enforcement stream, journaled like any
+other stream submission.
 
 Sub-packages: ``service`` (the multi-document front door), ``api``
 (compiled reasoning sessions), ``trees`` (data model), ``xpath`` (the
@@ -47,7 +44,7 @@ fragment, containment, intersections), ``automata`` (linear-path
 machinery), ``constraints`` (update constraints + validity),
 ``implication`` (Table 1 engines), ``instance`` (Table 2 engines),
 ``stream`` (online update-log enforcement), ``masks``
-(pluggable mask backends + the fleet evaluator), ``reductions``
+(big-int slot masks and the delta-maintained baselines), ``reductions``
 (hardness constructions), ``keys`` / ``xic`` (the related formalisms of
 Section 3), ``bruteforce`` (ground-truth oracles) and ``workloads``
 (benchmark generators).
@@ -79,12 +76,6 @@ from repro.implication import (
     implies_single,
 )
 from repro.instance import implies_on
-from repro.masks import (
-    FleetEvaluator,
-    available_backends,
-    get_backend,
-    numpy_available,
-)
 from repro.obs import (
     MetricsRegistry,
     new_trace_id,
@@ -143,9 +134,6 @@ __all__ = [
     # stream
     "StreamEnforcer", "AuditTrail", "Decision",
     "AddLeaf", "Move", "RemoveSubtree", "Begin", "Commit", "Rollback",
-    # fleet / mask backends
-    "FleetEvaluator",
-    "get_backend", "available_backends", "numpy_available",
     # implication
     "implies", "implies_single", "implies_on",
     "Answer", "ImplicationResult", "Counterexample",

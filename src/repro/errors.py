@@ -68,12 +68,6 @@ class ServiceError(ReproError):
     malformed wire-level request."""
 
 
-class MaskBackendError(ReproError):
-    """Raised when a mask backend (:mod:`repro.masks`) cannot be
-    resolved: an unknown backend name, or ``numpy`` requested explicitly
-    on an interpreter where numpy does not import."""
-
-
 class ServerError(ReproError):
     """Raised on failures of the durable socket front end
     (:mod:`repro.server`): handshake/protocol-version mismatches, frames

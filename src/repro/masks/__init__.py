@@ -1,60 +1,32 @@
-"""Pluggable mask backends for bitset evaluation at fleet scale.
+"""Big-int slot masks: the helpers and the delta-maintained baselines.
 
-A *mask backend* decides how per-document slot masks are represented
-and compared:
+* :mod:`repro.masks.bigint` — slot decoding and byte views over Python
+  big-int masks, the primitives of the
+  :class:`~repro.xpath.bitset.BitsetEvaluator` hot paths;
+* :mod:`repro.masks.baseline` — :class:`MaskedBaseline`, each
+  constraint's frozen baseline answer set mirrored as a slot mask over
+  the live snapshot, and :func:`diff_violation`, the witness kernel the
+  enforcement stream's per-op and commit checks share.
 
-* ``bigint`` — Python big-ints, the exact reference semantics of the
-  single-document evaluator.  Always available.
-* ``numpy`` — the whole fleet packed as ``uint64`` rows of one 2-D
-  array, pattern sweeps and baseline compares vectorized across all
-  documents at once.  Optional: selected only when numpy imports.
-
-Selection goes through :func:`get_backend` — pass a name, set the
-``REPRO_MASK_BACKEND`` environment variable, or take the default
-(``auto``: numpy when importable, big-int otherwise).  Asking for
-``numpy`` *explicitly* when it cannot import is a
-:class:`~repro.errors.MaskBackendError`; ``auto`` degrades to big-int,
-counting each fallback in ``masks.backend_fallback_total`` and logging
-once.
-Decisions are checksum-identical across backends by construction (the
-Hypothesis cross-backend suite pins this).
-
-Heavy submodules (the fleet evaluator, the baseline masks, the numpy
-kernel) load lazily: :mod:`repro.xpath.bitset` imports the big-int
-helpers from here at interpreter startup, and eagerly importing
-:mod:`repro.masks.fleet` from that path would cycle back into the
-half-initialised stream engine.
+The baseline names load lazily: :mod:`repro.xpath.bitset` imports the
+big-int helpers from here at interpreter startup, and the baseline
+module's constraint imports would cycle back into the half-initialised
+evaluator.
 """
 
 from __future__ import annotations
 
 import importlib
-import importlib.util
-import logging
-import os
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import MaskBackendError
-from repro.masks.base import FleetKernel, MaskBackend, MaskMatrix
-from repro.masks.bigint import BigIntBackend, byte_view, iter_slots, slots_of
+from repro.masks.bigint import byte_view, iter_slots, slots_of
 
 if TYPE_CHECKING:
-    from repro.masks.baseline import BaselineEntry, MaskedBaseline
-    from repro.masks.fleet import EpochReport, FleetEvaluator, FleetReport
-    from repro.masks.np_backend import NumpyBackend
-
-#: Environment variable naming the default backend (``bigint`` /
-#: ``numpy`` / ``auto``).
-BACKEND_ENV = "REPRO_MASK_BACKEND"
+    from repro.masks.baseline import MaskedBaseline, diff_violation
 
 _LAZY = {
     "MaskedBaseline": ("repro.masks.baseline", "MaskedBaseline"),
-    "BaselineEntry": ("repro.masks.baseline", "BaselineEntry"),
     "diff_violation": ("repro.masks.baseline", "diff_violation"),
-    "FleetEvaluator": ("repro.masks.fleet", "FleetEvaluator"),
-    "FleetReport": ("repro.masks.fleet", "FleetReport"),
-    "EpochReport": ("repro.masks.fleet", "EpochReport"),
-    "NumpyBackend": ("repro.masks.np_backend", "NumpyBackend"),
 }
 
 
@@ -67,93 +39,10 @@ def __getattr__(name: str) -> Any:
     return getattr(importlib.import_module(module), attr)
 
 
-_logger = logging.getLogger("repro.masks")
-_fallback_logged = False
-
-
-def _note_auto_fallback(err: ImportError) -> None:
-    """Make the silent ``auto`` → big-int degradation observable.
-
-    Every fallback resolution bumps ``masks.backend_fallback_total`` in
-    the process-global registry (so the ``metrics`` snapshot shows a
-    fleet quietly running on the reference backend), and the *first* one
-    also logs — once per process, not once per ``get_backend`` call.
-    """
-    global _fallback_logged
-    from repro.obs import registry as _obs_registry
-    _obs_registry().counter("masks.backend_fallback_total").inc()
-    if not _fallback_logged:
-        _fallback_logged = True
-        _logger.warning(
-            "numpy mask backend unavailable (%s); falling back to the "
-            "big-int reference backend — set %s=bigint to silence, or "
-            "%s=numpy to make this an error", err, BACKEND_ENV, BACKEND_ENV)
-
-
-def numpy_available() -> bool:
-    """Can the numpy backend be selected on this interpreter?"""
-    return importlib.util.find_spec("numpy") is not None
-
-
-def available_backends() -> tuple[str, ...]:
-    """The selectable backend names, reference semantics first."""
-    if numpy_available():
-        return ("bigint", "numpy")
-    return ("bigint",)
-
-
-def get_backend(name: str | None = None) -> MaskBackend:
-    """Resolve a mask backend by name.
-
-    ``name=None`` consults :data:`BACKEND_ENV`, defaulting to ``auto``.
-    ``auto`` prefers numpy and falls back to big-int when numpy is
-    absent (or fails to import, e.g. on a big-endian host) — observable,
-    not silent: every fallback bumps ``masks.backend_fallback_total``
-    and the first logs a warning.  Naming ``numpy`` explicitly makes
-    that failure a loud :class:`~repro.errors.MaskBackendError` instead.
-    """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV) or "auto"
-    name = name.strip().lower()
-    if name == "bigint":
-        return BigIntBackend()
-    if name == "numpy":
-        try:
-            from repro.masks.np_backend import NumpyBackend
-        except ImportError as err:
-            raise MaskBackendError(
-                f"the numpy mask backend is unavailable: {err}") from err
-        return NumpyBackend()
-    if name == "auto":
-        try:
-            from repro.masks.np_backend import NumpyBackend
-        except ImportError as err:
-            _note_auto_fallback(err)
-            return BigIntBackend()
-        return NumpyBackend()
-    raise MaskBackendError(
-        f"unknown mask backend {name!r} (expected one of: bigint, numpy, "
-        f"auto)")
-
-
 __all__ = [
-    "BACKEND_ENV",
-    "BaselineEntry",
-    "BigIntBackend",
-    "EpochReport",
-    "FleetEvaluator",
-    "FleetKernel",
-    "FleetReport",
-    "MaskBackend",
-    "MaskBackendError",
-    "MaskMatrix",
     "MaskedBaseline",
-    "NumpyBackend",
-    "available_backends",
     "byte_view",
     "diff_violation",
-    "get_backend",
     "iter_slots",
-    "numpy_available",
     "slots_of",
 ]

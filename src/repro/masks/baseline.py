@@ -1,8 +1,7 @@
 """Per-constraint baseline answer *masks*, delta-maintained.
 
-The per-op fast path of the bitset engine, shared by the single-document
-:class:`~repro.stream.engine.StreamEnforcer` and the batched
-:class:`~repro.masks.fleet.FleetEvaluator`: the frozen baseline answer
+The per-op fast path of the bitset engine behind
+:class:`~repro.stream.engine.StreamEnforcer`: the frozen baseline answer
 set of each constraint is mirrored as a slot mask over the live
 snapshot, patched from the same :class:`~repro.trees.index.EditDelta`
 log as the predicate masks — relocations move bits, deletions drop them
@@ -30,11 +29,6 @@ from repro.xpath.ast import Pattern
 
 if TYPE_CHECKING:  # the bitset module imports this package at runtime
     from repro.xpath.bitset import BitsetEvaluator
-
-#: One synced per-constraint entry: ``(constraint, {id: baseline label},
-#: present-nodes slot mask, missing-node ids)``.
-BaselineEntry = tuple[UpdateConstraint, dict[int, str], int, set[int]]
-
 
 class MaskedBaseline:
     """Delta-maintained baseline masks over one live snapshot."""
@@ -96,8 +90,6 @@ class MaskedBaseline:
                 mask |= idx.pack_slots(map(idx.pre, back))
             entry[2] = mask
 
-    _sync = sync  # the historical internal name, kept for callers
-
     def _rebuild(self) -> None:
         """Past the delta log's horizon: re-anchor every mask from ids."""
         idx = self._ctx.index
@@ -111,17 +103,6 @@ class MaskedBaseline:
                 else:
                     missing.add(nid)
             entry[2] = idx.pack_slots(present)
-
-    def entries(self) -> list[BaselineEntry]:
-        """The synced per-constraint entries, in constraint order.
-
-        The fleet evaluator packs the masks into backend rows and runs
-        the compares itself; the labels dict and missing ledger are what
-        witness materialisation needs on a diff.
-        """
-        self.sync()
-        return [(entry[0], entry[1], entry[2], entry[3])
-                for entry in self._entries]
 
     def violations(self, only: Collection[int] | None = None
                    ) -> tuple[Violation, ...]:
@@ -161,8 +142,8 @@ def diff_violation(constraint: UpdateConstraint, labels: dict[int, str],
                    idx: Any) -> Violation | None:
     """One constraint's verdict from its baseline/answer mask pair.
 
-    The shared witness-materialisation kernel of the per-op and fleet
-    checks: ``None`` when the constraint holds, otherwise a
+    The witness-materialisation kernel of the per-op and commit checks:
+    ``None`` when the constraint holds, otherwise a
     :class:`Violation` whose node sets are decoded from the diff bits
     (and, for no-remove, the missing ledger) only.
     """
@@ -184,4 +165,4 @@ def diff_violation(constraint: UpdateConstraint, labels: dict[int, str],
     return Violation(constraint, frozenset(), frozenset(inserted))
 
 
-__all__ = ["MaskedBaseline", "BaselineEntry", "diff_violation"]
+__all__ = ["MaskedBaseline", "diff_violation"]

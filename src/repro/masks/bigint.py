@@ -1,20 +1,15 @@
-"""The big-int mask backend: rows are Python ints, loops are per-row.
+"""Big-int slot-mask helpers.
 
-This module also owns the shared big-int mask *helpers* — slot decoding
-through a per-byte table, byte views for O(1) membership tests — that
-the single-document :class:`~repro.xpath.bitset.BitsetEvaluator` hot
-paths use (re-exported there for compatibility).  The backend itself is
-the reference semantics of the fleet check: its kernel simply runs each
-document's own bitset sweep, so a numpy-backend discrepancy is always a
-numpy bug, never an open question.
+Slot decoding through a per-byte table and byte views for O(1)
+membership tests — the primitives the
+:class:`~repro.xpath.bitset.BitsetEvaluator` hot paths and the baseline
+masks of :mod:`repro.masks.baseline` decode answers with (re-exported
+from :mod:`repro.xpath.bitset` for compatibility).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
-
-from repro.masks.base import FleetKernel, MaskBackend
-from repro.xpath.ast import Pattern
+from collections.abc import Iterator
 
 _BIT = tuple(1 << b for b in range(8))
 
@@ -60,62 +55,4 @@ def byte_view(mask: int) -> bytes:
     return mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
 
 
-class _BigIntKernel(FleetKernel):
-    """Per-document sweeps through each context's own bitset evaluator.
-
-    There is nothing to cache fleet-side: every context delta-maintains
-    its predicate masks itself, so ``invalidate`` is a no-op and an
-    evaluation is one ``evaluate_mask`` call per document.
-    """
-
-    __slots__ = ("_contexts",)
-
-    def __init__(self, contexts: Sequence[Any]):
-        self._contexts = list(contexts)
-
-    def evaluate(self, pattern: Pattern) -> list[int]:
-        return [ctx.evaluate_mask(pattern) for ctx in self._contexts]
-
-    def invalidate(self, doc: int) -> None:
-        pass
-
-    @property
-    def words(self) -> int:
-        return 0
-
-
-class BigIntBackend(MaskBackend):
-    """Rows are Python big-ints; the exact single-document semantics."""
-
-    name = "bigint"
-
-    def kernel(self, contexts: Sequence[Any]) -> FleetKernel:
-        return _BigIntKernel(contexts)
-
-    def pack_rows(self, rows: Sequence[int], words: int) -> list[int]:
-        if words:
-            limit = 1 << (words * 64)
-            for row in rows:
-                if row >= limit:
-                    raise OverflowError(
-                        f"mask of {row.bit_length()} bits exceeds the "
-                        f"{words}-word row width")
-        return list(rows)
-
-    def unpack_rows(self, matrix: list[int]) -> list[int]:
-        return list(matrix)
-
-    def row_int(self, matrix: list[int], row: int) -> int:
-        return matrix[row]
-
-    def and_not(self, a: list[int], b: list[int]) -> list[int]:
-        return [x & ~y for x, y in zip(a, b)]
-
-    def nonzero_rows(self, matrix: list[int]) -> list[int]:
-        return [i for i, row in enumerate(matrix) if row]
-
-    def popcount_rows(self, matrix: list[int]) -> list[int]:
-        return [row.bit_count() for row in matrix]
-
-
-__all__ = ["BigIntBackend", "iter_slots", "slots_of", "byte_view"]
+__all__ = ["iter_slots", "slots_of", "byte_view"]

@@ -6,11 +6,16 @@ as a CRC-framed record (:mod:`repro.server.framing`) in an append-only
 file, fsync'd *before* the response that acknowledges it is sent:
 
 * ``<root>/sets.journal`` — constraint-set registrations, in their wire
-  form (XPath text + type), including replacements;
+  form (XPath text + type), including replacements, certified templates,
+  and the fleets: a *ledger* record (the fleet's epoch counter and
+  running checksum) when a fleet opens and after each
+  :class:`~repro.service.protocol.FleetSubmit`, and a *drop* record
+  when a re-registration closes it;
 * ``<root>/docs/<name>/journal`` — one file per document: its
   registration record (the full tree, nested-dict form) followed by one
-  record per effective :class:`~repro.service.protocol.StreamSubmit`
-  (the ops as *applied*, leaf ids pinned — see :meth:`prepare_ops`);
+  record per effective :class:`~repro.service.protocol.StreamSubmit` or
+  fleet-epoch bracket (the ops as *applied*, leaf ids pinned — see
+  :meth:`prepare_ops`);
 * ``<root>/docs/<name>/checkpoint`` — the latest snapshot: the
   enforcement stream's :meth:`~repro.stream.engine.StreamEnforcer.
   state_dict` plus the journal position it covers, written to a temp
@@ -275,6 +280,37 @@ class ServerJournal:
         self._next_id[doc] = counter
         return tuple(pinned)
 
+    def fleet_submitted(self, documents: tuple[str, ...], set_name: str,
+                        epoch: int, checksum: int) -> None:
+        """Record a fleet's ledger as it opens and after each
+        ``fleet-submit``.
+
+        Written when the fleet opens, before any member's bracket, and
+        again after every member's bracket record, so an acknowledged
+        submission always recovers whole.  A crash between the two can
+        leave an unacknowledged submission applied on some members, with
+        the ledger still at the previous submission (or at epoch 0);
+        ``stream-status`` on each member tells a client which brackets
+        survived, and a retry continues the fleet.
+        """
+        self._append(self.sets_journal_path, {
+            "kind": "fleet", "documents": list(documents), "set": set_name,
+            "epoch": epoch, "checksum": checksum,
+        })
+
+    def fleet_dropped(self, documents: tuple[str, ...],
+                      set_name: str) -> None:
+        """Record that a re-registration closed a fleet.
+
+        Written before the registration record: a member's checkpoint
+        can compact that record away, and recovery must still close the
+        fleet and its members' streams at this point in the log.
+        """
+        self._append(self.sets_journal_path, {
+            "kind": "fleet-drop", "documents": list(documents),
+            "set": set_name,
+        })
+
     def stream_submitted(self, doc: str, set_name: str,
                          ops: tuple[StreamOp, ...],
                          enforcer: StreamEnforcer) -> None:
@@ -498,7 +534,7 @@ class ServerJournal:
             name = data["doc"]
             ops = tuple(op_from_dict(d) for d in data["ops"])
             try:
-                enforcer = store.enforcer(name, data["set"])
+                enforcer = store.stream(name, data["set"])
                 decisions = enforcer.replay(ops)
             except Exception as err:
                 raise JournalError(
@@ -517,7 +553,7 @@ class ServerJournal:
             ops = tuple(op_from_dict(d) for d in data["ops"])
             try:
                 template, _ = store.template(data["template"], data["set"])
-                enforcer = store.enforcer(name, data["set"])
+                enforcer = store.stream(name, data["set"])
                 decisions = enforcer.apply_certified(
                     template, bindings_from_wire(data["bindings"]), ops=ops)
             except Exception as err:
@@ -533,6 +569,17 @@ class ServerJournal:
             self._next_id[name] = counter
             self._since_checkpoint[name] = (
                 self._since_checkpoint.get(name, 0) + 1)
+        elif kind == "fleet":
+            store.restore_fleet(data["documents"], data["set"],
+                                int(data["epoch"]), int(data["checksum"]))
+        elif kind == "fleet-drop":
+            key = (tuple(data["documents"]), data["set"])
+            if key not in {(docs, set_name)
+                           for docs, set_name, _ in store.live_fleets()}:
+                raise JournalError(
+                    f"journaled drop (lsn {data['lsn']}) names fleet "
+                    f"{key!r}, which the journals never opened")
+            store.drop_fleet(key)
         elif kind == "restore":
             name = data["doc"]
             try:

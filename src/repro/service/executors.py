@@ -16,8 +16,10 @@ wire-level :class:`~repro.service.protocol.ErrorResponse` objects.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.analysis import IndependenceIndex
-from repro.errors import ReproError, ServiceError
+from repro.errors import ReproError, ServiceError, StreamError
 from repro.obs import registry as _obs_registry
 from repro.service.protocol import (
     Ack,
@@ -40,8 +42,15 @@ from repro.service.protocol import (
     Verdict,
     WireDecision,
     WireEpoch,
+    WireViolation,
 )
 from repro.service.store import DocumentStore
+from repro.stream.log import EpochOutcome, chain_checksum, epoch_checksum
+from repro.stream.ops import UPDATE_OPS, Begin, Commit, Rollback, StreamOp
+
+#: One validated epoch: ``(fleet position, member, ops)`` per edited
+#: member, in fleet order.
+_EpochPlan = list[tuple[int, str, tuple[StreamOp, ...]]]
 
 
 def build_metrics_snapshot(store: DocumentStore) -> MetricsSnapshot:
@@ -49,21 +58,20 @@ def build_metrics_snapshot(store: DocumentStore) -> MetricsSnapshot:
 
     The ``metrics`` section is the process-wide
     :func:`repro.obs.registry` snapshot; ``streams`` carries each open
-    stream's :meth:`~repro.stream.engine.StreamStats.wire_pairs` and
-    ``fleets`` each open fleet's shape.  Both the server's inline
-    short-circuit (served before the backpressure gate) and the
-    :class:`InlineExecutor` dispatch build their answer here, so the two
-    paths cannot drift.
+    stream's :meth:`~repro.stream.engine.StreamStats.wire_pairs` (fleet
+    members' included) and ``fleets`` each open fleet's ledger.  Both the
+    server's inline short-circuit (served before the backpressure gate)
+    and the :class:`InlineExecutor` dispatch build their answer here, so
+    the two paths cannot drift.
     """
     streams = tuple(
         (doc, enforcer.stats.wire_pairs())
         for doc, _set_name, enforcer in store.live_streams())
     fleets = tuple(
         ("+".join(docs), tuple(sorted({
-            "set": set_name, "backend": fleet.backend,
-            "docs": fleet.size, "epoch": fleet.epoch,
-            "checksum": fleet.checksum}.items())))
-        for docs, set_name, fleet in store.live_fleets())
+            "set": set_name, "docs": len(docs), "epoch": ledger.epoch,
+            "checksum": ledger.checksum}.items())))
+        for docs, set_name, ledger in store.live_fleets())
     return MetricsSnapshot(metrics=_obs_registry().to_dict(),
                            streams=streams, fleets=fleets)
 
@@ -170,27 +178,93 @@ class InlineExecutor:
 
     def _fleet(self, request: FleetSubmit,
                store: DocumentStore) -> FleetDecisions:
-        fleet = store.fleet_session(request.documents, request.constraints,
-                                    request.backend)
-        position = {name: pos for pos, name in enumerate(fleet.names)}
+        """Run each epoch as per-member brackets on the members' streams.
+
+        The whole request is validated before any document is touched,
+        so a refused submission changes nothing.  A new fleet's ledger
+        is journaled as it opens.  Each edited member then runs, in
+        fleet order, as ``Begin``, its ops and ``Commit`` — journaled
+        like a ``stream-submit`` — and the fleet's ledger record follows
+        the members' records.
+        """
+        docs, set_name = request.documents, request.constraints
+        key = store.check_fleet(docs, set_name)
+        position = {name: pos for pos, name in enumerate(docs)}
+        plans = [self._plan_epoch(epoch, position, docs)
+                 for epoch in request.epochs]
+        ledger = store.open_fleet(key)
         epochs: list[WireEpoch] = []
-        for epoch in request.epochs:
-            edits: dict[int, list] = {}
-            for doc_name, ops in epoch:
-                pos = position.get(doc_name)
-                if pos is None:
-                    raise ServiceError(
-                        f"document {doc_name!r} is not in this fleet "
-                        f"(members: {list(fleet.names)})")
-                if pos in edits:
-                    raise ServiceError(
-                        f"document {doc_name!r} appears twice in one epoch; "
-                        "merge its operations into one entry")
-                edits[pos] = list(ops)
-            report = fleet.submit_epoch(edits)
-            epochs.append(WireEpoch.of(report, fleet.names))
-        return FleetDecisions(docs=fleet.size, epochs=tuple(epochs),
-                              checksum=fleet.checksum)
+        for plan in plans:
+            outcomes: list[EpochOutcome] = [
+                (pos, *self._bracket(store, doc, set_name, ops))
+                for pos, doc, ops in plan]
+            ledger.epoch += 1
+            ledger.checksum = chain_checksum(
+                ledger.checksum, epoch_checksum(ledger.epoch, outcomes))
+            epochs.append(WireEpoch(
+                epoch=ledger.epoch,
+                edited=tuple(docs[pos] for pos, *_ in outcomes),
+                rejected=tuple(docs[pos] for pos, bad, _, _ in outcomes
+                               if bad),
+                structural=tuple(sorted((docs[pos], note)
+                                        for pos, _, _, note in outcomes
+                                        if note)),
+                violations=tuple(sorted(
+                    (docs[pos], tuple(WireViolation.of(v) for v in vs))
+                    for pos, _, vs, _ in outcomes if vs))))
+        store.commit_fleet(key, ledger)
+        return FleetDecisions(docs=len(docs), epochs=tuple(epochs),
+                              checksum=ledger.checksum)
+
+    @staticmethod
+    def _plan_epoch(epoch, position: dict[str, int],
+                    docs: tuple[str, ...]) -> _EpochPlan:
+        """Validate one epoch's members and ops; order them by position."""
+        edits: dict[int, tuple[str, tuple[StreamOp, ...]]] = {}
+        for doc, ops in epoch:
+            pos = position.get(doc)
+            if pos is None:
+                raise ServiceError(
+                    f"document {doc!r} is not in this fleet "
+                    f"(members: {list(docs)})")
+            if pos in edits:
+                raise ServiceError(
+                    f"document {doc!r} appears twice in one epoch; "
+                    "merge its operations into one entry")
+            edits[pos] = (doc, tuple(ops))
+        for _, ops in edits.values():
+            for op in ops:
+                if not isinstance(op, UPDATE_OPS):
+                    raise StreamError(
+                        f"epochs are the fleet's transaction brackets; "
+                        f"marker {op!r} is not a fleet operation")
+        return [(pos, *edits[pos]) for pos in sorted(edits)]
+
+    @staticmethod
+    def _bracket(store: DocumentStore, doc: str, set_name: str,
+                 ops: Sequence[StreamOp]) -> tuple[bool, tuple, str]:
+        """One member's share of an epoch: ``(rejected, witnesses, note)``.
+
+        ``Begin``, the ops, then ``Commit`` — or ``Rollback`` right after
+        the first op rejected with no violations (a structural error),
+        whose note becomes the member's.  Leaf ids are pinned one op at a
+        time, so ops a structural error cuts off consume no ids.
+        """
+        enforcer = store.stream(doc, set_name)
+        applied: list[StreamOp] = [Begin()]
+        enforcer.apply(applied[0])
+        note = ""
+        for op in ops:
+            (op,) = store.prepare_stream_ops(doc, (op,))
+            applied.append(op)
+            decision = enforcer.apply(op)
+            if not decision.accepted and not decision.violations:
+                note = decision.note
+                break
+        applied.append(Rollback() if note else Commit())
+        closing = enforcer.apply(applied[-1])
+        store.commit_stream_ops(doc, set_name, applied, enforcer)
+        return bool(note) or not closing.accepted, closing.violations, note
 
     def _stream_status(self, request: StreamStatus,
                        store: DocumentStore) -> Ack:

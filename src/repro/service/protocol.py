@@ -318,16 +318,17 @@ class FleetSubmit(Request):
     """Submit one or more write *epochs* against a fleet of documents.
 
     The first submission for a ``(documents, constraints)`` pair opens
-    the fleet session — the named documents are checked together through
-    a :class:`~repro.masks.fleet.FleetEvaluator` under the named policy;
-    later submissions with the same pair continue it (the epoch counter
-    and decision checksum carry across).  ``backend`` picks the mask
-    backend by name (``None`` = the server's environment default); the
-    response is backend-independent.
+    the fleet under the named policy; later submissions with the same
+    pair continue it (the epoch counter and decision checksum carry
+    across).  A document belongs to at most one live fleet, and a fleet
+    member takes no other writes.
 
-    Each epoch maps document names to that document's operations and
-    settles in one batched check: violating documents are rolled back to
-    their pre-epoch state.
+    Each epoch maps document names to that document's update operations
+    (no transaction markers: the epoch is the bracket).  Each edited
+    member runs, in fleet order, as one transaction bracket on its own
+    enforcement stream: a member whose edit violates the policy, or hits
+    a structural error, is rolled back to its pre-epoch state.  The
+    whole request is validated before any document is touched.
     """
 
     kind = "fleet-submit"
@@ -335,17 +336,13 @@ class FleetSubmit(Request):
     documents: tuple[str, ...]
     constraints: str
     epochs: tuple[tuple[tuple[str, tuple[StreamOp, ...]], ...], ...]
-    backend: str | None = None
 
     def to_dict(self) -> dict:
-        data = {"request": self.kind, "documents": list(self.documents),
+        return {"request": self.kind, "documents": list(self.documents),
                 "constraints": self.constraints,
                 "epochs": [[[doc, [op_to_dict(op) for op in ops]]
                             for doc, ops in epoch]
                            for epoch in self.epochs]}
-        if self.backend is not None:
-            data["backend"] = self.backend
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetSubmit":
@@ -354,10 +351,6 @@ class FleetSubmit(Request):
             # A string would otherwise decode as one document per char.
             raise ValueError(f"'documents' must be a list of names, got "
                              f"{documents!r}")
-        backend = data.get("backend")
-        if backend is not None and not isinstance(backend, str):
-            raise ValueError(f"'backend' must be a string or null, got "
-                             f"{backend!r}")
         return cls(
             documents=tuple(_name(doc, "documents") for doc in documents),
             constraints=_name(data["constraints"], "constraints"),
@@ -365,8 +358,7 @@ class FleetSubmit(Request):
                 tuple((_name(doc, "epochs"),
                        tuple(op_from_dict(d) for d in ops))
                       for doc, ops in epoch)
-                for epoch in data["epochs"]),
-            backend=backend)
+                for epoch in data["epochs"]))
 
 
 @dataclass(frozen=True)
@@ -685,20 +677,6 @@ class WireEpoch:
     structural: tuple[tuple[str, str], ...] = ()
     violations: tuple[tuple[str, tuple[WireViolation, ...]], ...] = ()
 
-    @staticmethod
-    def of(report, names: "tuple[str, ...]") -> "WireEpoch":
-        """Flatten a :class:`~repro.masks.fleet.EpochReport` (document
-        positions become the fleet's registered names)."""
-        return WireEpoch(
-            epoch=report.epoch,
-            edited=tuple(names[d] for d in report.edited),
-            rejected=tuple(names[d] for d in report.rejected),
-            structural=tuple(sorted(
-                (names[d], note) for d, note in report.structural.items())),
-            violations=tuple(sorted(
-                (names[d], tuple(WireViolation.of(v) for v in vs))
-                for d, vs in report.violations.items())))
-
     @property
     def accepted(self) -> tuple[str, ...]:
         bad = set(self.rejected)
@@ -731,10 +709,10 @@ class WireEpoch:
 class FleetDecisions(Response):
     """One :class:`WireEpoch` per submitted epoch, in submission order.
 
-    ``checksum`` is the fleet session's running decision checksum after
-    this submission — identical across mask backends and machines for
-    the same fleet and traffic, which is what the CI backend matrix
-    compares.
+    ``checksum`` is the fleet's running decision checksum after this
+    submission (:func:`~repro.stream.log.epoch_checksum` folded by
+    :func:`~repro.stream.log.chain_checksum`) — identical across
+    processes and machines for the same fleet and traffic.
     """
 
     kind = "fleet-decisions"
@@ -773,7 +751,7 @@ class MetricsSnapshot(Response):
     ``name{label="value"}`` keys); ``streams`` maps each document with a
     live enforcement stream to its :class:`~repro.stream.engine.
     StreamStats` wire pairs, and ``fleets`` maps each live fleet (by its
-    sorted, comma-joined member list) to backend/epoch/size.  Values are
+    ``+``-joined member list) to its set, size, epoch and checksum.  Values are
     a live read, not a transaction — two counters in one snapshot may
     straddle an in-flight request.
     """

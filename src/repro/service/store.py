@@ -14,6 +14,10 @@ registration makes shareable —
   under enforcement (the stream *adopts* the stored document: update
   logs mutate it in place, and instance queries against the name see the
   current state);
+* one :class:`FleetLedger` per live fleet — a ``(documents, set)`` pair
+  written through ``fleet-submit`` epochs — carrying the fleet's epoch
+  counter and running decision checksum; each member's epochs run on
+  that member's ordinary stream;
 * one :class:`~repro.api.session.BoundReasoner` per ``(set, document)``
   pair, keyed by the document's mutation version, so repeated instance
   queries between edits reuse the snapshot and the per-tree answer sets.
@@ -29,23 +33,37 @@ drops the dependent session/stream/binding artifacts).
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 from repro.api.session import BoundReasoner, Reasoner
 from repro.certify import CertifyOutcome, UpdateTemplate, certify
 from repro.constraints.model import ConstraintSet, constraint_set
 from repro.errors import ServiceError
-from repro.masks.fleet import FleetEvaluator
 from repro.service.dispatch import bind_session, compiled_session
 from repro.stream.engine import StreamEnforcer
 from repro.trees.serialize import from_dict
 from repro.trees.tree import DataTree
 
 
+#: A live fleet's key: its member names, in fleet order, and its set.
+FleetKey = tuple[tuple[str, ...], str]
+
+
+@dataclass
+class FleetLedger:
+    """What a live fleet carries across submissions: the number of
+    epochs it has run and the running fold of their checksums
+    (:func:`~repro.stream.log.chain_checksum`)."""
+
+    epoch: int = 0
+    checksum: int = 0
+
+
 class DocumentStore:
     """The named-object registry behind a constraint service."""
 
     __slots__ = ("_documents", "_sets", "_sessions", "_enforcers", "_bindings",
-                 "_fleets", "_templates", "_journal")
+                 "_fleets", "_members", "_templates", "_journal")
 
     def __init__(self) -> None:
         self._documents: dict[str, DataTree] = {}
@@ -60,9 +78,11 @@ class DocumentStore:
             str, tuple[str, UpdateTemplate, CertifyOutcome]] = {}
         # (set name, doc name) -> (tree version, binding)
         self._bindings: dict[tuple[str, str], tuple[int, BoundReasoner]] = {}
-        # (doc names, set name) -> fleet session: a document belongs to at
-        # most one live fleet, and never to a fleet and a stream at once.
-        self._fleets: dict[tuple[tuple[str, ...], str], FleetEvaluator] = {}
+        # (doc names, set name) -> ledger, and member -> its fleet's key: a
+        # document belongs to at most one live fleet, and its stream then
+        # takes fleet epochs only.
+        self._fleets: dict[FleetKey, FleetLedger] = {}
+        self._members: dict[str, FleetKey] = {}
         self._journal = None  # optional ServerJournal (repro.server)
 
     # ------------------------------------------------------------------
@@ -164,9 +184,28 @@ class DocumentStore:
 
     def _drop_fleets(self, document: str | None = None,
                      constraints: str | None = None) -> None:
+        """Drop the fleets a re-registration voids."""
         for key in [k for k in self._fleets
                     if k[1] == constraints or document in k[0]]:
-            del self._fleets[key]
+            self.drop_fleet(key)
+
+    def drop_fleet(self, key: FleetKey) -> None:
+        """Close a live fleet and every member's stream and bindings: a
+        member that joins a later fleet (or opens a stream) starts from
+        a fresh baseline.
+
+        The drop is journaled before the registration that caused it:
+        a member's checkpoint later compacts its registration record
+        away, so the drop record is what keeps recovery from reopening
+        the fleet (and the other members' old streams).
+        """
+        if self._journal is not None:
+            self._journal.fleet_dropped(*key)
+        del self._fleets[key]
+        for member in key[0]:
+            del self._members[member]
+            self._enforcers.pop(member, None)
+            self._drop_bindings(document=member)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -231,8 +270,21 @@ class DocumentStore:
 
         A document has at most one stream; naming a different policy for
         an already-enforced document is a :class:`ServiceError` (close the
-        stream by re-registering the document).
+        stream by re-registering the document).  A fleet member's stream
+        takes fleet epochs only, so asking for it here is refused too.
         """
+        fleet = self.fleet_of(doc_name)
+        if fleet is not None:
+            raise ServiceError(
+                f"document {doc_name!r} is in a live fleet under constraint "
+                f"set {fleet[1]!r}; it cannot also open a stream "
+                "(re-register the document to reset it)")
+        return self.stream(doc_name, set_name)
+
+    def stream(self, doc_name: str, set_name: str) -> StreamEnforcer:
+        """The document's stream, opened on first use with no fleet
+        admission check: the fleet executor runs members' epochs on it,
+        and journal recovery replays every stream record through it."""
         existing = self._enforcers.get(doc_name)
         if existing is not None:
             bound_set, enforcer = existing
@@ -242,35 +294,24 @@ class DocumentStore:
                     f"constraint set {bound_set!r}; a document has one live "
                     "stream (re-register the document to reset it)")
             return enforcer
-        fleet = self.fleet_of(doc_name)
-        if fleet is not None:
-            raise ServiceError(
-                f"document {doc_name!r} is in a live fleet under constraint "
-                f"set {fleet[1]!r}; it cannot also open a stream "
-                "(re-register the document to reset it)")
         self.constraints(set_name)  # validate the name before adopting
         enforcer = self.session(set_name).open_stream(self.document(doc_name))
         self._enforcers[doc_name] = (set_name, enforcer)
         return enforcer
 
-    def fleet_of(self, doc_name: str) -> tuple[tuple[str, ...], str] | None:
+    def fleet_of(self, doc_name: str) -> FleetKey | None:
         """The ``(documents, set)`` key of the live fleet holding a
         document, if any."""
-        for key in self._fleets:
-            if doc_name in key[0]:
-                return key
-        return None
+        return self._members.get(doc_name)
 
-    def fleet_session(self, doc_names: Iterable[str], set_name: str,
-                      backend: str | None = None) -> FleetEvaluator:
-        """The fleet session over ``doc_names`` under ``set_name``.
+    def check_fleet(self, doc_names: Iterable[str], set_name: str
+                    ) -> FleetKey:
+        """Validate a fleet submission's membership; changes nothing.
 
-        Opened on first use — the named documents are *adopted* by the
-        fleet evaluator, exactly like handing each to a stream enforcer —
-        and reused by later submissions naming the same ``(documents,
-        set)`` pair.  A document belongs to at most one live fleet and
-        never to a fleet and a stream at once; ``backend`` must agree
-        with a continuing session's backend (pass ``None`` to accept it).
+        The pair names a live fleet, or one that may open: a non-empty
+        list of distinct registered documents, none in another live
+        fleet and none with a client-opened stream, under a registered
+        set.
         """
         docs = tuple(doc_names)
         if not docs:
@@ -279,38 +320,52 @@ class DocumentStore:
         if len(set(docs)) != len(docs):
             raise ServiceError(f"duplicate document names in fleet {docs!r}")
         key = (docs, set_name)
-        existing_fleet = self._fleets.get(key)
-        if existing_fleet is not None:
-            if backend is not None and existing_fleet.backend != backend:
-                raise ServiceError(
-                    f"fleet over {list(docs)} is live on the "
-                    f"{existing_fleet.backend!r} backend; it cannot switch "
-                    f"to {backend!r} (re-register a document to reset it)")
-            return existing_fleet
-        constraints = self.constraints(set_name)
-        trees = []
+        if key in self._fleets:
+            return key
+        self.constraints(set_name)
         for doc in docs:
-            if doc in self._enforcers:
-                raise ServiceError(
-                    f"document {doc!r} has a live enforcement stream; it "
-                    "cannot join a fleet (re-register the document to "
-                    "reset it)")
             other = self.fleet_of(doc)
             if other is not None:
                 raise ServiceError(
                     f"document {doc!r} is already in a live fleet under "
                     f"constraint set {other[1]!r} (re-register the document "
                     "to reset it)")
-            trees.append(self.document(doc))
-        fleet = FleetEvaluator(constraints, trees, backend=backend,
-                               names=docs)
-        self._fleets[key] = fleet
-        return fleet
+            if doc in self._enforcers:
+                raise ServiceError(
+                    f"document {doc!r} has a live enforcement stream; it "
+                    "cannot join a fleet (re-register the document to "
+                    "reset it)")
+            self.document(doc)
+        return key
 
-    def live_fleets(self) -> list[tuple[tuple[str, ...], str, FleetEvaluator]]:
-        """Every open fleet as ``(documents, set, evaluator)``, key-sorted."""
-        return [(docs, set_name, fleet)
-                for (docs, set_name), fleet in sorted(self._fleets.items())]
+    def open_fleet(self, key: FleetKey) -> FleetLedger:
+        """The ledger of the fleet under ``key``, a :meth:`check_fleet`
+        result: opened on first use, continued by later submissions.
+
+        Opening claims the members and touches no document: each
+        member's stream opens on its first epoch, so its baseline is the
+        document as it stood when the fleet opened.  A new ledger is
+        journaled at once, before any member's bracket, so a crash
+        inside the fleet's first submission still recovers the fleet.
+        """
+        ledger = self._fleets.get(key)
+        if ledger is None:
+            ledger = self._fleets[key] = FleetLedger()
+            for doc in key[0]:
+                self._members[doc] = key
+            self.commit_fleet(key, ledger)
+        return ledger
+
+    def restore_fleet(self, doc_names: Iterable[str], set_name: str,
+                      epoch: int, checksum: int) -> None:
+        """Install a journaled ledger (recovery: no admission check)."""
+        ledger = self.open_fleet((tuple(doc_names), set_name))
+        ledger.epoch, ledger.checksum = epoch, checksum
+
+    def live_fleets(self) -> list[tuple[tuple[str, ...], str, FleetLedger]]:
+        """Every open fleet as ``(documents, set, ledger)``, key-sorted."""
+        return [(docs, set_name, ledger)
+                for (docs, set_name), ledger in sorted(self._fleets.items())]
 
     # ------------------------------------------------------------------
     # Durability (optional journal; see :mod:`repro.server.journal`)
@@ -344,6 +399,13 @@ class DocumentStore:
         if self._journal is not None and ops:
             self._journal.stream_submitted(doc_name, set_name,
                                            tuple(ops), enforcer)
+
+    def commit_fleet(self, key: FleetKey, ledger: FleetLedger) -> None:
+        """Journal (and fsync) a fleet's ledger: when it opens, and after
+        each submission once every member's bracket is on disk."""
+        if self._journal is not None:
+            self._journal.fleet_submitted(*key, ledger.epoch,
+                                          ledger.checksum)
 
     def commit_certified(self, doc_name: str, set_name: str,
                          template_name: str, bindings, ops,
@@ -382,4 +444,4 @@ class DocumentStore:
                 f"{len(self._enforcers)} live streams)")
 
 
-__all__ = ["DocumentStore"]
+__all__ = ["DocumentStore", "FleetLedger"]

@@ -11,8 +11,9 @@ the offline checker attaches to invalid pairs.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.constraints.validity import Violation
 from repro.stream.ops import StreamOp
@@ -135,4 +136,47 @@ def decision_checksum(decisions: Iterable[Decision]) -> int:
     return total
 
 
-__all__ = ["Decision", "AuditTrail", "decision_checksum"]
+def _crc(text: str) -> int:
+    return zlib.crc32(text.encode())
+
+
+def violation_code(violation: Violation) -> int:
+    """Machine-independent fold of one witness (ids, labels, constraint)."""
+    constraint = violation.constraint
+    code = _crc(f"{constraint.range}|{constraint.type.value}")
+    for salt, nodes in ((3, violation.removed), (7, violation.inserted)):
+        code = (code * _FOLD + salt + len(nodes)) % _MOD
+        for nid, label in sorted((n.nid, n.label) for n in nodes):
+            code = (code * _FOLD + nid * 31 + _crc(label)) % _MOD
+    return code
+
+
+#: One edited fleet member's share of an epoch: ``(position in the
+#: fleet, rejected, commit witnesses, structural-error note or "")``.
+EpochOutcome = tuple[int, bool, Sequence[Violation], str]
+
+
+def epoch_checksum(epoch: int, outcomes: Sequence[EpochOutcome]) -> int:
+    """Fold one fleet epoch's per-member outcomes, in fleet order.
+
+    Covers which members were edited and rejected, every witness
+    (:func:`violation_code`) and every structural note, so the fold of a
+    ``fleet-submit`` reply is identical across processes and machines.
+    """
+    total = (epoch * 8191 + len(outcomes)) % _MOD
+    for position, rejected, violations, note in outcomes:
+        total = (total * _FOLD + position * 2 + rejected) % _MOD
+        for violation in violations:
+            total = (total * _FOLD + violation_code(violation)) % _MOD
+        if note:
+            total = (total * _FOLD + _crc(note)) % _MOD
+    return total
+
+
+def chain_checksum(running: int, code: int) -> int:
+    """Append one epoch's :func:`epoch_checksum` to a running fold."""
+    return (running * _FOLD + code) % _MOD
+
+
+__all__ = ["Decision", "AuditTrail", "decision_checksum", "violation_code",
+           "EpochOutcome", "epoch_checksum", "chain_checksum"]

@@ -14,8 +14,8 @@ sequence of these operations interleaved with transaction markers:
 All operations are frozen dataclasses — hashable, picklable and printable
 in the audit trail's one-line form.
 
-:func:`perform` and :func:`undo` are the one edit journal every writer
-shares (the enforcement stream and the fleet evaluator): an edit applied
+:func:`perform` and :func:`undo` are the enforcement stream's one edit
+journal (per-op, bracketed and certified writes alike): an edit applied
 through a live snapshot returns its inverse, and a journal of inverses
 replays newest-first to restore the pre-edit document.
 """
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Union
 from repro.errors import StreamError, TreeError
 
 if TYPE_CHECKING:  # annotations only: the op model stays import-light
-    from repro.xpath.snapshot import SnapshotEvaluator
+    from repro.xpath.bitset import BitsetEvaluator
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ _UNDO_REVIVE = "revive"  # (tag, ((nid, parent, label), ...) preorder)
 UndoEntry = tuple[Any, ...]
 
 
-def perform(ctx: SnapshotEvaluator, op: StreamOp) -> UndoEntry:
+def perform(ctx: BitsetEvaluator, op: StreamOp) -> UndoEntry:
     """Apply one edit through the live snapshot ``ctx``; return its inverse.
 
     A structurally invalid edit raises :class:`~repro.errors.TreeError`
@@ -145,7 +145,7 @@ def perform(ctx: SnapshotEvaluator, op: StreamOp) -> UndoEntry:
     raise StreamError(f"unknown stream operation {op!r}")
 
 
-def undo(ctx: SnapshotEvaluator, journal: Sequence[UndoEntry]) -> None:
+def undo(ctx: BitsetEvaluator, journal: Sequence[UndoEntry]) -> None:
     """Replay inverse edits newest-first (the search-journal pattern: an
     undone move finds the gap the original left, a revived subtree
     compacts into the freed slot run).

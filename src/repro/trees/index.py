@@ -336,35 +336,6 @@ class TreeIndex:
         """Strict ancestry in O(1): interval containment."""
         return self._slot[anc] < self._slot[nid] <= self._post[anc]
 
-    def mask_export(self) -> tuple[list[int], list[int], list[str],
-                                   list[int]]:
-        """Flat preorder arrays for the fleet mask kernels.
-
-        Returns ``(pres, posts, labels, parent_pos)``, all aligned by
-        preorder position: the node's gapped slot (its mask bit), its
-        subtree-closing slot, its label, and the preorder *position* of
-        its parent (``-1`` for the root).  Positions rather than ids keep
-        the export id-free — an array backend gathers through positions
-        and only maps back to ids (via :meth:`node_at` on the slot) when
-        a witness must be materialised.
-        """
-        slots = self._slots
-        node_at = self._node_at
-        parent = self._parent
-        post = self._post
-        labels = self._labels
-        pos: dict[int, int] = {}
-        nids: list[int] = []
-        for i, s in enumerate(slots):
-            nid = node_at[s]
-            nids.append(nid)
-            pos[nid] = i
-        posts = [post[n] for n in nids]
-        labs = [labels[n] for n in nids]
-        parent_pos = [-1 if (p := parent[n]) is None else pos[p]
-                      for n in nids]
-        return list(slots), posts, labs, parent_pos
-
     def path_labels(self, nid: int) -> tuple[str, ...]:
         """Labels on the root-to-``nid`` path (root excluded) — the *word*
         of the node; memoised via the parent chain, O(n) total."""

@@ -19,11 +19,10 @@ evaluates whole frontiers at once as Python ``int`` masks keyed by the
   children masks.
 
 The evaluator tracks its snapshot's :attr:`~repro.trees.index.TreeIndex.
-revision` (see :class:`repro.xpath.snapshot.SnapshotEvaluator`): after an
-in-place index edit (the search journals' moves, the enforcement stream's
-operations) cached predicate masks are **delta-patched** from the index's
-:class:`~repro.trees.index.EditDelta` log rather than recomputed — under a
-single edit only the ancestor chains of the edit points can change their
+revision`: after an in-place index edit (the search journals' moves, the
+enforcement stream's operations) cached predicate masks are
+**delta-patched** from the index's :class:`~repro.trees.index.EditDelta`
+log rather than recomputed — under a single edit only the ancestor chains of the edit points can change their
 downward structure, so a stale mask is repaired by remapping relocated
 slots (satisfaction travels with a moved subtree) and re-deciding the
 predicate at the few dirty nodes.  Per-edit upkeep is proportional to the
@@ -35,22 +34,23 @@ query stream cannot grow without bound.
 
 from __future__ import annotations
 
-from typing import Callable, cast
+from collections.abc import Sequence
+from typing import Callable, Self, cast
 
 from repro.caching import LRUMemo
-# The big-int mask helpers live with the backends now (repro.masks); they
-# are re-exported here because this module is their historical home and
-# the hot paths below are their heaviest users.
+# The big-int mask helpers live in repro.masks; they are re-exported here
+# because this module is their historical home and the hot paths below
+# are their heaviest users.
 from repro.masks.bigint import _BIT, _BYTE_SLOTS  # noqa: F401
 from repro.masks.bigint import byte_view, iter_slots, slots_of
 from repro.trees.index import TreeIndex
 from repro.trees.node import Node
 from repro.trees.tree import DataTree
-from repro.xpath.ast import Axis, Pattern, Pred
-from repro.xpath.snapshot import SnapshotEvaluator
+from repro.xpath.ast import Axis, Pattern, Pred, normalize, normalize_preds
 
 __all__ = [
     "BitsetEvaluator",
+    "CANON_MEMO_SIZE",
     "PRED_MASK_MEMO_SIZE",
     "QUERY_MEMO_SIZE",
     "byte_view",
@@ -65,6 +65,12 @@ __all__ = [
 
 PRED_MASK_MEMO_SIZE = 4096   # canonical predicate -> satisfaction mask
 QUERY_MEMO_SIZE = 4096       # (canonical pattern, anchor) -> answer ids
+CANON_MEMO_SIZE = 8192       # syntactic -> canonical forms (tree-independent)
+
+# Canonical forms are pure functions of the pattern — share them across
+# every evaluator in the process instead of re-normalising per snapshot.
+_GLOBAL_CANON_PREDS = LRUMemo(CANON_MEMO_SIZE)
+_GLOBAL_CANON_PATTERNS = LRUMemo(CANON_MEMO_SIZE)
 
 _MISS = object()
 
@@ -98,19 +104,24 @@ class DirtyBatch:
         return out
 
 
-class BitsetEvaluator(SnapshotEvaluator):
-    """A set-at-a-time evaluation session over one tree snapshot.
+class BitsetEvaluator:
+    """A set-at-a-time evaluation session pinned to one tree snapshot.
 
-    The session plumbing — ``covers``, ``apply_*``, revision sync,
-    canonicalisation — comes from
-    :class:`~repro.xpath.snapshot.SnapshotEvaluator`; every ``context=``
-    fast path accepts one.
+    Every answer is bit-identical to the naive evaluator on the same
+    tree; every ``context=`` fast path accepts one.  Edits applied
+    through the ``apply_*`` passthroughs move the tree and the snapshot
+    together, and the next query patches the cached masks from the
+    index's edit deltas.
     """
 
-    __slots__ = ("_pred_masks", "_query_memo", "_masks_rev")
+    __slots__ = ("_index", "_revision", "_pred_masks", "_query_memo",
+                 "_masks_rev")
 
     def __init__(self, snapshot: TreeIndex | DataTree):
-        super().__init__(snapshot)
+        if isinstance(snapshot, DataTree):
+            snapshot = TreeIndex(snapshot)
+        self._index = snapshot
+        self._revision = snapshot.revision
         self._pred_masks = LRUMemo(PRED_MASK_MEMO_SIZE)
         self._query_memo = LRUMemo(QUERY_MEMO_SIZE)
         # The packed revision side-table: ONE revision stamp for the whole
@@ -121,17 +132,73 @@ class BitsetEvaluator(SnapshotEvaluator):
         # store, no unpack-and-compare per lookup.
         self._masks_rev = self._revision
 
+    @classmethod
+    def for_tree(cls, tree: DataTree) -> Self:
+        return cls(TreeIndex(tree))
+
+    @property
+    def index(self) -> TreeIndex:
+        return self._index
+
+    @property
+    def tree(self) -> DataTree:
+        return self._index.tree
+
+    def covers(self, tree: DataTree) -> bool:
+        """Usable as a fast path for ``tree``?  (Same object, unmutated.)"""
+        return self._index.covers(tree)
+
     @property
     def memo_entries(self) -> int:
         """Number of cached predicate masks (observability hook)."""
         return len(self._pred_masks)
 
-    def _drop_revision_memos(self) -> None:
-        # Query answers are revision-bound and cheap to rebuild; predicate
-        # masks are *kept* — patched in one batch from the edit deltas
-        # (or dropped wholesale when the delta log no longer reaches back).
-        self._query_memo.clear()
-        self._patch_all_masks()
+    # ------------------------------------------------------------------
+    # Incremental edits (tree + snapshot move together)
+    # ------------------------------------------------------------------
+    def apply_move(self, nid: int, new_parent: int) -> None:
+        self._index.apply_move(nid, new_parent)
+
+    def apply_add_leaf(self, parent: int, label: str,
+                       nid: int | None = None) -> int:
+        return self._index.apply_add_leaf(parent, label, nid=nid)
+
+    def apply_add_subtree(self, spec: Sequence[tuple[int, int, str]]
+                          ) -> None:
+        self._index.apply_add_subtree(spec)
+
+    def apply_remove_subtree(self, nid: int) -> None:
+        self._index.apply_remove_subtree(nid)
+
+    def _sync(self) -> None:
+        """Catch the memos up with in-place index edits.
+
+        Query answers are revision-bound and cheap to rebuild; predicate
+        masks are *kept* — patched in one batch from the edit deltas (or
+        dropped wholesale when the delta log no longer reaches back).
+        """
+        rev = self._index.revision
+        if rev != self._revision:
+            self._revision = rev
+            self._query_memo.clear()
+            self._patch_all_masks()
+
+    # ------------------------------------------------------------------
+    # Canonicalisation (tree-independent, survives revision bumps)
+    # ------------------------------------------------------------------
+    def _canonical(self, pred: Pred) -> Pred:
+        canon: Pred | None = _GLOBAL_CANON_PREDS.get(pred)
+        if canon is None:
+            canon = normalize_preds((pred,))[0]
+            _GLOBAL_CANON_PREDS.put(pred, canon)
+        return canon
+
+    def _canonical_pattern(self, pattern: Pattern) -> Pattern:
+        canon: Pattern | None = _GLOBAL_CANON_PATTERNS.get(pattern)
+        if canon is None:
+            canon = normalize(pattern)
+            _GLOBAL_CANON_PATTERNS.put(pattern, canon)
+        return canon
 
     # ------------------------------------------------------------------
     # Whole-tree predicate masks (delta-maintained across index edits)
@@ -317,6 +384,15 @@ class BitsetEvaluator(SnapshotEvaluator):
                             for s in iter_slots(self._sweep_mask(key[0], anchor)))
             self._query_memo.put(key, hit)
         return set(hit)
+
+    def evaluate(self, pattern: Pattern, start: int | None = None) -> set[Node]:
+        """``q(n, I)`` as ``(id, label)`` pairs, exactly like the naive path."""
+        idx = self._index
+        return {idx.node(nid) for nid in self.evaluate_ids(pattern, start)}
+
+    def selects(self, pattern: Pattern, nid: int) -> bool:
+        """Is node ``nid`` in ``q(I)``?"""
+        return nid in self.evaluate_ids(pattern)
 
     def __repr__(self) -> str:
         return (f"BitsetEvaluator({self._index!r}, "

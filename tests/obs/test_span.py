@@ -33,9 +33,10 @@ class TestSpan:
 
     def test_span_labels_reach_the_histogram(self):
         reg = MetricsRegistry()
-        with span("fleet.check", registry=reg, backend="numpy"):
+        with span("server.request", registry=reg, kind="fleet-submit"):
             pass
-        assert reg.histogram("fleet.check_seconds", backend="numpy").count == 1
+        assert reg.histogram("server.request_seconds",
+                             kind="fleet-submit").count == 1
 
 
 class TestTracing:

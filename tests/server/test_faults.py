@@ -9,7 +9,10 @@ reference service driven over the same accepted prefix:
 * a torn tail is truncated in place and the server carries on;
 * corrupt committed history refuses loudly — never a silent divergence;
 * a crash anywhere inside the checkpoint/compact dance leaves either
-  the old snapshot or the new one, never a torn in-between.
+  the old snapshot or the new one, never a torn in-between;
+* an acknowledged ``fleet-submit`` survives a kill, and a crash inside
+  one leaves the fleet's ledger at the last acknowledged submission (a
+  crash inside a fleet's first submission leaves it open at epoch 0).
 
 The reference oracle is the same one ``test_recovery`` uses: a second
 durable service (journals pin leaf ids; a plain in-memory service would
@@ -29,6 +32,9 @@ from repro.server.faults import CrashSchedule, SimulatedCrash, flip_byte, tear_t
 from repro.server.framing import encode_record, scan_records
 from repro.server.journal import ServerJournal
 from repro.service.protocol import (
+    FleetDecisions,
+    FleetSubmit,
+    MetricsRequest,
     RegisterConstraints,
     RegisterDocument,
     StreamStatus,
@@ -326,3 +332,97 @@ class TestSocketFaults:
         # journal record: exactly the three acknowledged submissions live
         assert state == reference(tmp_path / "ref", 3)
         assert report.torn_tails == []
+
+
+# ----------------------------------------------------------------------
+# Fleet submissions: member brackets, then the ledger record
+# ----------------------------------------------------------------------
+FLEET = ("f0", "f1", "f2")
+
+
+def boot_fleet(root):
+    svc, journal, _ = boot(root)
+    for doc in FLEET:
+        svc.handle(RegisterDocument(doc, fresh_doc()))
+    return svc, journal
+
+
+def fleet_submit(*members):
+    """One epoch: a visit for each member named (accepted)."""
+    return FleetSubmit(FLEET, "policy", (
+        tuple((doc, (AddLeaf(5, "visit"),)) for doc in members),))
+
+
+def fleet_state(svc) -> tuple:
+    return ({doc: (svc.handle(StreamStatus(doc)).to_dict(),
+                   serialize.to_dict(svc.store.document(doc)))
+             for doc in FLEET},
+            svc.handle(MetricsRequest()).to_dict().get("fleets"))
+
+
+class TestFleetFaults:
+    def test_acknowledged_fleet_submit_survives_a_kill(self, tmp_path):
+        svc, journal = boot_fleet(tmp_path / "crash")
+        reply = svc.handle(fleet_submit("f0", "f2"))
+        assert isinstance(reply, FleetDecisions)
+        assert reply.epochs[0].accepted == ("f0", "f2")
+        live = fleet_state(svc)
+        journal.simulate_power_loss()  # kill -9: no close, no flush
+
+        recovered, j2, _ = durable_service(tmp_path / "crash")
+        assert fleet_state(recovered) == live
+        assert recovered.store.document("f0").size == 5  # the visit stayed
+        # ...and the fleet carries on where the acknowledged reply left it
+        again = recovered.handle(fleet_submit("f1"))
+        assert again.epochs[0].epoch == 2
+        j2.close()
+
+    def test_crash_inside_an_epoch_recovers_the_acked_ledger(
+            self, tmp_path):
+        svc, journal = boot_fleet(tmp_path / "crash")
+        acked = svc.handle(fleet_submit(*FLEET))
+        # The second fsync of the next submission is f1's bracket: f0's
+        # and f1's records are durable, f2's bracket and the ledger
+        # record never happen.
+        journal.faults = crash = CrashSchedule("journal-fsync", at=2)
+        with pytest.raises(SimulatedCrash):
+            svc.handle(fleet_submit(*FLEET))
+        journal.simulate_power_loss()
+        assert crash.fired
+
+        recovered, j2, _ = durable_service(tmp_path / "crash")
+        _, fleets = fleet_state(recovered)
+        assert fleets == {"+".join(FLEET): {
+            "set": "policy", "docs": 3, "epoch": 1,
+            "checksum": acked.checksum}}
+        # stream-status tells the client which brackets survived
+        brackets = {doc: dict(recovered.handle(StreamStatus(doc)).stats)
+                    ["transactions"] for doc in FLEET}
+        assert brackets == {"f0": 2, "f1": 2, "f2": 1}
+        j2.close()
+
+    def test_crash_inside_the_first_submission_keeps_the_fleet(
+            self, tmp_path):
+        svc, journal = boot_fleet(tmp_path / "crash")
+        # A new fleet's first fsync is its opening ledger record, the
+        # second f0's bracket: the fleet and f0's bracket are durable.
+        journal.faults = crash = CrashSchedule("journal-fsync", at=2)
+        with pytest.raises(SimulatedCrash):
+            svc.handle(fleet_submit(*FLEET))
+        journal.simulate_power_loss()
+        assert crash.fired
+
+        recovered, j2, _ = durable_service(tmp_path / "crash")
+        _, fleets = fleet_state(recovered)
+        assert fleets == {"+".join(FLEET): {
+            "set": "policy", "docs": 3, "epoch": 0, "checksum": 0}}
+        assert recovered.store.live_stream("f0") is not None
+        assert recovered.store.live_stream("f1") is None
+        # The client retries: the fleet carries on from epoch 0, with
+        # f0 now on its second visit.
+        again = recovered.handle(fleet_submit(*FLEET))
+        assert isinstance(again, FleetDecisions), again
+        assert again.epochs[0].epoch == 1
+        assert again.epochs[0].accepted == FLEET
+        assert recovered.store.document("f0").size == 6
+        j2.close()

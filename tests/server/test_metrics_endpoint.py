@@ -2,8 +2,9 @@
 
 The acceptance contract of the observability PR: a ``ReproClient.
 metrics()`` call against a durable server returns a snapshot whose
-journal fsync histogram, stream fast-path counters, fleet phase timings
-and post-recovery ``recovery.*`` gauges are all live and correct; trace
+journal fsync histogram, stream fast-path counters (fleet members'
+brackets included), fleet ledgers and post-recovery ``recovery.*``
+gauges are all live and correct; trace
 ids round-trip through the wire envelope (error responses included); and
 the endpoint stays serveable while the server refuses everything else.
 
@@ -98,20 +99,18 @@ class TestMetricsSnapshot:
         assert counters["journal.bytes_written_total"] > 0
 
         # stream: op counters live, fast-path hits equal the decisions'
-        # own independent flags
-        independent = sum(d.independent for d in decisions.decisions)
-        assert counters["stream.ops_total"] == 3
-        assert counters["stream.independent_total"] == independent >= 1
-        assert counters["stream.decisions_total"] == 3
-
-        # fleet: one epoch went through check and apply, labelled by
-        # whatever backend the environment default resolved to
+        # own independent flags; the fleet epoch ran as one bracket on
+        # member "a"'s stream (Begin, one op, Commit) and counts too
         assert fleet.epochs[0].accepted
-        assert counters[f"fleet.epochs_total{{backend=\"{_backend()}\"}}"] == 1
-        assert snapshot.histogram_count(
-            f"fleet.check_seconds{{backend=\"{_backend()}\"}}") >= 1
-        assert snapshot.histogram_count(
-            f"fleet.apply_seconds{{backend=\"{_backend()}\"}}") == 1
+        member = snapshot.stream_counters("a")
+        assert (member["entries"], member["ops"], member["committed"]) \
+            == (3, 1, 1)
+        independent = sum(d.independent for d in decisions.decisions)
+        assert independent >= 1
+        assert counters["stream.ops_total"] == 3 + 1
+        assert counters["stream.independent_total"] == (
+            independent + member["independent"])
+        assert counters["stream.decisions_total"] == 3 + 3
 
         # server: per-kind request accounting (metrics itself is served
         # out-of-band and deliberately not a "request")
@@ -128,7 +127,8 @@ class TestMetricsSnapshot:
         fleets = dict(snapshot.fleets)
         (key, pairs), = fleets.items()
         assert key == "a+b"
-        assert dict(pairs)["epoch"] == 1
+        assert dict(pairs) == {"set": "policy", "docs": 2, "epoch": 1,
+                               "checksum": fleet.checksum}
 
     def test_recovery_gauges_match_the_report(self, tmp_path):
         async def run():
@@ -180,11 +180,6 @@ class TestMetricsSnapshot:
         assert snapshot.counters[
             'server.requests_total{kind="register-constraints"}'] == 1
         assert snapshot.streams == ()
-
-
-def _backend() -> str:
-    from repro.masks import get_backend
-    return get_backend(None).name
 
 
 # ----------------------------------------------------------------------

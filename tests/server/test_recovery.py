@@ -3,11 +3,18 @@
 The durable server's promise: restart from the journal directory and the
 recovered fleet is *indistinguishable* from the live one — same response
 checksums for any continuation workload, same final documents, same
-stream counters.  These tests run a seeded multi-document workload, cut
-it at arbitrary points, recover into a fresh store, and drive the live
-and recovered services with the identical continuation, comparing
-response checksums pairwise (the same equivalence oracle the executor
-suite uses).
+stream counters, same fleet ledgers.  These tests run a seeded
+multi-document workload — stream submits on two documents, fleet
+submits (structural errors, violating epochs, member re-registrations,
+member stream submits, two fleets over overlapping members) on three
+more — cut it at arbitrary points, recover into a fresh store,
+and drive the live and recovered services with the identical
+continuation, comparing response checksums pairwise (the same
+equivalence oracle the executor suite uses).
+
+Requests are served in their wire form, decoded afresh per service: a
+``RegisterDocument`` adopts its tree, so one request object handed to
+both services would make them share a document.
 """
 
 from __future__ import annotations
@@ -20,10 +27,13 @@ from repro.constraints import constraint_set
 from repro.errors import JournalCorruptError, JournalError
 from repro.server.journal import ServerJournal
 from repro.service.protocol import (
+    FleetSubmit,
+    MetricsRequest,
     RegisterConstraints,
     RegisterDocument,
     StreamStatus,
     StreamSubmit,
+    request_from_dict,
     response_checksum,
 )
 from repro.service.service import ConstraintService
@@ -38,6 +48,7 @@ POLICY = constraint_set(
 )
 
 DOCS = ("ward", "clinic")
+FLEET = ("f0", "f1", "f2")
 
 
 def durable_service(root, **journal_opts):
@@ -61,15 +72,57 @@ def fresh_doc():
 
 def register_all(svc):
     svc.handle(RegisterConstraints("policy", tuple(POLICY)))
-    for doc in DOCS:
+    for doc in DOCS + FLEET:
         svc.handle(RegisterDocument(doc, fresh_doc()))
 
 
+def fleet_epoch(rng: random.Random, members):
+    """One epoch over a random subset of the members: accepted edits,
+    violations (the policy freezes visits and trials), structural errors
+    (a missing node, the root), and unpinned leaves after them."""
+    epoch = []
+    for doc in members:
+        if rng.random() < 0.4:
+            continue
+        ops = []
+        for _ in range(rng.randint(0, 3)):
+            roll = rng.random()
+            if roll < 0.45:
+                ops.append(AddLeaf(5, rng.choice(["note", "visit"])))
+            elif roll < 0.6:
+                ops.append(RemoveSubtree(rng.choice([7, 8])))
+            elif roll < 0.75:
+                ops.append(Move(7, 5))
+            elif roll < 0.85:
+                ops.append(RemoveSubtree(999))
+            else:
+                ops.append(Move(1, 5))
+        epoch.append((doc, tuple(ops)))
+    return tuple(epoch)
+
+
 def workload(seed: int, length: int):
-    """A seeded request stream over both documents (ops + transactions)."""
+    """A seeded request stream: stream submits (ops + transactions) on
+    two documents; on three more, fleet submits over all three or the
+    first two, member re-registrations (which drop the fleet), and
+    stream submits that a live fleet refuses and a dropped one admits."""
     rng = random.Random(seed)
     requests = []
     for _ in range(length):
+        if rng.random() < 0.3:
+            roll = rng.random()
+            if roll < 0.15:
+                requests.append(RegisterDocument(
+                    rng.choice(FLEET), fresh_doc(), replace=True))
+            elif roll < 0.3:
+                requests.append(StreamSubmit(rng.choice(FLEET), "policy",
+                                             (AddLeaf(5, "note"),)))
+            else:
+                members = FLEET if rng.random() < 0.7 else FLEET[:2]
+                requests.append(FleetSubmit(members, "policy", tuple(
+                    fleet_epoch(rng, members)
+                    for _ in range(rng.randint(1, 2)))))
+            continue
         doc = rng.choice(DOCS)
         roll = rng.random()
         if roll < 0.45:
@@ -87,22 +140,26 @@ def workload(seed: int, length: int):
 
 
 def drive(svc, requests):
-    """Serve a request list; returns the response checksum stream."""
-    return [response_checksum(svc.handle(r)) for r in requests]
+    """Serve a request list in wire form; returns the response checksum
+    stream."""
+    return [response_checksum(svc.handle(request_from_dict(r.to_dict())))
+            for r in requests]
 
 
 def fingerprint(svc):
-    """Everything observable: per-document status + serialized trees."""
+    """Everything observable: per-document status + serialized trees,
+    and every live fleet's ledger."""
     state = {}
-    for doc in DOCS:
+    for doc in DOCS + FLEET:
         state[doc] = (svc.handle(StreamStatus(doc)).to_dict(),
                       serialize.to_dict(svc.store.document(doc)))
+    state["fleets"] = svc.handle(MetricsRequest()).to_dict().get("fleets")
     return state
 
 
 class TestRecoveryEquivalence:
-    @pytest.mark.parametrize("cut", [0, 1, 13, 29, 50])
-    @pytest.mark.parametrize("checkpoint_every", [4, 1000])
+    @pytest.mark.parametrize("cut", [0, 1, 7, 13, 29, 50])
+    @pytest.mark.parametrize("checkpoint_every", [2, 4, 1000])
     def test_recovered_equals_live_at_any_cut(self, tmp_path, cut,
                                               checkpoint_every):
         """Cut the workload anywhere; recovery must reconverge exactly.
@@ -121,7 +178,7 @@ class TestRecoveryEquivalence:
         # point); the live service carries on with its own journal.
         recovered, journal2, report = durable_service(
             tmp_path, checkpoint_every=checkpoint_every)
-        assert sorted(report.documents) == sorted(DOCS)
+        assert sorted(report.documents) == sorted(DOCS + FLEET)
         assert fingerprint(recovered) == fingerprint(live)
 
         # ...and the futures agree too: the identical continuation yields
@@ -240,6 +297,15 @@ class TestRecoveryRefusals:
                            "tree": serialize.to_dict(fresh_doc())}) +
             encode_record({"kind": "mystery", "lsn": 2}))
         with pytest.raises(JournalError):
+            durable_service(tmp_path)
+
+    def test_drop_of_an_unopened_fleet_refuses(self, tmp_path):
+        from repro.server.framing import encode_record
+        tmp_path.joinpath("docs").mkdir()
+        (tmp_path / "sets.journal").write_bytes(encode_record(
+            {"kind": "fleet-drop", "lsn": 1, "documents": ["f0"],
+             "set": "policy"}))
+        with pytest.raises(JournalError, match="never opened"):
             durable_service(tmp_path)
 
     def test_checkpoint_naming_unregistered_set_refuses(self, tmp_path):

@@ -127,14 +127,32 @@ BAD_PAYLOADS = [
          epochs=[]),
      "ServiceError", "'documents' must be a string"),
     # Containers are typed too: a string is not a list of one-character
-    # names, and a list is not a backend name.
+    # names.
     ("fleet-submit-string-documents",
      req("fleet-submit", documents="abc", constraints="p", epochs=[]),
      "ServiceError", "'documents' must be a list of names"),
+    # An older client's "backend" is ignored like any unknown key, even
+    # when it is garbage: the request fails on its own fault.
     ("fleet-submit-list-backend",
-     req("fleet-submit", documents=["d"], constraints="p", epochs=[],
+     req("fleet-submit", documents=[], constraints="p", epochs=[],
          backend=["x"]),
-     "ServiceError", "'backend' must be a string or null"),
+     "ServiceError", "at least one document"),
+    # Epochs are lists of [document, ops] pairs.
+    ("fleet-submit-epoch-entry-not-a-pair",
+     req("fleet-submit", documents=["d"], constraints="p",
+         epochs=[[["d"]]]),
+     "ServiceError", "malformed 'fleet-submit'"),
+    ("fleet-submit-list-epoch-document",
+     req("fleet-submit", documents=["d"], constraints="p",
+         epochs=[[[["x"], []]]]),
+     "ServiceError", "'epochs' must be a string"),
+    ("fleet-submit-unknown-epoch-op",
+     req("fleet-submit", documents=["d"], constraints="p",
+         epochs=[[["d", [{"op": "warp-core"}]]]]),
+     "ServiceError", "unknown stream operation"),
+    ("fleet-submit-missing-epochs",
+     req("fleet-submit", documents=["d"], constraints="p"),
+     "ServiceError", "malformed 'fleet-submit'"),
     # Bindings are a JSON object: a list once raised AttributeError in
     # the decoder and killed the socket connection carrying it.
     ("certified-submit-list-bindings",

@@ -16,8 +16,6 @@ import repro
 
 #: Modules that run on import (the server's command-line entry point).
 SKIP = {"repro.server.__main__"}
-#: Modules that need an optional dependency.
-OPTIONAL = {"repro.masks.np_backend": "numpy"}
 
 MODULES = ["repro"] + [
     info.name
@@ -28,8 +26,6 @@ MODULES = ["repro"] + [
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
-    if name in OPTIONAL:
-        pytest.importorskip(OPTIONAL[name])
     module = importlib.import_module(name)
     stale = [entry for entry in getattr(module, "__all__", ())
              if not hasattr(module, entry)]
