@@ -24,8 +24,10 @@ certificate transferable to the instantiation.  (A :class:`NodeHole`'s
 anchor, by contrast, is a usability precondition — certification never
 relies on it.)
 
-Templates are frozen, hashable, and wire-codable (patterns travel as
-XPath text, holes as tagged dicts), with a canonical form mirroring
+Templates are frozen, hashable, and wire-codable through :mod:`repro.codec`
+(ops tagged by ``"op"``, holes by ``"hole"``, patterns as XPath text,
+bindings as a ``{name: value}`` object; a wrong JSON type is refused,
+never coerced), with a canonical form mirroring
 :func:`repro.xpath.canonical.canonical_pattern` so equal programs compare
 and key equal, plus a seeded instantiation sampler for tests and
 benchmarks.
@@ -33,25 +35,35 @@ benchmarks.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Union
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 
-from repro.errors import CertifyError, TreeError
+from repro import codec
+from repro.errors import CertifyError, TreeError, WireError
 from repro.stream.ops import AddLeaf, Move, RemoveSubtree, UpdateOp
 from repro.trees.tree import DataTree
 from repro.xpath.ast import Axis, Pattern
 from repro.xpath.canonical import canonical_pattern
-from repro.xpath.parser import parse
 
 
 # ----------------------------------------------------------------------
 # Holes
 # ----------------------------------------------------------------------
+class _Hole(codec.Wire):
+    """The holes' wire union: ``{"hole": kind, ...fields}``."""
+
+    tag = "hole"
+
+
 @dataclass(frozen=True)
-class LabelHole:
+class LabelHole(_Hole):
     """A label position filled from a finite ``domain`` of labels."""
+
+    kind = "label"
 
     name: str
     domain: frozenset[str]
@@ -68,7 +80,7 @@ class LabelHole:
 
 
 @dataclass(frozen=True)
-class NodeHole:
+class NodeHole(_Hole):
     """A node position; ``anchor`` optionally constrains the bound node.
 
     The guard accepts a binding only when the node's root path matches
@@ -77,8 +89,10 @@ class NodeHole:
     cheap structural precondition, never a certification premise).
     """
 
+    kind = "node"
+
     name: str
-    anchor: Pattern | None = None
+    anchor: Pattern | None = field(default=None, metadata=codec.OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -91,7 +105,7 @@ class NodeHole:
 
 
 @dataclass(frozen=True)
-class SubtreeHole:
+class SubtreeHole(_Hole):
     """A subtree position whose labels are promised to lie in ``labels``.
 
     The guard walks the bound subtree and rejects any node labelled
@@ -99,6 +113,8 @@ class SubtreeHole:
     discharge moves and removes by label-disjointness, so it is a
     **soundness-bearing** check, not advice.
     """
+
+    kind = "subtree"
 
     name: str
     labels: frozenset[str]
@@ -131,9 +147,17 @@ Bindings = Mapping[str, Binding]
 # ----------------------------------------------------------------------
 # Template operations
 # ----------------------------------------------------------------------
+class _TemplateOp(codec.Wire):
+    """The template ops' wire union: ``{"op": kind, ...positions}``."""
+
+    tag, noun = "op", "template op"
+
+
 @dataclass(frozen=True)
-class TemplateAdd:
+class TemplateAdd(_TemplateOp):
     """``AddLeaf(parent, label)`` with holes allowed in both positions."""
+
+    kind = "add-leaf"
 
     parent: NodeRef
     label: LabelRef
@@ -143,8 +167,10 @@ class TemplateAdd:
 
 
 @dataclass(frozen=True)
-class TemplateMove:
+class TemplateMove(_TemplateOp):
     """``Move(node, new_parent)`` with holes allowed in both positions."""
+
+    kind = "move"
 
     node: SubtreeRef
     new_parent: NodeRef
@@ -154,8 +180,10 @@ class TemplateMove:
 
 
 @dataclass(frozen=True)
-class TemplateRemove:
+class TemplateRemove(_TemplateOp):
     """``RemoveSubtree(node)`` with a hole allowed in the position."""
+
+    kind = "remove-subtree"
 
     node: SubtreeRef
 
@@ -170,20 +198,10 @@ def _show_ref(ref: NodeRef | SubtreeRef | LabelRef) -> str:
     return f"#{ref}" if isinstance(ref, int) else str(ref)
 
 
-def _iter_op_holes(op: TemplateOp) -> Iterator[Hole]:
-    if isinstance(op, TemplateAdd):
-        if isinstance(op.parent, NodeHole):
-            yield op.parent
-        if isinstance(op.label, LabelHole):
-            yield op.label
-    elif isinstance(op, TemplateMove):
-        if isinstance(op.node, (NodeHole, SubtreeHole)):
-            yield op.node
-        if isinstance(op.new_parent, NodeHole):
-            yield op.new_parent
-    else:
-        if isinstance(op.node, (NodeHole, SubtreeHole)):
-            yield op.node
+def _iter_op_holes(op: TemplateOp) -> list[Hole]:
+    """The op's holes, in field order."""
+    return [value for value in op.__dict__.values()
+            if isinstance(value, (LabelHole, NodeHole, SubtreeHole))]
 
 
 # ----------------------------------------------------------------------
@@ -242,9 +260,10 @@ class UpdateTemplate:
         return UpdateTemplate(self.name, ops)
 
     def canonical_key(self) -> tuple[Any, ...]:
-        """A hashable structural identity (name + canonical op shapes)."""
-        return (self.name,
-                tuple(_key_of_op(op) for op in self.canonical().ops))
+        """A hashable structural identity: the name and the canonical
+        template's wire form."""
+        return (self.name, json.dumps(self.canonical().to_dict()["ops"],
+                                      sort_keys=True))
 
     # ------------------------------------------------------------------
     # Instantiation and the guard
@@ -358,18 +377,17 @@ class UpdateTemplate:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe wire form (patterns as XPath text, holes tagged)."""
-        return {"name": self.name,
-                "ops": [_op_to_dict(op) for op in self.ops]}
+        data: dict[str, Any] = codec.derive(UpdateTemplate)[0](self)
+        return data
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "UpdateTemplate":
+    def from_dict(cls, data: Any) -> "UpdateTemplate":
+        """Decode :meth:`to_dict`; a malformed form is a CertifyError."""
         try:
-            name = data["name"]
-            ops = tuple(_op_from_dict(d) for d in data["ops"])
-        except (KeyError, TypeError) as exc:
-            raise CertifyError(
-                f"bad template wire form {data!r}: {exc}") from None
-        return cls(str(name), ops)
+            template: UpdateTemplate = codec.derive(UpdateTemplate)[1](data)
+        except WireError as exc:
+            raise CertifyError(f"bad template wire form: {exc}") from None
+        return template
 
     def __str__(self) -> str:
         body = "; ".join(str(op) for op in self.ops)
@@ -377,41 +395,11 @@ class UpdateTemplate:
 
 
 def _canonical_op(op: TemplateOp) -> TemplateOp:
-    if isinstance(op, TemplateAdd):
-        return TemplateAdd(_canonical_ref(op.parent), op.label)
-    if isinstance(op, TemplateMove):
-        return TemplateMove(_canonical_ref(op.node),
-                            _canonical_ref(op.new_parent))
-    return TemplateRemove(_canonical_ref(op.node))
-
-
-def _canonical_ref(ref: SubtreeRef) -> SubtreeRef:
-    if isinstance(ref, NodeHole) and ref.anchor is not None:
-        canon = canonical_pattern(ref.anchor)
-        if canon != ref.anchor:
-            return NodeHole(ref.name, canon)
-    return ref
-
-
-def _key_of_ref(ref: SubtreeRef | LabelRef) -> tuple[Any, ...]:
-    if isinstance(ref, int):
-        return ("node", ref)
-    if isinstance(ref, str):
-        return ("label", ref)
-    if isinstance(ref, LabelHole):
-        return ("label-hole", ref.name, tuple(sorted(ref.domain)))
-    if isinstance(ref, SubtreeHole):
-        return ("subtree-hole", ref.name, tuple(sorted(ref.labels)))
-    anchor = None if ref.anchor is None else str(ref.anchor)
-    return ("node-hole", ref.name, anchor)
-
-
-def _key_of_op(op: TemplateOp) -> tuple[Any, ...]:
-    if isinstance(op, TemplateAdd):
-        return ("add-leaf", _key_of_ref(op.parent), _key_of_ref(op.label))
-    if isinstance(op, TemplateMove):
-        return ("move", _key_of_ref(op.node), _key_of_ref(op.new_parent))
-    return ("remove-subtree", _key_of_ref(op.node))
+    """The op with every node-hole anchor in canonical form."""
+    return dataclasses.replace(op, **{
+        name: NodeHole(ref.name, canonical_pattern(ref.anchor))
+        for name, ref in vars(op).items()
+        if isinstance(ref, NodeHole) and ref.anchor is not None})
 
 
 def _node_value(ref: SubtreeRef, bindings: Bindings) -> int:
@@ -472,118 +460,21 @@ def _spine_matches(pattern: Pattern, path: tuple[str, ...]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Wire helpers (ops and holes as tagged dicts)
+# Bindings on the wire: a ``{name: value}`` JSON object
 # ----------------------------------------------------------------------
-def _ref_to_wire(ref: SubtreeRef | LabelRef) -> Any:
-    if isinstance(ref, (int, str)):
-        return ref
-    if isinstance(ref, LabelHole):
-        return {"hole": "label", "name": ref.name,
-                "domain": sorted(ref.domain)}
-    if isinstance(ref, SubtreeHole):
-        return {"hole": "subtree", "name": ref.name,
-                "labels": sorted(ref.labels)}
-    data: dict[str, Any] = {"hole": "node", "name": ref.name}
-    if ref.anchor is not None:
-        data["anchor"] = str(ref.anchor)
-    return data
+bindings_to_wire, _decode_bindings = codec.derive(dict[str, Binding],
+                                                  "bindings")
 
 
-def _node_ref_from_wire(data: Any) -> NodeRef:
-    ref = _ref_from_wire(data)
-    if isinstance(ref, int) or isinstance(ref, NodeHole):
-        return ref
-    raise CertifyError(f"expected a node position, got {data!r}")
-
-
-def _subtree_ref_from_wire(data: Any) -> SubtreeRef:
-    ref = _ref_from_wire(data)
-    if isinstance(ref, (int, NodeHole, SubtreeHole)):
-        return ref
-    raise CertifyError(f"expected a subtree position, got {data!r}")
-
-
-def _label_ref_from_wire(data: Any) -> LabelRef:
-    ref = _ref_from_wire(data)
-    if isinstance(ref, (str, LabelHole)):
-        return ref
-    raise CertifyError(f"expected a label position, got {data!r}")
-
-
-def _ref_from_wire(data: Any) -> SubtreeRef | LabelRef:
-    if isinstance(data, bool):
-        raise CertifyError(f"bad template position {data!r}")
-    if isinstance(data, int):
-        return data
-    if isinstance(data, str):
-        return data
-    if not isinstance(data, Mapping):
-        raise CertifyError(f"bad template position {data!r}")
-    kind = data.get("hole")
-    try:
-        if kind == "label":
-            return LabelHole(str(data["name"]),
-                             frozenset(str(s) for s in data["domain"]))
-        if kind == "subtree":
-            return SubtreeHole(str(data["name"]),
-                               frozenset(str(s) for s in data["labels"]))
-        if kind == "node":
-            anchor = data.get("anchor")
-            return NodeHole(str(data["name"]),
-                            None if anchor is None else parse(str(anchor)))
-    except (KeyError, TypeError) as exc:
-        raise CertifyError(f"bad hole wire form {data!r}: {exc}") from None
-    raise CertifyError(f"unknown hole kind {kind!r} in {data!r}")
-
-
-def _op_to_dict(op: TemplateOp) -> dict[str, Any]:
-    if isinstance(op, TemplateAdd):
-        return {"op": "add-leaf", "parent": _ref_to_wire(op.parent),
-                "label": _ref_to_wire(op.label)}
-    if isinstance(op, TemplateMove):
-        return {"op": "move", "node": _ref_to_wire(op.node),
-                "new_parent": _ref_to_wire(op.new_parent)}
-    return {"op": "remove-subtree", "node": _ref_to_wire(op.node)}
-
-
-def _op_from_dict(data: Mapping[str, Any]) -> TemplateOp:
-    tag = data.get("op")
-    try:
-        if tag == "add-leaf":
-            return TemplateAdd(_node_ref_from_wire(data["parent"]),
-                               _label_ref_from_wire(data["label"]))
-        if tag == "move":
-            return TemplateMove(_subtree_ref_from_wire(data["node"]),
-                                _node_ref_from_wire(data["new_parent"]))
-        if tag == "remove-subtree":
-            return TemplateRemove(_subtree_ref_from_wire(data["node"]))
-    except KeyError as exc:
-        raise CertifyError(
-            f"bad template op wire form {data!r}: missing {exc}") from None
-    raise CertifyError(f"unknown template op tag {tag!r}")
-
-
-# ----------------------------------------------------------------------
-# Bindings on the wire
-# ----------------------------------------------------------------------
-def bindings_to_wire(bindings: Bindings) -> dict[str, Binding]:
-    """A binding as a plain ``{name: value}`` JSON object."""
-    return {str(name): value for name, value in sorted(bindings.items())}
-
-
-def bindings_from_wire(data: Mapping[str, Any]) -> dict[str, Binding]:
+def bindings_from_wire(data: Any) -> dict[str, Binding]:
     """Decode :func:`bindings_to_wire`; anything but a JSON object of node
     ids and labels is a :class:`~repro.errors.CertifyError`."""
-    if not isinstance(data, Mapping):
-        raise CertifyError(f"bindings must be a JSON object of hole "
-                           f"values, got {data!r}")
-    out: dict[str, Binding] = {}
-    for name, value in data.items():
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise CertifyError(f"binding {name!r} carries {value!r}; hole "
-                               "values are node ids or labels")
-        out[str(name)] = value
-    return out
+    try:
+        bindings: dict[str, Binding] = _decode_bindings(data)
+    except WireError as exc:
+        raise CertifyError(f"bindings must map hole names to node ids or "
+                           f"labels: {exc}") from None
+    return bindings
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,11 @@ class NotConcreteError(FragmentError):
     that, following the paper's presentation, assumes concrete paths."""
 
 
+class WireError(ReproError, ValueError):
+    """Raised when a wire value does not decode under its declared type
+    (:mod:`repro.codec`); the service answers a malformed request."""
+
+
 class StreamError(ReproError):
     """Raised on protocol misuse of the online enforcement stream
     (:mod:`repro.stream`): nested ``begin``, ``commit``/``rollback``

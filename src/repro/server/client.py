@@ -65,6 +65,7 @@ class ReproClient:
         self._lock = asyncio.Lock()  # request frames must not interleave
         self._reader_task: asyncio.Task | None = None
         self._closed = False
+        self._stopped: BaseException | None = None  # why the reader ended
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ReproClient":
@@ -86,8 +87,8 @@ class ReproClient:
         return client
 
     async def _read_responses(self) -> None:
-        """Resolve pending futures as response envelopes arrive."""
-        error: BaseException | None = None
+        """Resolve pending futures as response envelopes arrive; a frame
+        that does not decode fails only its own request."""
         try:
             while True:
                 frame = await read_frame(self._reader)
@@ -95,16 +96,21 @@ class ReproClient:
                     error = ServerError("the server closed the connection")
                     break
                 future = self._pending.pop(frame.get("id"), None)
-                if future is not None and not future.done():
+                if future is None or future.done():
+                    continue
+                try:
                     future.set_result(response_from_dict(frame["body"]))
+                except Exception as err:
+                    future.set_exception(ServerError(
+                        f"the response does not decode: {err}"))
         except asyncio.CancelledError:
             error = ServerError("the client is closed")
         except Exception as err:
             error = err
+        self._stopped = error
         for future in self._pending.values():
             if not future.done():
-                future.set_exception(error if error is not None
-                                     else ServerError("connection lost"))
+                future.set_exception(error)
         self._pending.clear()
 
     # ------------------------------------------------------------------
@@ -130,6 +136,8 @@ class ReproClient:
         """
         if self._closed:
             raise ServerError("the client is closed")
+        if self._stopped is not None:
+            raise ServerError(f"the connection is gone: {self._stopped}")
         envelope_id = self._next_id
         self._next_id += 1
         if trace is None:

@@ -124,7 +124,7 @@ async def read_frame(reader: StreamReader) -> dict[str, Any] | None:
         raise ServerError("frame fails its CRC: stream desynchronised")
     try:
         data = json.loads(payload)
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:  # too deep to decode
         raise ServerError(f"frame is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise ServerError(f"frame payload must be a JSON object, "

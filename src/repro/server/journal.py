@@ -47,19 +47,25 @@ from pathlib import Path
 from time import perf_counter
 from typing import BinaryIO, Iterable
 
+from repro import codec
 from repro.certify.templates import (
     UpdateTemplate,
     bindings_from_wire,
     bindings_to_wire,
 )
+from repro.constraints.model import UpdateConstraint
 from repro.errors import JournalError, ServiceError
 from repro.obs import MetricsRegistry, registry as _obs_registry, span
 from repro.server.framing import encode_record, scan_records
-from repro.service.protocol import constraint_from_wire, constraint_to_wire
 from repro.stream.engine import StreamEnforcer
-from repro.stream.ops import AddLeaf, StreamOp, op_from_dict, op_to_dict
+from repro.stream.ops import AddLeaf, StreamOp
 from repro.trees import serialize
 from repro.trees.tree import DataTree
+
+#: Record payloads travel through the wire codec.
+_constraints_out, _constraints_in = codec.derive(
+    tuple[UpdateConstraint, ...], "constraints")
+_ops_out, _ops_in = codec.derive(tuple[StreamOp, ...], "ops")
 
 _SETS = "sets.journal"
 _DOCS = "docs"
@@ -208,7 +214,7 @@ class ServerJournal:
                                replace: bool) -> None:
         self._append(self.sets_journal_path, {
             "kind": "constraints", "name": name,
-            "constraints": [constraint_to_wire(c) for c in constraints],
+            "constraints": _constraints_out(constraints),
             "replace": bool(replace),
         })
 
@@ -318,8 +324,7 @@ class ServerJournal:
         if not ops:
             return
         self._append(self.doc_journal_path(doc), {
-            "kind": "submit", "set": set_name,
-            "ops": [op_to_dict(op) for op in ops],
+            "kind": "submit", "set": set_name, "ops": _ops_out(ops),
         })
         count = self._since_checkpoint.get(doc, 0) + 1
         self._since_checkpoint[doc] = count
@@ -342,8 +347,7 @@ class ServerJournal:
         self._append(self.doc_journal_path(doc), {
             "kind": "certified", "set": set_name,
             "template": template_name,
-            "bindings": bindings_to_wire(bindings),
-            "ops": [op_to_dict(op) for op in ops],
+            "bindings": bindings_to_wire(bindings), "ops": _ops_out(ops),
         })
         count = self._since_checkpoint.get(doc, 0) + 1
         self._since_checkpoint[doc] = count
@@ -502,7 +506,7 @@ class ServerJournal:
         if kind == "constraints":
             store.add_constraints(
                 data["name"],
-                [constraint_from_wire(pair) for pair in data["constraints"]],
+                _constraints_in(data["constraints"]),
                 replace=bool(data.get("replace")) or
                 data["name"] in store.constraint_sets())
             if data["name"] not in report.constraint_sets:
@@ -530,37 +534,22 @@ class ServerJournal:
                     f"journaled template {data['name']!r} (lsn "
                     f"{data['lsn']}) failed re-certification against set "
                     f"{data['set']!r} during recovery")
-        elif kind == "submit":
+        elif kind in ("submit", "certified"):
             name = data["doc"]
-            ops = tuple(op_from_dict(d) for d in data["ops"])
+            what = "submission" if kind == "submit" else "certified submission"
             try:
+                ops = _ops_in(data["ops"])
                 enforcer = store.stream(name, data["set"])
-                decisions = enforcer.replay(ops)
+                if kind == "submit":
+                    decisions = enforcer.replay(ops)
+                else:
+                    template, _ = store.template(data["template"], data["set"])
+                    decisions = enforcer.apply_certified(
+                        template, bindings_from_wire(data["bindings"]), ops=ops)
             except Exception as err:
                 raise JournalError(
-                    f"replay of journaled submission (lsn {data['lsn']}) "
-                    f"for document {name!r} failed: {err}") from err
-            report.decisions_replayed += len(decisions)
-            counter = self._next_id.get(name, 1)
-            for op in ops:
-                if isinstance(op, AddLeaf) and op.nid is not None:
-                    counter = max(counter, op.nid + 1)
-            self._next_id[name] = counter
-            self._since_checkpoint[name] = (
-                self._since_checkpoint.get(name, 0) + 1)
-        elif kind == "certified":
-            name = data["doc"]
-            ops = tuple(op_from_dict(d) for d in data["ops"])
-            try:
-                template, _ = store.template(data["template"], data["set"])
-                enforcer = store.stream(name, data["set"])
-                decisions = enforcer.apply_certified(
-                    template, bindings_from_wire(data["bindings"]), ops=ops)
-            except Exception as err:
-                raise JournalError(
-                    f"replay of journaled certified submission (lsn "
-                    f"{data['lsn']}) for document {name!r} failed: "
-                    f"{err}") from err
+                    f"replay of journaled {what} (lsn {data['lsn']}) for "
+                    f"document {name!r} failed: {err}") from err
             report.decisions_replayed += len(decisions)
             counter = self._next_id.get(name, 1)
             for op in ops:

@@ -3,21 +3,16 @@
 Every interaction with a :class:`~repro.service.service.ConstraintService`
 — registering documents and compiled constraint sets, implication and
 instance-based queries, update-stream enforcement — is one
-:class:`Request` answered by one :class:`Response`.  Both sides are frozen
-dataclasses holding *live* objects (patterns, trees, ops), with a
-JSON-safe dict form via ``to_dict`` / ``from_dict``:
-
-* constraint ranges travel as their XPath text (``str(pattern)`` parses
-  back to an equal canonical form);
-* documents travel in the nested-dict interchange form of
-  :mod:`repro.trees.serialize` (node identifiers preserved);
-* update logs travel through :func:`repro.stream.ops.op_to_dict`.
-
-The dict forms are stable across processes — ``request_from_dict(
-request.to_dict())`` rebuilds an equivalent request anywhere (the socket
-server and the durable journal rely on this), and
-:func:`response_checksum` folds a response's wire form into one integer so
-two serving paths' answer streams can be compared wholesale.
+:class:`Request` answered by one :class:`Response`: frozen dataclasses
+holding *live* objects (patterns, trees, ops) whose JSON form
+(``to_dict`` / ``from_dict`` / ``to_json``) :mod:`repro.codec` derives
+from the field annotations, tagged by ``"request"`` or ``"response"``.
+A value of the wrong JSON type is refused, never coerced:
+:func:`request_from_dict` raises :class:`~repro.errors.ServiceError`
+``malformed {kind!r} request: …`` naming the field.  The dict forms are
+stable across processes (the socket server and the durable journal rely
+on this), and :func:`response_checksum` folds a response's wire form into
+one integer so two serving paths' answer streams compare wholesale.
 """
 
 from __future__ import annotations
@@ -25,22 +20,17 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, TypeVar
 
-from repro.certify.templates import (
-    UpdateTemplate,
-    bindings_from_wire,
-    bindings_to_wire,
-)
-from repro.constraints.model import ConstraintType, UpdateConstraint
+from repro.certify.templates import UpdateTemplate
+from repro.codec import AS_OBJECT, OMIT_DEFAULT, Count, Wire
+from repro.constraints.model import UpdateConstraint
 from repro.constraints.validity import Violation
-from repro.errors import CertifyError, ServiceError
+from repro.errors import CertifyError, ServiceError, WireError
 from repro.implication.result import ImplicationResult
 from repro.stream.log import Decision
-from repro.stream.ops import StreamOp, op_from_dict, op_to_dict
-from repro.trees import serialize
+from repro.stream.ops import StreamOp
 from repro.trees.tree import DataTree
-from repro.xpath.parser import parse
 
 #: Version of the request/response wire protocol.  The socket front end
 #: (:mod:`repro.server`) sends it in its hello frame and rejects clients
@@ -50,62 +40,12 @@ PROTOCOL_VERSION = 1
 
 
 # ----------------------------------------------------------------------
-# Constraint wire form
-# ----------------------------------------------------------------------
-def constraint_to_wire(constraint: UpdateConstraint) -> list:
-    """``(q, σ)`` as ``[xpath_text, type_value]``."""
-    return [str(constraint.range), constraint.type.value]
-
-
-def constraint_from_wire(pair) -> UpdateConstraint:
-    try:
-        text, kind = pair
-        return UpdateConstraint(parse(text), ConstraintType(kind))
-    except (TypeError, ValueError) as exc:
-        raise ServiceError(f"bad constraint wire form {pair!r}: {exc}") from None
-
-
-# ----------------------------------------------------------------------
-# Typed scalar fields (a bad value is refused, never coerced)
-# ----------------------------------------------------------------------
-def _name(value: Any, field_name: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{field_name!r} must be a string, got {value!r}")
-    return value
-
-
-def _flag(data: dict, field_name: str) -> bool:
-    value = data.get(field_name, False)
-    if not isinstance(value, bool):
-        raise ValueError(f"{field_name!r} must be a boolean, got {value!r}")
-    return value
-
-
-def _count(data: dict, field_name: str, default: int) -> int:
-    value = data.get(field_name, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{field_name!r} must be a non-negative int, "
-                         f"got {value!r}")
-    return value
-
-
-# ----------------------------------------------------------------------
 # Requests
 # ----------------------------------------------------------------------
-class Request:
-    """Base of the request union; concrete kinds register themselves."""
+class Request(Wire):
+    """Base of the request union: every subclass is one ``kind``."""
 
-    kind = ""
-
-    def to_dict(self) -> dict:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Request":  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+    tag = "request"
 
 
 @dataclass(frozen=True)
@@ -118,18 +58,6 @@ class RegisterConstraints(Request):
     constraints: tuple[UpdateConstraint, ...]
     replace: bool = False
 
-    def to_dict(self) -> dict:
-        return {"request": self.kind, "name": self.name,
-                "constraints": [constraint_to_wire(c) for c in self.constraints],
-                "replace": self.replace}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegisterConstraints":
-        return cls(name=_name(data["name"], "name"),
-                   constraints=tuple(constraint_from_wire(pair)
-                                     for pair in data["constraints"]),
-                   replace=_flag(data, "replace"))
-
 
 @dataclass(frozen=True)
 class RegisterDocument(Request):
@@ -140,16 +68,6 @@ class RegisterDocument(Request):
     name: str
     tree: DataTree
     replace: bool = False
-
-    def to_dict(self) -> dict:
-        return {"request": self.kind, "name": self.name,
-                "tree": serialize.to_dict(self.tree), "replace": self.replace}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegisterDocument":
-        return cls(name=_name(data["name"], "name"),
-                   tree=serialize.from_dict(data["tree"]),
-                   replace=_flag(data, "replace"))
 
 
 @dataclass(frozen=True)
@@ -163,20 +81,6 @@ class ImplicationQuery(Request):
     fail_fast: bool = False
     require_decision: bool = False
 
-    def to_dict(self) -> dict:
-        return {"request": self.kind, "constraints": self.constraints,
-                "conclusions": [constraint_to_wire(c) for c in self.conclusions],
-                "fail_fast": self.fail_fast,
-                "require_decision": self.require_decision}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ImplicationQuery":
-        return cls(constraints=_name(data["constraints"], "constraints"),
-                   conclusions=tuple(constraint_from_wire(pair)
-                                     for pair in data["conclusions"]),
-                   fail_fast=_flag(data, "fail_fast"),
-                   require_decision=_flag(data, "require_decision"))
-
 
 @dataclass(frozen=True)
 class InstanceQuery(Request):
@@ -189,28 +93,8 @@ class InstanceQuery(Request):
     conclusions: tuple[UpdateConstraint, ...]
     fail_fast: bool = False
     require_decision: bool = False
-    max_moves: int = 2
-    search_budget: int = 5000
-
-    def to_dict(self) -> dict:
-        return {"request": self.kind, "constraints": self.constraints,
-                "document": self.document,
-                "conclusions": [constraint_to_wire(c) for c in self.conclusions],
-                "fail_fast": self.fail_fast,
-                "require_decision": self.require_decision,
-                "max_moves": self.max_moves,
-                "search_budget": self.search_budget}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InstanceQuery":
-        return cls(constraints=_name(data["constraints"], "constraints"),
-                   document=_name(data["document"], "document"),
-                   conclusions=tuple(constraint_from_wire(pair)
-                                     for pair in data["conclusions"]),
-                   fail_fast=_flag(data, "fail_fast"),
-                   require_decision=_flag(data, "require_decision"),
-                   max_moves=_count(data, "max_moves", 2),
-                   search_budget=_count(data, "search_budget", 5000))
+    max_moves: Count = 2
+    search_budget: Count = 5000
 
 
 @dataclass(frozen=True)
@@ -227,17 +111,6 @@ class StreamSubmit(Request):
     document: str
     constraints: str
     ops: tuple[StreamOp, ...]
-
-    def to_dict(self) -> dict:
-        return {"request": self.kind, "document": self.document,
-                "constraints": self.constraints,
-                "ops": [op_to_dict(op) for op in self.ops]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamSubmit":
-        return cls(document=_name(data["document"], "document"),
-                   constraints=_name(data["constraints"], "constraints"),
-                   ops=tuple(op_from_dict(d) for d in data["ops"]))
 
 
 @dataclass(frozen=True)
@@ -261,32 +134,18 @@ class RegisterTemplate(Request):
     constraints: str
     replace: bool = False
 
-    def to_dict(self) -> dict:
-        return {"request": self.kind, "name": self.name,
-                "template": self.template.to_dict(),
-                "constraints": self.constraints, "replace": self.replace}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegisterTemplate":
-        try:
-            template = UpdateTemplate.from_dict(data["template"])
-        except CertifyError as exc:
-            raise ValueError(str(exc)) from None
-        return cls(name=_name(data["name"], "name"), template=template,
-                   constraints=_name(data["constraints"], "constraints"),
-                   replace=_flag(data, "replace"))
-
 
 @dataclass(frozen=True)
 class CertifiedSubmit(Request):
     """Run one certified-template instantiation on the hot path.
 
     ``template`` names a template previously registered (and certified)
-    against ``constraints``; ``bindings`` fills its holes.  The server
-    validates only the template guard, applies the whole bracket with no
-    per-op checking, journals it for recovery, and answers with the
-    bracket's :class:`StreamDecisions` — bit-identical to submitting the
-    instantiated ops through :class:`StreamSubmit`.
+    against ``constraints``; ``bindings`` fills its holes (a JSON object
+    on the wire).  The server validates only the template guard, applies
+    the whole bracket with no per-op checking, journals it for recovery,
+    and answers with the bracket's :class:`StreamDecisions` —
+    bit-identical to submitting the instantiated ops through
+    :class:`StreamSubmit`.
     """
 
     kind = "certified-submit"
@@ -294,23 +153,7 @@ class CertifiedSubmit(Request):
     document: str
     constraints: str
     template: str
-    bindings: tuple[tuple[str, int | str], ...]
-
-    def to_dict(self) -> dict:
-        return {"request": self.kind, "document": self.document,
-                "constraints": self.constraints, "template": self.template,
-                "bindings": bindings_to_wire(dict(self.bindings))}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CertifiedSubmit":
-        try:
-            bindings = bindings_from_wire(data["bindings"])
-        except CertifyError as exc:
-            raise ValueError(str(exc)) from None
-        return cls(document=_name(data["document"], "document"),
-                   constraints=_name(data["constraints"], "constraints"),
-                   template=_name(data["template"], "template"),
-                   bindings=tuple(sorted(bindings.items())))
+    bindings: tuple[tuple[str, int | str], ...] = field(metadata=AS_OBJECT)
 
 
 @dataclass(frozen=True)
@@ -337,29 +180,6 @@ class FleetSubmit(Request):
     constraints: str
     epochs: tuple[tuple[tuple[str, tuple[StreamOp, ...]], ...], ...]
 
-    def to_dict(self) -> dict:
-        return {"request": self.kind, "documents": list(self.documents),
-                "constraints": self.constraints,
-                "epochs": [[[doc, [op_to_dict(op) for op in ops]]
-                            for doc, ops in epoch]
-                           for epoch in self.epochs]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetSubmit":
-        documents = data["documents"]
-        if not isinstance(documents, list):
-            # A string would otherwise decode as one document per char.
-            raise ValueError(f"'documents' must be a list of names, got "
-                             f"{documents!r}")
-        return cls(
-            documents=tuple(_name(doc, "documents") for doc in documents),
-            constraints=_name(data["constraints"], "constraints"),
-            epochs=tuple(
-                tuple((_name(doc, "epochs"),
-                       tuple(op_from_dict(d) for d in ops))
-                      for doc, ops in epoch)
-                for epoch in data["epochs"]))
-
 
 @dataclass(frozen=True)
 class StreamStatus(Request):
@@ -381,13 +201,6 @@ class StreamStatus(Request):
 
     document: str
 
-    def to_dict(self) -> dict:
-        return {"request": self.kind, "document": self.document}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamStatus":
-        return cls(document=_name(data["document"], "document"))
-
 
 @dataclass(frozen=True)
 class MetricsRequest(Request):
@@ -402,41 +215,10 @@ class MetricsRequest(Request):
 
     kind = "metrics"
 
-    def to_dict(self) -> dict:
-        return {"request": self.kind}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsRequest":
-        return cls()
-
-
-_REQUEST_KINDS: dict[str, type[Request]] = {
-    cls.kind: cls
-    for cls in (RegisterConstraints, RegisterDocument, RegisterTemplate,
-                ImplicationQuery, InstanceQuery, StreamSubmit, StreamStatus,
-                CertifiedSubmit, FleetSubmit, MetricsRequest)
-}
-
-
-def request_from_dict(data: dict) -> Request:
+def request_from_dict(data: Any) -> Request:
     """Rebuild any request from its wire dict (inverse of ``to_dict``)."""
-    try:
-        kind = data["request"]
-    except (TypeError, KeyError):
-        raise ServiceError(f"malformed request payload {data!r}: "
-                           "missing 'request' kind") from None
-    cls = _REQUEST_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ServiceError(f"unknown request kind {kind!r}; expected one of "
-                           f"{sorted(_REQUEST_KINDS)}")
-    try:
-        return cls.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers payloads that are shaped right but carry bad
-        # values (an op dict with an unknown kind, a non-integer id): a
-        # malformed frame must surface as ServiceError -> ErrorResponse,
-        # never as a raw exception out of ``handle``.
-        raise ServiceError(f"malformed {kind!r} request: {exc}") from None
+    return _decode(data, "request", _REQUEST_KINDS)
 
 
 def request_from_json(payload: str) -> Request:
@@ -446,21 +228,11 @@ def request_from_json(payload: str) -> Request:
 # ----------------------------------------------------------------------
 # Responses
 # ----------------------------------------------------------------------
-class Response:
-    """Base of the response union."""
+class Response(Wire):
+    """Base of the response union: every subclass is one ``kind``."""
 
-    kind = ""
+    tag = "response"
     ok = True
-
-    def to_dict(self) -> dict:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Response":  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -480,25 +252,12 @@ class Ack(Response):
     registered: str
     name: str
     size: int
-    stats: tuple[tuple[str, int], ...] = ()
-
-    def to_dict(self) -> dict:
-        data = {"response": self.kind, "registered": self.registered,
-                "name": self.name, "size": self.size}
-        if self.stats:
-            data["stats"] = [list(pair) for pair in self.stats]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Ack":
-        return cls(registered=data["registered"], name=data["name"],
-                   size=int(data["size"]),
-                   stats=tuple((str(k), int(v))
-                               for k, v in data.get("stats", ())))
+    stats: tuple[tuple[str, int], ...] = field(default=(),
+                                               metadata=OMIT_DEFAULT)
 
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(Wire):
     """One conclusion's answer, flattened for the wire.
 
     ``refuted`` marks a NOT_IMPLIED answer that carries a counterexample
@@ -521,16 +280,6 @@ class Verdict:
                        reason=result.reason,
                        refuted=result.counterexample is not None)
 
-    def to_dict(self) -> dict:
-        return {"answer": self.answer, "engine": self.engine,
-                "reason": self.reason, "refuted": self.refuted}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Verdict":
-        return cls(answer=data["answer"], engine=data["engine"],
-                   reason=data.get("reason", ""),
-                   refuted=bool(data.get("refuted", False)))
-
 
 @dataclass(frozen=True)
 class QueryAnswers(Response):
@@ -544,20 +293,9 @@ class QueryAnswers(Response):
     def answers(self) -> tuple[str | None, ...]:
         return tuple(v.answer if v is not None else None for v in self.verdicts)
 
-    def to_dict(self) -> dict:
-        return {"response": self.kind,
-                "verdicts": [v.to_dict() if v is not None else None
-                             for v in self.verdicts]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "QueryAnswers":
-        return cls(verdicts=tuple(
-            Verdict.from_dict(v) if v is not None else None
-            for v in data["verdicts"]))
-
 
 @dataclass(frozen=True)
-class WireViolation:
+class WireViolation(Wire):
     """A :class:`~repro.constraints.validity.Violation` as sorted id/label
     pairs (deterministic across processes — sets have no wire order)."""
 
@@ -572,20 +310,9 @@ class WireViolation:
             removed=tuple(sorted((n.nid, n.label) for n in violation.removed)),
             inserted=tuple(sorted((n.nid, n.label) for n in violation.inserted)))
 
-    def to_dict(self) -> dict:
-        return {"constraint": constraint_to_wire(self.constraint),
-                "removed": [list(pair) for pair in self.removed],
-                "inserted": [list(pair) for pair in self.inserted]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WireViolation":
-        return cls(constraint=constraint_from_wire(data["constraint"]),
-                   removed=tuple((int(n), lab) for n, lab in data["removed"]),
-                   inserted=tuple((int(n), lab) for n, lab in data["inserted"]))
-
 
 @dataclass(frozen=True)
-class WireDecision:
+class WireDecision(Wire):
     """One enforcement decision, flattened for the wire.
 
     ``independent`` mirrors the engine's zero-work-fast-path witness
@@ -601,7 +328,7 @@ class WireDecision:
     txn: int | None = None
     note: str = ""
     violations: tuple[WireViolation, ...] = ()
-    independent: bool = False
+    independent: bool = field(default=False, metadata=OMIT_DEFAULT)
 
     @staticmethod
     def of(decision: Decision) -> "WireDecision":
@@ -610,25 +337,6 @@ class WireDecision:
             pending=decision.pending, txn=decision.txn, note=decision.note,
             violations=tuple(WireViolation.of(v) for v in decision.violations),
             independent=decision.independent)
-
-    def to_dict(self) -> dict:
-        data = {"seq": self.seq, "op": op_to_dict(self.op),
-                "accepted": self.accepted, "pending": self.pending,
-                "txn": self.txn, "note": self.note,
-                "violations": [v.to_dict() for v in self.violations]}
-        if self.independent:
-            data["independent"] = True
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WireDecision":
-        return cls(seq=int(data["seq"]), op=op_from_dict(data["op"]),
-                   accepted=bool(data["accepted"]),
-                   pending=bool(data.get("pending", False)),
-                   txn=data.get("txn"), note=data.get("note", ""),
-                   violations=tuple(WireViolation.from_dict(v)
-                                    for v in data.get("violations", ())),
-                   independent=bool(data.get("independent", False)))
 
 
 @dataclass(frozen=True)
@@ -652,18 +360,9 @@ class StreamDecisions(Response):
         """Decisions taken on the analyzer's zero-work fast path."""
         return sum(1 for d in self.decisions if d.independent)
 
-    def to_dict(self) -> dict:
-        return {"response": self.kind,
-                "decisions": [d.to_dict() for d in self.decisions]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StreamDecisions":
-        return cls(decisions=tuple(WireDecision.from_dict(d)
-                                   for d in data["decisions"]))
-
 
 @dataclass(frozen=True)
-class WireEpoch:
+class WireEpoch(Wire):
     """One fleet epoch's outcome, flattened for the wire.
 
     Documents travel by name, name-sorted wherever sets would otherwise
@@ -674,35 +373,15 @@ class WireEpoch:
     epoch: int
     edited: tuple[str, ...]
     rejected: tuple[str, ...]
-    structural: tuple[tuple[str, str], ...] = ()
-    violations: tuple[tuple[str, tuple[WireViolation, ...]], ...] = ()
+    structural: tuple[tuple[str, str], ...] = field(default=(),
+                                                    metadata=OMIT_DEFAULT)
+    violations: tuple[tuple[str, tuple[WireViolation, ...]], ...] = field(
+        default=(), metadata=OMIT_DEFAULT)
 
     @property
     def accepted(self) -> tuple[str, ...]:
         bad = set(self.rejected)
         return tuple(doc for doc in self.edited if doc not in bad)
-
-    def to_dict(self) -> dict:
-        data = {"epoch": self.epoch, "edited": list(self.edited),
-                "rejected": list(self.rejected)}
-        if self.structural:
-            data["structural"] = [list(pair) for pair in self.structural]
-        if self.violations:
-            data["violations"] = [
-                [doc, [v.to_dict() for v in vs]] for doc, vs in self.violations]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WireEpoch":
-        return cls(
-            epoch=int(data["epoch"]),
-            edited=tuple(data["edited"]),
-            rejected=tuple(data["rejected"]),
-            structural=tuple((doc, note)
-                             for doc, note in data.get("structural", ())),
-            violations=tuple(
-                (doc, tuple(WireViolation.from_dict(v) for v in vs))
-                for doc, vs in data.get("violations", ())))
 
 
 @dataclass(frozen=True)
@@ -729,18 +408,6 @@ class FleetDecisions(Response):
     def rejected_count(self) -> int:
         return sum(len(e.rejected) for e in self.epochs)
 
-    def to_dict(self) -> dict:
-        return {"response": self.kind, "docs": self.docs,
-                "epochs": [e.to_dict() for e in self.epochs],
-                "checksum": self.checksum}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetDecisions":
-        return cls(docs=int(data["docs"]),
-                   epochs=tuple(WireEpoch.from_dict(e)
-                                for e in data["epochs"]),
-                   checksum=int(data["checksum"]))
-
 
 @dataclass(frozen=True)
 class MetricsSnapshot(Response):
@@ -759,8 +426,10 @@ class MetricsSnapshot(Response):
     kind = "metrics-snapshot"
 
     metrics: dict[str, Any]
-    streams: tuple[tuple[str, tuple[tuple[str, int], ...]], ...] = ()
-    fleets: tuple[tuple[str, tuple[tuple[str, Any], ...]], ...] = ()
+    streams: tuple[tuple[str, tuple[tuple[str, int], ...]], ...] = field(
+        default=(), metadata=OMIT_DEFAULT | AS_OBJECT)
+    fleets: tuple[tuple[str, tuple[tuple[str, Any], ...]], ...] = field(
+        default=(), metadata=OMIT_DEFAULT | AS_OBJECT)
 
     @property
     def counters(self) -> dict[str, float]:
@@ -771,7 +440,7 @@ class MetricsSnapshot(Response):
         return dict(self.metrics.get("gauges", {}))
 
     @property
-    def histograms(self) -> dict[str, dict]:
+    def histograms(self) -> dict[str, dict[str, Any]]:
         return dict(self.metrics.get("histograms", {}))
 
     def histogram_count(self, name: str) -> int:
@@ -783,29 +452,6 @@ class MetricsSnapshot(Response):
         return {k: v for doc, pairs in self.streams if doc == document
                 for k, v in pairs}
 
-    def to_dict(self) -> dict:
-        data: dict[str, Any] = {"response": self.kind,
-                                "metrics": self.metrics}
-        if self.streams:
-            data["streams"] = {doc: {k: v for k, v in pairs}
-                               for doc, pairs in self.streams}
-        if self.fleets:
-            data["fleets"] = {key: {k: v for k, v in pairs}
-                              for key, pairs in self.fleets}
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsSnapshot":
-        return cls(
-            metrics=dict(data["metrics"]),
-            streams=tuple(sorted(
-                (doc, tuple(sorted((str(k), int(v))
-                                   for k, v in pairs.items())))
-                for doc, pairs in data.get("streams", {}).items())),
-            fleets=tuple(sorted(
-                (key, tuple(sorted(pairs.items())))
-                for key, pairs in data.get("fleets", {}).items())))
-
 
 @dataclass(frozen=True)
 class ErrorResponse(Response):
@@ -816,43 +462,13 @@ class ErrorResponse(Response):
 
     error: str
     message: str
-    details: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        data = {"response": self.kind, "error": self.error,
-                "message": self.message}
-        if self.details:
-            data["details"] = dict(self.details)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ErrorResponse":
-        return cls(error=data["error"], message=data["message"],
-                   details=dict(data.get("details", {})))
+    details: dict[str, Any] = field(default_factory=dict,
+                                    metadata=OMIT_DEFAULT)
 
 
-_RESPONSE_KINDS: dict[str, type[Response]] = {
-    cls.kind: cls
-    for cls in (Ack, QueryAnswers, StreamDecisions, FleetDecisions,
-                MetricsSnapshot, ErrorResponse)
-}
-
-
-def response_from_dict(data: dict) -> Response:
+def response_from_dict(data: Any) -> Response:
     """Rebuild any response from its wire dict (inverse of ``to_dict``)."""
-    try:
-        kind = data["response"]
-    except (TypeError, KeyError):
-        raise ServiceError(f"malformed response payload {data!r}: "
-                           "missing 'response' kind") from None
-    cls = _RESPONSE_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ServiceError(f"unknown response kind {kind!r}; expected one of "
-                           f"{sorted(_RESPONSE_KINDS)}")
-    try:
-        return cls.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ServiceError(f"malformed {kind!r} response: {exc}") from None
+    return _decode(data, "response", _RESPONSE_KINDS)
 
 
 def response_from_json(payload: str) -> Response:
@@ -869,6 +485,32 @@ def response_checksum(response: Response) -> int:
     return zlib.crc32(response.to_json().encode())
 
 
+_W = TypeVar("_W", bound=Wire)
+
+
+def _decode(data: Any, key: str, kinds: dict[str, type[_W]]) -> _W:
+    """The envelope named by ``data[key]``; every failure a ServiceError."""
+    try:
+        kind = data[key]
+    except (TypeError, KeyError, IndexError):
+        raise ServiceError(f"malformed {key} payload {data!r}: "
+                           f"missing {key!r} kind") from None
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ServiceError(f"unknown {key} kind {kind!r}; expected one of "
+                           f"{sorted(kinds)}")
+    try:
+        return cls.from_dict(data)
+    except (WireError, CertifyError, RecursionError) as exc:
+        # A template refusing its own declaration is malformed too; other
+        # constructors' errors keep their kind (ParseError, TreeError).
+        raise ServiceError(f"malformed {kind!r} {key}: {exc}") from None
+
+
+_REQUEST_KINDS = {cls.kind: cls for cls in Request.__subclasses__()}
+_RESPONSE_KINDS = {cls.kind: cls for cls in Response.__subclasses__()}
+
+
 __all__ = [
     "PROTOCOL_VERSION",
     "Request", "RegisterConstraints", "RegisterDocument",
@@ -880,5 +522,4 @@ __all__ = [
     "WireEpoch", "FleetDecisions", "MetricsSnapshot",
     "request_from_dict", "request_from_json",
     "response_from_dict", "response_from_json", "response_checksum",
-    "constraint_to_wire", "constraint_from_wire",
 ]

@@ -84,7 +84,7 @@ class ConstraintService:
         """The byte-boundary twin: JSON text in, JSON text out."""
         try:
             data = json.loads(payload)
-        except ValueError as err:
+        except (ValueError, RecursionError) as err:  # too deep to decode
             return ErrorResponse(error="ParseError",
                                  message=f"bad JSON: {err}").to_json()
         return json.dumps(self.handle_dict(data), sort_keys=True)

@@ -12,7 +12,10 @@ sequence of these operations interleaved with transaction markers:
   each one is its own transaction.
 
 All operations are frozen dataclasses — hashable, picklable and printable
-in the audit trail's one-line form.
+in the audit trail's one-line form.  Their JSON form comes from
+:mod:`repro.codec`: node ids are ints (never booleans), labels and names
+strings, an unset ``nid``/``name`` stays off the wire, and a key naming no
+field is refused.
 
 :func:`perform` and :func:`undo` are the enforcement stream's one edit
 journal (per-op, bracketed and certified writes alike): an edit applied
@@ -23,17 +26,24 @@ replays newest-first to restore the pre-edit document.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Union
 
+from repro import codec
 from repro.errors import StreamError, TreeError
 
 if TYPE_CHECKING:  # annotations only: the op model stays import-light
     from repro.xpath.bitset import BitsetEvaluator
 
 
+class _Op(codec.Wire):
+    """The stream ops' wire union: ``{"op": kind, ...fields}``."""
+
+    tag, noun, closed = "op", "stream operation", True
+
+
 @dataclass(frozen=True)
-class AddLeaf:
+class AddLeaf(_Op):
     """Insert a fresh leaf labelled ``label`` under ``parent``.
 
     ``nid`` pins the new node's identifier; logs meant to be replayed
@@ -41,9 +51,11 @@ class AddLeaf:
     it, so the same log produces the same instance on every replay.
     """
 
+    kind = "add-leaf"
+
     parent: int
     label: str
-    nid: int | None = None
+    nid: int | None = field(default=None, metadata=codec.OMIT_DEFAULT)
 
     def __str__(self) -> str:
         pin = f" as #{self.nid}" if self.nid is not None else ""
@@ -51,8 +63,10 @@ class AddLeaf:
 
 
 @dataclass(frozen=True)
-class Move:
+class Move(_Op):
     """Re-attach the subtree at ``nid`` under ``new_parent`` (ids kept)."""
+
+    kind = "move"
 
     nid: int
     new_parent: int
@@ -62,8 +76,10 @@ class Move:
 
 
 @dataclass(frozen=True)
-class RemoveSubtree:
+class RemoveSubtree(_Op):
     """Delete the whole subtree rooted at ``nid``."""
+
+    kind = "remove-subtree"
 
     nid: int
 
@@ -72,28 +88,34 @@ class RemoveSubtree:
 
 
 @dataclass(frozen=True)
-class Begin:
+class Begin(_Op):
     """Open a transaction (flat — nesting is a :class:`~repro.errors.
     StreamError`).  ``name`` labels the bracket in the audit trail."""
 
-    name: str | None = None
+    kind = "begin"
+
+    name: str | None = field(default=None, metadata=codec.OMIT_DEFAULT)
 
     def __str__(self) -> str:
         return f"begin {self.name}" if self.name else "begin"
 
 
 @dataclass(frozen=True)
-class Commit:
+class Commit(_Op):
     """Close the open transaction, keeping its edits iff the cumulative
     document still satisfies the constraint set."""
+
+    kind = "commit"
 
     def __str__(self) -> str:
         return "commit"
 
 
 @dataclass(frozen=True)
-class Rollback:
+class Rollback(_Op):
     """Close the open transaction, undoing all of its edits."""
+
+    kind = "rollback"
 
     def __str__(self) -> str:
         return "rollback"
@@ -165,68 +187,11 @@ def undo(ctx: BitsetEvaluator, journal: Sequence[UndoEntry]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Wire form (the service protocol ships logs as JSON)
+# Wire form: ``op_to_dict(op)`` is ``{"op": kind, ...fields}``; its inverse
+# ``op_from_dict`` refuses (WireError, a ValueError) any op an enforcer or
+# a journal replay could not apply.
 # ----------------------------------------------------------------------
-_OP_TAGS: dict[str, type[StreamOp]] = {
-    "add-leaf": AddLeaf,
-    "move": Move,
-    "remove-subtree": RemoveSubtree,
-    "begin": Begin,
-    "commit": Commit,
-    "rollback": Rollback,
-}
-_TAG_OF: dict[type[StreamOp], str] = {
-    cls: tag for tag, cls in _OP_TAGS.items()}
-
-
-def op_to_dict(op: StreamOp) -> dict[str, Any]:
-    """One operation as a JSON-safe dict (``{"op": tag, ...fields}``)."""
-    try:
-        tag = _TAG_OF[type(op)]
-    except KeyError:
-        raise ValueError(f"unknown stream operation {op!r}") from None
-    data: dict[str, Any] = {"op": tag}
-    for name in type(op).__dataclass_fields__:
-        value = getattr(op, name)
-        if value is not None:
-            data[name] = value
-    return data
-
-
-#: Wire type of every op field: node ids are ints (never bools), labels
-#: and bracket names are strings.  ``None`` is allowed exactly where the
-#: field is optional (``AddLeaf.nid``, ``Begin.name``).
-_FIELD_TYPES: dict[str, type] = {
-    "parent": int, "nid": int, "new_parent": int, "label": str, "name": str}
-_OPTIONAL = {(AddLeaf, "nid"), (Begin, "name")}
-
-
-def op_from_dict(data: dict[str, Any]) -> StreamOp:
-    """Rebuild an operation from its wire dict (inverse of :func:`op_to_dict`).
-
-    Every field is type-checked, so an op that decodes here is one the
-    enforcer — and a journal replay — can apply: a malformed op is refused
-    at the wire, before it can be journaled.
-    """
-    fields = dict(data)
-    tag = fields.pop("op", None)
-    if not isinstance(tag, str) or tag not in _OP_TAGS:
-        raise ValueError(f"unknown stream operation tag {tag!r}")
-    cls = _OP_TAGS[tag]
-    for name, value in fields.items():
-        want = _FIELD_TYPES.get(name)
-        if want is None or name not in cls.__dataclass_fields__:
-            continue  # an unknown field: the constructor names it below
-        if value is None and (cls, name) in _OPTIONAL:
-            continue
-        if not isinstance(value, want) or isinstance(value, bool):
-            raise ValueError(
-                f"bad fields for stream op {tag!r}: {name!r} must be "
-                f"{'an int' if want is int else 'a string'}, got {value!r}")
-    try:
-        return cls(**fields)
-    except TypeError as exc:
-        raise ValueError(f"bad fields for stream op {tag!r}: {exc}") from None
+op_to_dict, op_from_dict = codec.derive(StreamOp, "op")
 
 
 __all__ = [

@@ -3,7 +3,9 @@
 Three interchange forms are supported:
 
 * the compact literal of :mod:`repro.trees.builders` (``to_literal``),
-* nested dictionaries (``to_dict`` / ``from_dict``) for JSON-ish storage,
+* nested dictionaries (``to_dict`` / ``from_dict``), the one tree codec of
+  the wire and the journal (:mod:`repro.codec`); a malformed node is
+  refused, never coerced,
 * a minimal XML rendering (``to_xml``) in which node identifiers are emitted
   as ``id`` attributes — mirroring how the paper encodes identifiers when
   translating to regular key constraints (Example 3.1) and XICs
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import TreeError
+from repro.errors import WireError
 from repro.trees.tree import DataTree
 
 
@@ -42,21 +44,30 @@ def to_dict(tree: DataTree, nid: int | None = None) -> dict[str, Any]:
     }
 
 
-def from_dict(data: dict[str, Any]) -> DataTree:
-    """Rebuild a tree from its nested-dictionary form."""
-    try:
-        tree = DataTree(data["label"], root_id=data["id"])
-    except KeyError as exc:
-        raise TreeError(f"missing key in tree dict: {exc}") from exc
+def from_dict(data: Any) -> DataTree:
+    """Rebuild a tree from its nested-dictionary form: each node an object
+    with an int ``id``, a string ``label`` and a list of ``children``
+    (optional); otherwise a :class:`~repro.errors.WireError`."""
+    label, nid, kids = _node(data)
+    tree = DataTree(label, root_id=nid)
 
-    def attach(parent: int, spec: dict[str, Any]) -> None:
-        nid = tree.add_child(parent, spec["label"], nid=spec["id"])
-        for kid in spec.get("children", ()):
-            attach(nid, kid)
+    def attach(parent: int, kids: list[Any]) -> None:
+        for kid in kids:
+            label, nid, grandkids = _node(kid)
+            attach(tree.add_child(parent, label, nid=nid), grandkids)
 
-    for kid in data.get("children", ()):
-        attach(tree.root, kid)
+    attach(tree.root, kids)
     return tree
+
+
+def _node(spec: Any) -> tuple[str, int, list[Any]]:
+    """One node's ``(label, id, children)``, type-checked."""
+    if spec.__class__ is dict:
+        nid, label, kids = spec.get("id"), spec.get("label"), spec.get("children", [])
+        if nid.__class__ is int and label.__class__ is str and kids.__class__ is list:
+            return label, nid, kids
+    raise WireError(f"a tree node needs an int 'id', a string 'label' and a "
+                    f"list of 'children', got {spec!r:.80}")
 
 
 def to_xml(tree: DataTree, nid: int | None = None, indent: int = 0) -> str:

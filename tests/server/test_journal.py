@@ -341,3 +341,22 @@ class TestPowerLossModel:
         journal.simulate_power_loss()
         doc, _ = scan_records(journal.doc_journal_path("ward").read_bytes())
         assert [r["kind"] for r in doc] == ["document", "submit"]
+
+
+def test_refused_list_label_registration_leaves_the_journal_untouched(
+        tmp_path):
+    """A list label was once acknowledged and journaled, poisoning every
+    later query on the document, also after a restart."""
+    svc, journal, _ = durable_service(tmp_path, fsync=False)
+    svc.handle(RegisterConstraints("p", tuple(POLICY)))
+    svc.handle(RegisterDocument("ward", ward_doc()))
+    before = {path: path.read_bytes()
+              for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+    reply = json.loads(svc.handle_json(json.dumps({
+        "request": "register-document", "name": "ward", "replace": True,
+        "tree": {"id": 1, "label": ["x"], "children": []}})))
+    assert reply["error"] == "ServiceError"
+    after = {path: path.read_bytes()
+             for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+    assert after == before
+    journal.close()

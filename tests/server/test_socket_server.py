@@ -16,14 +16,19 @@ from __future__ import annotations
 
 import asyncio
 import json
+import zlib
+
+import pytest
 
 from repro.certify import LabelHole, NodeHole, TemplateAdd, UpdateTemplate
 from repro.constraints import constraint_set
+from repro.errors import ServerError
 from repro.server import ReproClient, ReproServer
-from repro.server.framing import encode_record, read_frame, write_frame
+from repro.server.framing import HEADER, encode_record, read_frame, write_frame
 from repro.service.async_service import AsyncService
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    Ack,
     ErrorResponse,
     ImplicationQuery,
     StreamStatus,
@@ -303,6 +308,76 @@ class TestWireRobustness:
         assert ack.to_dict()["registered"] == "constraints"
         key = "server.internal_errors_total"
         assert after.counters.get(key, 0) == before.counters.get(key, 0) + 1
+
+
+    def test_deeply_nested_frame_is_answered_before_the_drop(self):
+        """A CRC-valid frame nested 5,000 deep once raised RecursionError
+        out of the connection handler: no error frame, a silent drop."""
+        async def run():
+            async with ReproServer() as server:
+                host, port = server.address
+                probe = await ReproClient.connect(host, port)
+                before = (await probe.metrics()).counters.get(
+                    "server.frame_errors_total", 0)
+                reader, writer = await dial_raw(server)
+                await write_frame(writer,
+                                  {"hello": {"protocol": PROTOCOL_VERSION}})
+                await read_frame(reader)
+                payload = ('{"id": 1, "body": ' + "[" * 5000 + "]" * 5000
+                           + "}").encode()
+                writer.write(HEADER.pack(len(payload), zlib.crc32(payload))
+                             + payload)
+                writer.write(encode_record({"id": 2, "body": {
+                    "request": "stream-status", "document": "d"}}))
+                await writer.drain()
+                error, eof = await read_frame(reader), await read_frame(reader)
+                writer.close()
+                after = await probe.metrics()
+                ack = await probe.register_constraints("p", tuple(POLICY))
+                await probe.close()
+                return error, eof, before, after, ack
+
+        error, eof, before, after, ack = asyncio.run(run())
+        assert error["body"]["error"] == "ServerError"
+        assert "not valid JSON" in error["body"]["message"]
+        assert eof is None
+        assert after.counters["server.frame_errors_total"] == before + 1
+        assert ack.to_dict()["registered"] == "constraints"
+
+
+class TestClientResponseDecoding:
+    def test_an_undecodable_response_fails_only_its_own_request(self):
+        """A response that does not decode once left its request — and
+        every later one on the client — waiting forever."""
+        async def fake_server(reader, writer):
+            await read_frame(reader)
+            await write_frame(writer, {"hello": {
+                "protocol": PROTOCOL_VERSION, "server": "fake"}})
+            first, second = await read_frame(reader), await read_frame(reader)
+            await write_frame(writer, {"id": first["id"],
+                                       "body": {"response": "ack"}})
+            await write_frame(writer, {"id": second["id"], "body": Ack(
+                "stream", "d", 0).to_dict()})
+            writer.close()
+
+        async def run():
+            server = await asyncio.start_server(fake_server, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            client = await ReproClient.connect(host, port)
+            first = await client.submit(StreamStatus("d"))
+            second = await client.submit(StreamStatus("d"))
+            with pytest.raises(ServerError, match="does not decode"):
+                await asyncio.wait_for(first, timeout=2)
+            ack = await asyncio.wait_for(second, timeout=2)
+            await asyncio.wait_for(client._reader_task, timeout=2)
+            with pytest.raises(ServerError, match="connection is gone"):
+                await client.submit(StreamStatus("d"))
+            await client.close()
+            server.close()
+            await server.wait_closed()
+            return ack
+
+        assert asyncio.run(run()) == Ack("stream", "d", 0)
 
 
 class TestCertifiedClientCalls:

@@ -32,6 +32,12 @@ TEMPLATE = {"name": "t", "ops": [{"op": "add-leaf", "label": "visit",
                                   "parent": {"hole": "node", "name": "p"}}]}
 
 
+#: A register-document whose tree nests 900 levels deep.
+DEEP_TREE = ('{"request": "register-document", "name": "d", "tree": '
+             + '{"id": 1, "label": "a", "children": [' * 900
+             + '{"id": 0, "label": "a"}' + ']}' * 900 + '}')
+
+
 def req(kind: str, **fields) -> str:
     return json.dumps({"request": kind, **fields})
 
@@ -186,6 +192,69 @@ BAD_PAYLOADS = [
      "ServiceError", "'search_budget' must be a non-negative int"),
     ("search-budget-negative", instance(search_budget=-1),
      "ServiceError", "'search_budget' must be a non-negative int"),
+    # Nesting deeper than the JSON decoder's stack is bad JSON, not a
+    # RecursionError out of handle_json.
+    ("deeply-nested-tree", DEEP_TREE, "ParseError", "bad JSON"),
+    # Template ops are objects: these once raised AttributeError out of
+    # handle_json (an internal error on the socket).
+    ("template-ops-string",
+     req("register-template", name="t", constraints="p",
+         template={"name": "t", "ops": "ab"}),
+     "ServiceError", "'ops' must be a list"),
+    ("template-op-int",
+     req("register-template", name="t", constraints="p",
+         template={"name": "t", "ops": [5]}),
+     "ServiceError", "'ops' must be a template op object"),
+    ("template-op-int-tag",
+     req("register-template", name="t", constraints="p",
+         template={"name": "t", "ops": [{"op": 1}]}),
+     "ServiceError", "unknown template op 1"),
+    # Tree nodes have int ids and string labels: a list label was once
+    # acknowledged and journaled, and every later query on the document
+    # raised TypeError.
+    ("tree-list-label",
+     req("register-document", name="d",
+         tree={"id": 1, "label": ["x"], "children": []}),
+     "ServiceError", "'tree': a tree node needs"),
+    ("tree-bool-id",
+     req("register-document", name="d",
+         tree={"id": True, "label": "r", "children": []}),
+     "ServiceError", "'tree': a tree node needs"),
+    ("tree-float-id",
+     req("register-document", name="d",
+         tree={"id": 1, "label": "r",
+               "children": [{"id": 2.5, "label": "a"}]}),
+     "ServiceError", "'tree': a tree node needs"),
+    ("tree-int-label",
+     req("register-document", name="d",
+         tree={"id": 1, "label": "r", "children": [{"id": 2, "label": 5}]}),
+     "ServiceError", "'tree': a tree node needs"),
+    # Template declarations are refused, never coerced into another one.
+    ("template-int-name",
+     req("register-template", name="t", constraints="p",
+         template={**TEMPLATE, "name": 7}),
+     "ServiceError", "'name' must be a string, got 7"),
+    ("template-list-hole-name",
+     req("register-template", name="t", constraints="p",
+         template={"name": "t", "ops": [{
+             "op": "add-leaf", "parent": 1,
+             "label": {"hole": "label", "name": ["x"], "domain": ["a"]}}]}),
+     "ServiceError", "'name' must be a string, got ['x']"),
+    ("template-string-domain",
+     req("register-template", name="t", constraints="p",
+         template={"name": "t", "ops": [{
+             "op": "add-leaf", "parent": 1,
+             "label": {"hole": "label", "name": "l", "domain": "abc"}}]}),
+     "ServiceError", "'domain' must be a list of names"),
+    ("template-string-subtree-labels",
+     req("register-template", name="t", constraints="p",
+         template={"name": "t", "ops": [{
+             "op": "remove-subtree",
+             "node": {"hole": "subtree", "name": "s", "labels": "ab"}}]}),
+     "ServiceError", "'labels' must be a list of names"),
+    ("register-constraints-object-constraints",
+     req("register-constraints", name="p", constraints={}),
+     "ServiceError", "'constraints' must be a list"),
 ]
 
 
@@ -251,6 +320,14 @@ class TestDictBoundary:
                         {"response": "decisions"}, 7):
             with pytest.raises(ReproError):
                 response_from_dict(payload)
+
+    def test_response_flags_are_booleans(self):
+        """``"accepted": "false"`` once decoded as an accepted decision."""
+        from repro.errors import ServiceError
+        decision = {"seq": 0, "op": {"op": "commit"}, "accepted": "false"}
+        with pytest.raises(ServiceError, match="'accepted' must be a boolean"):
+            response_from_dict({"response": "decisions",
+                                "decisions": [decision]})
 
     def test_error_response_round_trips(self):
         err = ErrorResponse(error="ServiceError", message="boom",

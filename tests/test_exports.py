@@ -30,3 +30,18 @@ def test_every_exported_name_resolves(name):
     stale = [entry for entry in getattr(module, "__all__", ())
              if not hasattr(module, entry)]
     assert stale == [], f"{name}.__all__ names undefined {stale}"
+
+
+def test_the_codec_sits_below_the_layers_that_use_it():
+    """``repro.stream.ops`` imports the codec, so the codec may import
+    nothing from the stream, certify, service or server layers."""
+    import ast
+    import repro.codec as codec
+
+    tree = ast.parse(open(codec.__file__, encoding="utf-8").read())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module}
+    above = ("repro.stream", "repro.certify", "repro.service", "repro.server")
+    assert not [m for m in imported if m.startswith(above)], imported
+    assert set(codec.__all__) == {"Wire", "Count", "OMIT_DEFAULT",
+                                  "AS_OBJECT", "Codec", "derive"}
