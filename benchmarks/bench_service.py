@@ -12,7 +12,7 @@ identically:
 * **async** — a single client pipelining an update log through
   :class:`~repro.service.async_service.AsyncService` (one awaitable
   decision per op) vs direct :meth:`StreamEnforcer.apply` calls on the
-  same log.  The façade adds one queue hop and one future per op; the
+  same log.  The façade adds one future per op; the
   tracked ``speedup`` (async/direct) is gated — the ROADMAP target is
   single-client throughput within ~10% of direct calls.
 * **service** — wire-level dispatch overhead: repeated implication

@@ -3,8 +3,8 @@
 A hospital fleet behind one :class:`~repro.service.service.
 ConstraintService`: two ward documents and one policy are registered
 once, an update log is enforced through the ``asyncio`` front end with
-awaitable per-op decisions (per-document ordering, cross-document
-interleaving), and a batched implication query answers schema-evolution
+awaitable per-op decisions (served in submission order, across both
+wards), and a batched implication query answers schema-evolution
 questions against the same compiled constraint set — all through the
 JSON-serialisable request protocol a network front end would speak.
 
@@ -49,7 +49,7 @@ async def main() -> None:
         await svc.register_document("ward-a", ward_a())
         await svc.register_document("ward-b", ward_b())
 
-        # -- async enforcement: pipelined, per-document ordered ---------
+        # -- async enforcement: pipelined, served in submission order ---
         log_a = [
             AddLeaf(102, "prescription", nid=110),   # fine: append-only grows
             RemoveSubtree(103),                      # rejected: prescription

@@ -32,7 +32,7 @@ Fleets of documents live behind the multi-document service:
 ``ConstraintService`` registers named documents and named compiled
 constraint sets once and answers a JSON-serialisable request protocol
 (implication, instance queries, enforcement), synchronously or through
-the ``AsyncService`` asyncio front end with per-document ordering.  A
+the ``AsyncService`` asyncio front end in submission order.  A
 ``fleet-submit`` request writes many documents under one shared policy
 in *epochs*: each member's share of an epoch runs as one transaction
 bracket on that member's own enforcement stream, journaled like any

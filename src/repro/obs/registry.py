@@ -93,7 +93,7 @@ class Counter:
 
 
 class Gauge:
-    """A level that can move both ways (inflight requests, queue depth)."""
+    """A level that can move both ways (inflight requests, say)."""
 
     kind = "gauge"
     __slots__ = ("name", "labels", "_lock", "_value")

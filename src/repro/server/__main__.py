@@ -37,8 +37,10 @@ def _parser() -> argparse.ArgumentParser:
                         help="snapshot a stream every N submissions "
                              "(default 256)")
     parser.add_argument("--timeout", type=float, default=30.0,
-                        help="per-request timeout in seconds "
-                             "(0 = unbounded)")
+                        help="seconds to wait for a response still pending "
+                             "(0 = unbounded); requests are served in "
+                             "submission order as they are decoded, so "
+                             "only work a service defers ever waits")
     parser.add_argument("--max-inflight", type=int, default=256,
                         help="refuse requests beyond this many in flight")
     parser.add_argument("--metrics-interval", type=float, default=0,

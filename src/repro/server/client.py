@@ -5,8 +5,8 @@ handshake frame, then ``{"id": n, "body": ...}`` envelopes with
 client-chosen ids.  A background reader task resolves pending futures as
 response frames arrive, so a client can pipeline requests (submit many,
 ``await asyncio.gather``) and still match every response to its request
-even when the server answers out of order (different documents
-interleave; same-document order is preserved server-side).
+by id.  The server runs requests in submission order; only a ``metrics``
+request is answered ahead of the requests sent before it.
 
 >>> import asyncio
 >>> from repro import DataTree
@@ -62,7 +62,6 @@ class ReproClient:
         self._writer = writer
         self._next_id = 1
         self._pending: dict[int, asyncio.Future] = {}
-        self._lock = asyncio.Lock()  # request frames must not interleave
         self._reader_task: asyncio.Task | None = None
         self._closed = False
         self._stopped: BaseException | None = None  # why the reader ended
@@ -95,9 +94,11 @@ class ReproClient:
                 if frame is None:
                     error = ServerError("the server closed the connection")
                     break
-                future = self._pending.pop(frame.get("id"), None)
+                envelope_id = frame.get("id")
+                future = (self._pending.pop(envelope_id, None)
+                          if isinstance(envelope_id, int) else None)
                 if future is None or future.done():
-                    continue
+                    continue  # not an id of ours: nothing waits for it
                 try:
                     future.set_result(response_from_dict(frame["body"]))
                 except Exception as err:
@@ -146,11 +147,11 @@ class ReproClient:
             asyncio.get_running_loop().create_future())
         self._pending[envelope_id] = future
         try:
-            async with self._lock:
-                await write_frame(self._writer,
-                                  {"id": envelope_id,
-                                   "body": request.to_dict(),
-                                   "trace": trace})
+            # write() queues the whole frame at once, so concurrent
+            # submits never interleave bytes; their drains may overlap.
+            await write_frame(self._writer, {"id": envelope_id,
+                                             "body": request.to_dict(),
+                                             "trace": trace})
         except (ConnectionError, RuntimeError) as err:
             self._pending.pop(envelope_id, None)
             raise ServerError(f"the connection is gone: {err}") from None
@@ -207,7 +208,7 @@ class ReproClient:
         """The server's live introspection snapshot.
 
         Served inline by the server — before its backpressure gate and
-        without touching the per-document queues — so it answers even
+        ahead of the requests still waiting to run — so it answers even
         while the server is overloaded or draining.
         """
         return await self.request(MetricsRequest())

@@ -10,17 +10,20 @@ mismatch is answered and the connection closed), then carries envelopes::
     {"id": 7, "body": {"response": "decisions", ...}}
 
 Envelope ids are chosen by the client and echoed back, so a client may
-pipeline requests and match responses out of order — the server preserves
-the per-document ordering of :class:`~repro.service.async_service.
-AsyncService` (same-document requests resolve in submission order) while
-different documents interleave freely.
+pipeline requests and match responses by id.  Requests run in submission
+order — the order the server decodes their frames — through
+:class:`~repro.service.async_service.AsyncService`, which serves each
+one as it is submitted; only the ``metrics`` request is answered ahead
+of requests decoded before it.
 
 Robustness contract, pinned by ``tests/server``:
 
-* **per-request timeout** — a request that does not complete within
-  ``request_timeout`` is answered with a typed
+* **per-request timeout** — a request whose response is still pending
+  after ``request_timeout`` is answered with a typed
   :class:`~repro.service.protocol.ErrorResponse` (the work itself is
-  shielded, not cancelled: a mutating submission must never be torn);
+  shielded, not cancelled: a mutating submission must never be torn).
+  The stock service resolves every request as it is submitted, so only
+  a service that defers its work ever waits;
 * **bounded backpressure** — at most ``max_inflight`` requests execute
   at once; excess requests are refused immediately with an
   ``ErrorResponse`` rather than queued without bound;
@@ -30,8 +33,8 @@ Robustness contract, pinned by ``tests/server``:
   ``ErrorResponse`` (``details={"internal": True}``), logged and counted
   in ``server.internal_errors_total``;
 * **graceful shutdown** — :meth:`close` stops accepting, lets every
-  in-flight request finish (draining the per-document queues), flushes
-  the journal and only then closes the transports; :meth:`abort` is the
+  in-flight request finish and write its response, flushes the journal
+  and only then closes the transports; :meth:`abort` is the
   opposite on purpose — it drops everything on the floor, simulating
   ``kill -9`` for the crash-recovery tests;
 * **durability** — with a :class:`~repro.server.journal.ServerJournal`
@@ -177,10 +180,10 @@ class ReproServer:
         """Graceful shutdown: drain in-flight work, flush, then close.
 
         New connections are refused and connection readers stop, but
-        every request already submitted runs to completion (its response
-        is still written when the transport survives), the per-document
-        queues drain, and the journal is flushed and closed — the
-        on-disk state is clean, with no torn tail.
+        every request already decoded runs to completion (its response
+        is still written when the transport survives), and the journal
+        is flushed and closed — the on-disk state is clean, with no torn
+        tail.
         """
         self._closing = True
         server = self._stop_listening()
@@ -219,8 +222,8 @@ class ReproServer:
         self._writers.clear()
         if server is not None:
             await server.wait_closed()
-        # Deliberately neither service.close() (would drain queues) nor
-        # journal.close() (would fsync): the process just "died".
+        # Deliberately no journal.close() (it would fsync): the process
+        # just "died".
         if self._journal is not None:
             self._journal.abandon()
 
@@ -283,7 +286,7 @@ class ReproServer:
                 if body.get("request") == "metrics":
                     # Introspection must stay answerable under load: serve
                     # the snapshot inline, before the backpressure gate and
-                    # without touching the per-document queues.
+                    # ahead of the requests still waiting to be served.
                     with tracing(trace):
                         snapshot = build_metrics_snapshot(
                             self._service.service.store)
@@ -379,14 +382,14 @@ class ReproServer:
             try:
                 with tracing(trace):
                     future = self._service.submit(request)
-                if self.request_timeout is None:
-                    response = await future
-                else:
-                    # shield(): a timed-out mutating request must finish
-                    # server-side (it may already be journaled); only the
-                    # *wait* is bounded, and the client learns it timed out.
-                    response = await asyncio.wait_for(
-                        asyncio.shield(future), self.request_timeout)
+                if not future.done():
+                    # A service that defers its work: shield() it, since a
+                    # timed-out mutating request must finish server-side
+                    # (it may already be journaled); only the *wait* is
+                    # bounded, and the client learns it timed out.
+                    await asyncio.wait_for(asyncio.shield(future),
+                                           self.request_timeout)
+                response = future.result()
             except asyncio.TimeoutError:
                 self._m_timeouts.inc()
                 response = ErrorResponse(

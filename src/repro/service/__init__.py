@@ -25,9 +25,10 @@ response dataclasses, ``to_dict``/``from_dict`` round-trippable),
 :mod:`~repro.service.store` (:class:`DocumentStore`),
 :mod:`~repro.service.executors` (:class:`InlineExecutor`),
 :mod:`~repro.service.async_service`
-(:class:`AsyncService`, the ``asyncio`` front end with per-document
-ordering) and :mod:`~repro.service.dispatch` (the single dispatch layer
-the session API and the legacy free functions also route through).
+(:class:`AsyncService`, the ``asyncio`` front end that serves requests
+in submission order) and :mod:`~repro.service.dispatch` (the single
+dispatch layer the session API and the legacy free functions also route
+through).
 """
 
 from repro.service.async_service import AsyncService

@@ -4,9 +4,9 @@
 into one :class:`~repro.service.protocol.Response` against a
 :class:`~repro.service.store.DocumentStore`, synchronously and
 in-process.  :class:`~repro.service.async_service.AsyncService` is the
-``asyncio`` façade over it that serialises requests per document and
-awaits responses; the Hypothesis equivalence suite pins both to direct
-calls on raw sessions and streams by response checksum.
+``asyncio`` façade over it that serves requests in submission order
+behind awaitable responses; the Hypothesis equivalence suite pins both
+to direct calls on raw sessions and streams by response checksum.
 
 The executor never swallows errors: it raises
 :class:`~repro.errors.ReproError` subclasses and lets

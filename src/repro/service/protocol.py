@@ -209,7 +209,7 @@ class MetricsRequest(Request):
     Answered with a :class:`MetricsSnapshot` of the process-global
     :class:`~repro.obs.MetricsRegistry` plus per-stream counters.  The
     socket server answers it out-of-band — before the backpressure gate
-    and without queueing behind any document worker — so the endpoint
+    and ahead of the requests still waiting to run — so the endpoint
     stays serveable while the service is overloaded or draining.
     """
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import zlib
 
 import pytest
@@ -379,6 +380,39 @@ class TestClientResponseDecoding:
 
         assert asyncio.run(run()) == Ack("stream", "d", 0)
 
+    def test_a_stray_response_id_is_skipped(self):
+        """A list or object id once stopped the reader (unhashable), and
+        every pending request failed with it."""
+        async def fake_server(reader, writer):
+            await read_frame(reader)
+            await write_frame(writer, {"hello": {
+                "protocol": PROTOCOL_VERSION, "server": "fake"}})
+            first, second = await read_frame(reader), await read_frame(reader)
+            for stray in ([first["id"]], {"id": first["id"]}, "1", None,
+                          10**6):
+                await write_frame(writer, {"id": stray, "body": Ack(
+                    "stream", "d", 9).to_dict()})
+            for size, frame in enumerate((first, second), start=1):
+                await write_frame(writer, {"id": frame["id"], "body": Ack(
+                    "stream", "d", size).to_dict()})
+            writer.close()
+
+        async def run():
+            server = await asyncio.start_server(fake_server, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            client = await ReproClient.connect(host, port)
+            futures = [await client.submit(StreamStatus("d"))
+                       for _ in range(2)]
+            replies = await asyncio.wait_for(asyncio.gather(*futures),
+                                             timeout=2)
+            await client.close()
+            server.close()
+            await server.wait_closed()
+            return replies
+
+        assert asyncio.run(run()) == [Ack("stream", "d", 1),
+                                      Ack("stream", "d", 2)]
+
 
 class TestCertifiedClientCalls:
     def test_register_template_then_certified_submit(self):
@@ -498,6 +532,33 @@ class TestOrderingAndShutdown:
                 return [r.decisions[0].seq for r in replies]
 
         assert asyncio.run(run()) == list(range(8))
+
+    def test_concurrent_submitters_share_one_connection(self):
+        """Tasks submitting at once on a transport that keeps pausing:
+        their drains wait together, and no two frames interleave."""
+        def big_doc(notes: int) -> DataTree:
+            doc = fresh_doc()
+            for i in range(notes):
+                doc.add_child(5, f"note{i}", nid=100 + i)
+            return doc
+
+        async def run():
+            async with ReproServer() as server:
+                client = await ReproClient.connect(*server.address)
+                # A small send buffer keeps the transport pausing, so the
+                # submitters' drains are waiting at the same time.
+                writer = client._writer
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                writer.transport.set_write_buffer_limits(high=8192)
+                acks = await asyncio.gather(*(
+                    client.register_document(f"d{k}", big_doc(300))
+                    for k in range(8)))
+                await client.close()
+                return [(a.to_dict()["name"], a.to_dict()["size"])
+                        for a in acks]
+
+        assert asyncio.run(run()) == [(f"d{k}", 303) for k in range(8)]
 
     def test_graceful_close_drains_in_flight_requests(self):
         async def run():

@@ -79,7 +79,7 @@ class TestOrdering:
             async with AsyncService() as svc:
                 await svc.register_constraints("warm", POLICY)
                 await svc.register_document("ward", ward())
-                stride = AsyncService.FAIRNESS_STRIDE
+                stride = 16
                 futures = [svc.submit(ImplicationQuery(
                     "warm", (no_insert("/patient"),)))
                     for _ in range(stride + 4)]
@@ -128,6 +128,23 @@ class TestLifecycleAndErrors:
             with pytest.raises(ServiceError):
                 svc.submit(StreamSubmit("ward", "policy",
                                         (AddLeaf(20, "visit"),)))
+
+        run(main())
+
+    def test_a_handler_bug_is_set_on_the_future(self):
+        from repro import ConstraintService
+        from repro.service import StreamStatus
+
+        class Buggy(ConstraintService):
+            def handle(self, request):
+                raise TypeError("simulated handler bug")
+
+        async def main():
+            async with AsyncService(Buggy()) as svc:
+                future = svc.submit(StreamStatus("ward"))
+                assert future.done()  # served at submission
+                with pytest.raises(TypeError, match="simulated"):
+                    await future
 
         run(main())
 
