@@ -41,7 +41,7 @@ import random
 import sys
 from pathlib import Path
 
-from bench_helpers import compare_reports, timed
+from bench_helpers import compare_reports, timed, timed_interleaved
 from repro.certify import (
     LabelHole,
     NodeHole,
@@ -131,11 +131,11 @@ def bench_certified(tree_size: int, brackets: int, rounds: int) -> dict:
                 out.append(stream.apply(op))
 
     template_ops = sum(len(ops) for _, _, ops in schedule)
-    certified_qps = timed(certified, template_ops, rounds)
-    per_op_qps = timed(lambda: replay(False, per_op_out), template_ops,
-                       max(1, rounds - 1))
-    analyzed_qps = timed(lambda: replay(True, analyzed_out), template_ops,
-                         max(1, rounds - 1))
+    # Round-robin: both gates are ratios between these paths.
+    certified_qps, per_op_qps, analyzed_qps = timed_interleaved(
+        [(certified, template_ops),
+         (lambda: replay(False, per_op_out), template_ops),
+         (lambda: replay(True, analyzed_out), template_ops)], rounds)
     checksum = decision_checksum(certified_out)
     return {
         "tree_size": base.size,
@@ -214,7 +214,7 @@ def main() -> None:
         floor = 3.0
     else:
         certified = bench_certified(tree_size=2_000, brackets=250,
-                                    rounds=3)
+                                    rounds=7)
         certifier = bench_certifier(rounds=3)
         floor = 5.0
 

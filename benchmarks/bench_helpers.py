@@ -65,6 +65,24 @@ def timed(fn, units: int, rounds: int) -> float:
     return units / best
 
 
+def timed_interleaved(paths, rounds: int) -> list[float]:
+    """Best-of-``rounds`` units/sec for each ``(fn, units)`` path, timed
+    round-robin: every round runs each path once, in order.
+
+    Interleaving means clock drift, cache state and CPU frequency shifts
+    hit every path alike — a separate best-of block per path can
+    attribute a machine hiccup entirely to one side, which matters when
+    a gate is a ratio between paths.
+    """
+    best = [float("inf")] * len(paths)
+    for _ in range(rounds):
+        for i, (fn, _) in enumerate(paths):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return [units / t for (_, units), t in zip(paths, best, strict=True)]
+
+
 def run_all(problems, engine) -> int:
     """Drive an engine over a batch; returns a checksum of the verdicts."""
     checksum = 0

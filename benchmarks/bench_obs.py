@@ -27,10 +27,9 @@ from __future__ import annotations
 import json
 import random
 import sys
-import time
 from pathlib import Path
 
-from bench_helpers import compare_reports, timed
+from bench_helpers import compare_reports, timed, timed_interleaved
 from repro.obs import MetricsRegistry, NULL
 from repro.stream import StreamEnforcer, decision_checksum
 from repro.workloads import (
@@ -46,25 +45,6 @@ LABELS = [f"l{i}" for i in range(8)]
 #: The gate: instrumented enforcement must keep ≥95% of disabled-registry
 #: throughput on the bench_stream workload.
 OVERHEAD_LIMIT = 0.05
-
-
-def timed_pair(fn_a, fn_b, units: int, rounds: int) -> tuple[float, float]:
-    """Best-of units/sec for two workloads, interleaved round-by-round.
-
-    Alternating A and B inside one loop means clock drift, cache state
-    and CPU frequency shifts hit both variants alike — a separate
-    best-of per variant can attribute a machine hiccup entirely to one
-    side, which matters when the gate is a 5% delta.
-    """
-    best_a = best_b = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return units / best_a, units / best_b
 
 
 def bench_overhead(tree_size: int, ops: int, rounds: int) -> dict:
@@ -94,7 +74,9 @@ def bench_overhead(tree_size: int, ops: int, rounds: int) -> dict:
         metered_out.extend(stream.submit(log))
         stream_ops["stats"] = stream.stats.ops
 
-    disabled_qps, metered_qps = timed_pair(disabled, metered, len(log), rounds)
+    # Interleaved: the gate is a 5% delta between the two paths.
+    disabled_qps, metered_qps = timed_interleaved(
+        [(disabled, len(log)), (metered, len(log))], rounds)
     disabled_sum = decision_checksum(disabled_out)
     metered_sum = decision_checksum(metered_out)
     overhead = 1.0 - metered_qps / disabled_qps

@@ -15,8 +15,8 @@ identically:
   after each mutation).  Same decisions, same witnesses — the acceptance
   floor is a ≥3x per-op speedup at 2k nodes.
 * **decoder** — the ``int.to_bytes`` batch slot decoder
-  (:func:`repro.xpath.bitset.slots_of` / ``iter_slots``) vs the old
-  big-int bit-kernel loop, extracting every mask of a >10k-node document
+  (:func:`repro.xpath.bitset.slots_of`) vs the old big-int bit-kernel
+  loop, extracting every mask of a >10k-node document
   (ROADMAP follow-up: the bitset ceiling on large documents).
 
 Run:  PYTHONPATH=src python benchmarks/bench_stream.py [output.json]
@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 from bench_helpers import compare_reports, timed
-from repro.constraints.validity import Violation
+from repro.constraints.validity import Violation, range_violation
 from repro.stream import StreamEnforcer, decision_checksum
 from repro.trees.index import TreeIndex
 from repro.trees.tree import DataTree
@@ -82,12 +82,16 @@ class ScratchEnforcer(StreamEnforcer):
 
     Edits go straight to the raw tree (no live snapshot to maintain) and
     every re-check builds a fresh :class:`BitsetEvaluator` — cold masks,
-    full bottom-up recompute.  Decisions must be bit-identical to the
-    incremental engine's; only the work per operation differs.
+    full bottom-up recompute — and diffs each constraint's answer set
+    against the one frozen at open.  Decisions must be bit-identical to
+    the incremental engine's; only the work per operation differs.
     """
 
     def __init__(self, constraints, tree: DataTree) -> None:
         super().__init__(constraints, tree, analysis=False)
+        # q_c(I₀) per constraint position, duplicates kept.
+        self._opening = [(c, self._ctx.evaluate(c.range))
+                         for c in self.constraints]
         self._ctx = RawEdits(tree)  # the journal edits the bare tree
 
     def _check_fresh(self) -> None:  # the initial snapshot is left behind
@@ -97,7 +101,9 @@ class ScratchEnforcer(StreamEnforcer):
         # A full recheck answers any restricted one (``only`` names the
         # constraints that may have changed; the rest are known to hold).
         fresh = BitsetEvaluator.for_tree(self._tree)
-        return tuple(self._checker.violations(self._tree, context=fresh))
+        found = (range_violation(c, before, fresh.evaluate(c.range))
+                 for c, before in self._opening)
+        return tuple(v for v in found if v is not None)
 
 
 def bench_enforcement(tree_size: int, ops: int, rounds: int) -> dict:

@@ -43,8 +43,7 @@ Sub-packages: ``service`` (the multi-document front door), ``api``
 fragment, containment, intersections), ``automata`` (linear-path
 machinery), ``constraints`` (update constraints + validity),
 ``implication`` (Table 1 engines), ``instance`` (Table 2 engines),
-``stream`` (online update-log enforcement), ``masks``
-(big-int slot masks and the delta-maintained baselines), ``reductions``
+``stream`` (online update-log enforcement), ``reductions``
 (hardness constructions), ``keys`` / ``xic`` (the related formalisms of
 Section 3), ``bruteforce`` (ground-truth oracles) and ``workloads``
 (benchmark generators).
@@ -52,7 +51,6 @@ Section 3), ``bruteforce`` (ground-truth oracles) and ``workloads``
 
 from repro.api import BatchReport, BoundReasoner, CacheStats, Reasoner
 from repro.constraints import (
-    BaselineValidity,
     ConstraintSet,
     ConstraintType,
     RelativeConstraint,
@@ -127,7 +125,7 @@ __all__ = [
     "ConstraintType", "UpdateConstraint", "ConstraintSet", "constraint_set",
     "no_remove", "no_insert", "immutable", "relative", "RelativeConstraint",
     "is_valid", "explain_violations", "check_sequence", "Violation",
-    "satisfies_relative", "BaselineValidity",
+    "satisfies_relative",
     # service
     "ConstraintService", "DocumentStore", "AsyncService",
     "InlineExecutor",

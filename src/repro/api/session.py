@@ -269,14 +269,8 @@ class Reasoner:
           as masks, one cached bitset per canonical predicate;
         * ``"naive"`` — no snapshot at all (the legacy wrapper and the
           benchmarks' baseline).
-
-        Routes through :mod:`repro.service.dispatch`, the one dispatch
-        layer shared with the service's document store and the legacy
-        wrappers.
         """
-        from repro.service.dispatch import bind_session
-
-        return bind_session(self, current, engine=engine)
+        return BoundReasoner(self, current, engine=engine)
 
     def implies_on(self, current: DataTree, conclusion: UpdateConstraint,
                    require_decision: bool = False,
@@ -295,14 +289,8 @@ class Reasoner:
         live incremental snapshot, delta-maintained predicate masks) and
         violating operations — or transactions whose commit finds the
         cumulative edit invalid — are rolled back automatically.
-
-        Routes through :mod:`repro.service.dispatch`, the one dispatch
-        layer shared with the service's document store and the legacy
-        wrappers.
         """
-        from repro.service.dispatch import open_enforcer
-
-        return open_enforcer(self._premises, tree)
+        return StreamEnforcer(self._premises, tree)
 
     @property
     def stats(self) -> CacheStats:

@@ -20,7 +20,6 @@ from repro.constraints.relative import (
     satisfies_relative,
 )
 from repro.constraints.validity import (
-    BaselineValidity,
     Violation,
     check_sequence,
     explain_violations,
@@ -43,7 +42,6 @@ __all__ = [
     "Violation",
     "violation_of",
     "range_violation",
-    "BaselineValidity",
     "satisfies",
     "is_valid",
     "explain_violations",

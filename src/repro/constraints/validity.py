@@ -51,9 +51,7 @@ def range_violation(constraint: UpdateConstraint,
                     answers_after: Iterable[Node]) -> Violation | None:
     """Definition 2.3 on *already-evaluated* answer sets.
 
-    The node-set diff shared by :func:`violation_of` (which evaluates both
-    sides) and :class:`BaselineValidity` (which froze the before side once
-    and re-evaluates only the live side per stream operation).
+    The node-set diff of :func:`violation_of`, which evaluates both sides.
     """
     before_set = (answers_before if isinstance(answers_before, (set, frozenset))
                   else set(answers_before))
@@ -113,85 +111,6 @@ def explain_violations(before: DataTree, after: DataTree,
         if violation is not None:
             found.append(violation)
     return found
-
-
-class BaselineValidity:
-    """Violation checking of a live document against a frozen baseline.
-
-    The online-enforcement setting (:mod:`repro.stream`) asks the same
-    question after every operation: does the *cumulative* edit — the pair
-    ``(I₀, J_now)`` of the stream's opening instance and the live document
-    — still satisfy every constraint?  The before side of Definition 2.3
-    never changes, so it is evaluated exactly once here and frozen as
-    ``(id, label)`` node sets; per operation only the live side is
-    re-evaluated (through the caller's snapshot evaluator, whose predicate
-    masks are delta-maintained across the stream's edits) and diffed.
-    """
-
-    __slots__ = ("_constraints", "_baseline")
-
-    def __init__(self, constraints: ConstraintSet | Iterable[UpdateConstraint],
-                 baseline: DataTree, context=None):
-        self._constraints: list[UpdateConstraint] = list(constraints)
-        self._baseline: dict[UpdateConstraint, frozenset[Node]] = {
-            c: frozenset(evaluate(c.range, baseline, context=context))
-            for c in self._constraints
-        }
-
-    @classmethod
-    def from_answers(cls, constraints: ConstraintSet | Iterable[UpdateConstraint],
-                     answers: Sequence[Iterable[Node]]) -> "BaselineValidity":
-        """Rebuild a checker from *already-evaluated* baseline answer sets.
-
-        ``answers`` aligns positionally with ``constraints`` — the shape
-        :meth:`repro.stream.engine.StreamEnforcer.state_dict` captures, so
-        a recovered stream keeps checking against the instance it *opened*
-        on rather than rebasing to the snapshot it restored from (rebasing
-        would silently extend no-remove protection to nodes added since
-        the stream opened).
-        """
-        checker = cls.__new__(cls)
-        checker._constraints = list(constraints)
-        if len(answers) != len(checker._constraints):
-            raise ValueError(
-                f"{len(answers)} baseline answer set(s) for "
-                f"{len(checker._constraints)} constraint(s)")
-        checker._baseline = {
-            c: frozenset(nodes)
-            for c, nodes in zip(checker._constraints, answers, strict=True)
-        }
-        return checker
-
-    @property
-    def constraints(self) -> tuple[UpdateConstraint, ...]:
-        return tuple(self._constraints)
-
-    def baseline_answers(self) -> dict[UpdateConstraint, frozenset[Node]]:
-        """``{c: q_c(I₀)}`` as captured at construction (a shallow copy)."""
-        return dict(self._baseline)
-
-    def violations(self, current: DataTree, context=None) -> list[Violation]:
-        """All witnesses of ``(I₀, current)`` (empty list = still valid)."""
-        found: list[Violation] = []
-        for constraint in self._constraints:
-            answers_now = evaluate(constraint.range, current, context=context)
-            violation = range_violation(constraint, self._baseline[constraint],
-                                        answers_now)
-            if violation is not None:
-                found.append(violation)
-        return found
-
-    def is_valid(self, current: DataTree, context=None) -> bool:
-        """Does ``(I₀, current)`` satisfy every constraint?"""
-        for constraint in self._constraints:
-            answers_now = evaluate(constraint.range, current, context=context)
-            if range_violation(constraint, self._baseline[constraint],
-                               answers_now) is not None:
-                return False
-        return True
-
-    def __repr__(self) -> str:
-        return f"BaselineValidity({len(self._constraints)} constraints)"
 
 
 def check_sequence(instances: Sequence[DataTree],

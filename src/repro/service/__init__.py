@@ -26,9 +26,8 @@ response dataclasses, ``to_dict``/``from_dict`` round-trippable),
 :mod:`~repro.service.executors` (:class:`InlineExecutor`),
 :mod:`~repro.service.async_service`
 (:class:`AsyncService`, the ``asyncio`` front end that serves requests
-in submission order) and :mod:`~repro.service.dispatch` (the single
-dispatch layer the session API and the legacy free functions also route
-through).
+in submission order) and :mod:`~repro.service.dispatch` (the session
+settings the store shares with the legacy free functions).
 """
 
 from repro.service.async_service import AsyncService

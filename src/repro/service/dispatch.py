@@ -1,14 +1,14 @@
-"""The one dispatch layer under every entry point of the system.
+"""How the service and the legacy free functions build their sessions.
 
-Historically the library grew three parallel front doors — the legacy
-free functions, the compiled session API and the enforcement stream.
-Each already funnelled into :class:`~repro.api.session.Reasoner`'s Table 1
-/ Table 2 dispatch; this module makes the funnel explicit: the session
-methods (``Reasoner.bind`` / ``Reasoner.open_stream``), the legacy free
-functions (:func:`repro.implication.general.implies`,
-:func:`repro.instance.general.implies_on`) and the service's document
-store all route through the helpers below, so a change to how sessions
-are built, bound or streamed happens in exactly one place.
+Every question reaches :class:`~repro.api.session.Reasoner`'s Table 1 /
+Table 2 dispatch; the helpers below fix the session settings its callers
+share.  The service's document store (and perfbench's in-process
+harness) pool :func:`compiled_session` sessions and bind them through
+:func:`bind_session`; the legacy free functions
+(:func:`repro.implication.general.implies`,
+:func:`repro.instance.general.implies_on`) answer one query on a
+cache-free :func:`transient_session`.  ``Reasoner.bind`` and
+``Reasoner.open_stream`` call their constructors directly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from collections.abc import Iterable
 from repro.api.session import BoundReasoner, Reasoner
 from repro.constraints.model import ConstraintSet, UpdateConstraint
 from repro.implication.result import ImplicationResult
-from repro.stream.engine import StreamEnforcer
 from repro.trees.index import TreeIndex
 from repro.trees.tree import DataTree
 
@@ -43,12 +42,6 @@ def bind_session(reasoner: Reasoner, current: DataTree, *,
     return BoundReasoner(reasoner, current, engine=engine, snapshot=snapshot)
 
 
-def open_enforcer(constraints: ConstraintSet | Iterable[UpdateConstraint],
-                  tree: DataTree) -> StreamEnforcer:
-    """Open an online enforcement stream (adopts ``tree``)."""
-    return StreamEnforcer(constraints, tree)
-
-
 def one_shot_implies(premises: ConstraintSet | Iterable[UpdateConstraint],
                      conclusion: UpdateConstraint,
                      require_decision: bool = False) -> ImplicationResult:
@@ -70,6 +63,6 @@ def one_shot_implies_on(premises: ConstraintSet | Iterable[UpdateConstraint],
 
 
 __all__ = [
-    "compiled_session", "transient_session", "bind_session", "open_enforcer",
+    "compiled_session", "transient_session", "bind_session",
     "one_shot_implies", "one_shot_implies_on",
 ]

@@ -15,9 +15,11 @@ False
 
 See :mod:`repro.stream.engine` for the enforcement model (one live
 incremental snapshot, delta-maintained predicate masks, transaction
-brackets with undo journals), :mod:`repro.stream.ops` for the operation
-language and its shared edit journal, and :mod:`repro.stream.log` for
-the audit trail and the :func:`decision_checksum` fold.
+brackets with undo journals), :mod:`repro.stream.baseline` for the
+opening baseline frozen as delta-maintained slot masks,
+:mod:`repro.stream.ops` for the operation language and its shared edit
+journal, and :mod:`repro.stream.log` for the audit trail and the
+:func:`decision_checksum` fold.
 """
 
 from repro.stream.engine import StreamEnforcer, StreamStats

@@ -17,7 +17,8 @@ The hot loop never re-snapshots:
   index's :class:`~repro.trees.index.EditDelta` log — per-op re-checking
   costs the edit's footprint (ancestor chains), not the document;
 * the baseline side of every constraint is evaluated exactly once, at
-  open, and frozen (:class:`~repro.constraints.validity.BaselineValidity`);
+  open, and frozen as a delta-maintained slot mask
+  (:class:`~repro.stream.baseline.MaskedBaseline`);
 * the static independence analysis (:mod:`repro.analysis`) narrows each
   re-check to the constraints the op can reach, and skips it outright
   when the op reaches none while nothing is violated.
@@ -47,15 +48,16 @@ if TYPE_CHECKING:  # imported lazily at runtime (see _build_analyzer)
     from repro.analysis.independence import IndependenceAnalyzer
     from repro.certify.templates import Bindings, UpdateTemplate
 
+from repro.codec import Count, derive
 from repro.constraints.model import (
     ConstraintSet,
     UpdateConstraint,
     constraint_set,
 )
-from repro.constraints.validity import BaselineValidity, Violation
-from repro.errors import CertifyError, StreamError, TreeError
-from repro.masks.baseline import MaskedBaseline
+from repro.constraints.validity import Violation
+from repro.errors import CertifyError, StreamError, TreeError, WireError
 from repro.obs import MetricsRegistry, registry as _obs_registry
+from repro.stream.baseline import MaskedBaseline
 from repro.stream.log import AuditTrail, Decision
 from repro.stream.ops import (
     Begin,
@@ -70,6 +72,11 @@ from repro.trees import serialize
 from repro.trees.node import Node
 from repro.trees.tree import DataTree
 from repro.xpath.bitset import BitsetEvaluator
+
+# Checkpoint field decoders: refuse an ill-typed value, never coerce it.
+_analysis_in = derive(bool, "analysis")[1]
+_baseline_in = derive(tuple[tuple[tuple[int, str], ...], ...], "baseline")[1]
+_counters_in = derive(dict[str, Count], "counters")[1]
 
 
 def _build_analyzer(constraints: ConstraintSet, tree_index
@@ -162,7 +169,9 @@ class StreamEnforcer:
         self._constraints = constraints
         self._tree = tree
         self._ctx = BitsetEvaluator.for_tree(tree)
-        self._checker = BaselineValidity(constraints, tree, context=self._ctx)
+        # q_c(I₀), frozen once: per-op checks compare whole answer masks
+        # against it.
+        self._masked = MaskedBaseline(constraints, self._ctx)
         self._metrics = metrics
         self._finish_init(analysis)
 
@@ -180,8 +189,6 @@ class StreamEnforcer:
         self._m_decisions = m.counter("stream.decisions_total")
         self._m_certified = m.counter("stream.certified_ops_total")
         self._m_certified_seconds = m.histogram("certify.certified_seconds")
-        # Per-op checks compare whole answer masks against the baseline.
-        self._masked = MaskedBaseline(self._checker, self._ctx)
         self._analyzer = (_build_analyzer(self._constraints, self._ctx.index)
                           if analysis else None)
         # Violations standing after the last per-op check, exactly what a
@@ -244,7 +251,9 @@ class StreamEnforcer:
 
     def baseline_answers(self) -> dict[UpdateConstraint, frozenset[Node]]:
         """``{c: q_c(I₀)}`` as frozen when the stream opened."""
-        return self._checker.baseline_answers()
+        return {constraint: frozenset(Node(nid, label)
+                                      for nid, label in ledger.items())
+                for constraint, ledger in self._masked.ledgers()}
 
     def violations(self) -> list[Violation]:
         """Current witnesses of ``(I₀, J_now)`` (empty = valid)."""
@@ -407,14 +416,13 @@ class StreamEnforcer:
         if self._journal is not None:
             raise StreamError("cannot checkpoint inside an open "
                               "transaction: commit or roll back first")
-        base = self._checker.baseline_answers()
         return {
             "version": self.STATE_VERSION,
             "engine": "bitset",
             "analysis": self._analyzer is not None,
             "tree": serialize.to_dict(self._tree),
-            "baseline": [sorted([n.nid, n.label] for n in base[c])
-                         for c in self._checker.constraints],
+            "baseline": [sorted(map(list, ledger.items()))
+                         for _, ledger in self._masked.ledgers()],
             "counters": {
                 "entries": len(self._audit),
                 "ops": self._ops,
@@ -438,7 +446,9 @@ class StreamEnforcer:
         and continues sequence numbering where the checkpoint left off
         (the audit trail's compacted prefix counts toward ``len`` but is
         not retained).  Replaying the journal suffix after the checkpoint
-        then reconverges with the uninterrupted stream.
+        then reconverges with the uninterrupted stream.  An ill-typed or
+        mismatched checkpoint is refused with a :class:`StreamError`,
+        never coerced.
         """
         version = state.get("version")
         if version != cls.STATE_VERSION:
@@ -452,30 +462,38 @@ class StreamEnforcer:
         if engine != "bitset":
             raise StreamError(f"unknown evaluation engine {engine!r} in "
                               f"stream checkpoint (expected 'bitset')")
+        try:
+            tree = serialize.from_dict(state.get("tree"))
+            analysis = _analysis_in(state.get("analysis", True))
+            baseline = _baseline_in(state.get("baseline"))
+            counters = _counters_in(state.get("counters"))
+        except WireError as err:
+            raise StreamError(f"malformed stream checkpoint: {err}") from None
+        if len(baseline) != len(constraints):
+            raise StreamError(f"stream checkpoint does not match the "
+                              f"constraint set: {len(baseline)} baseline "
+                              f"answer set(s) for {len(constraints)} "
+                              f"constraint(s)")
         stream = cls.__new__(cls)
         stream._constraints = constraints
-        stream._tree = serialize.from_dict(state["tree"])
-        stream._ctx = BitsetEvaluator.for_tree(stream._tree)
-        answers = [frozenset(Node(int(nid), label) for nid, label in entry)
-                   for entry in state["baseline"]]
-        try:
-            stream._checker = BaselineValidity.from_answers(constraints,
-                                                            answers)
-        except ValueError as err:
-            raise StreamError(f"stream checkpoint does not match the "
-                              f"constraint set: {err}") from None
+        stream._tree = tree
+        stream._ctx = BitsetEvaluator.for_tree(tree)
+        stream._masked = MaskedBaseline(constraints, stream._ctx, baseline)
         stream._metrics = None  # restored streams count into the global
-        stream._finish_init(bool(state.get("analysis", True)))
-        counters = state["counters"]
-        stream._audit.dropped = int(counters["entries"])
-        stream._ops = int(counters["ops"])
-        stream._accepted = int(counters["accepted"])
-        stream._rejected = int(counters["rejected"])
-        stream._txn_count = int(counters["transactions"])
-        stream._committed = int(counters["committed"])
-        stream._rolled_back = int(counters["rolled_back"])
-        stream._independent = int(counters["independent"])
-        stream._certified_ops = int(counters.get("certified", 0))
+        stream._finish_init(analysis)
+        try:
+            stream._audit.dropped = counters["entries"]
+            stream._ops = counters["ops"]
+            stream._accepted = counters["accepted"]
+            stream._rejected = counters["rejected"]
+            stream._txn_count = counters["transactions"]
+            stream._committed = counters["committed"]
+            stream._rolled_back = counters["rolled_back"]
+            stream._independent = counters["independent"]
+        except KeyError as err:
+            raise StreamError(f"stream checkpoint lacks the {err} "
+                              f"counter") from None
+        stream._certified_ops = counters.get("certified", 0)
         return stream
 
     def begin(self, name: str | None = None) -> Decision:
@@ -546,7 +564,7 @@ class StreamEnforcer:
             return reach
         bad = {v.constraint for v in self._standing}
         return set(reach).union(
-            pos for pos, c in enumerate(self._checker.constraints)
+            pos for pos, c in enumerate(self._constraints)
             if c in bad)
 
     # ------------------------------------------------------------------

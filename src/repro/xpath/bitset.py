@@ -38,11 +38,6 @@ from collections.abc import Sequence
 from typing import Callable, Self, cast
 
 from repro.caching import LRUMemo
-# The big-int mask helpers live in repro.masks; they are re-exported here
-# because this module is their historical home and the hot paths below
-# are their heaviest users.
-from repro.masks.bigint import _BIT, _BYTE_SLOTS  # noqa: F401
-from repro.masks.bigint import byte_view, iter_slots, slots_of
 from repro.trees.index import TreeIndex
 from repro.trees.node import Node
 from repro.trees.tree import DataTree
@@ -53,11 +48,9 @@ __all__ = [
     "CANON_MEMO_SIZE",
     "PRED_MASK_MEMO_SIZE",
     "QUERY_MEMO_SIZE",
-    "byte_view",
     "context_for",
     "evaluate",
     "evaluate_ids",
-    "iter_slots",
     "matches_at",
     "selects",
     "slots_of",
@@ -73,6 +66,31 @@ _GLOBAL_CANON_PREDS = LRUMemo(CANON_MEMO_SIZE)
 _GLOBAL_CANON_PATTERNS = LRUMemo(CANON_MEMO_SIZE)
 
 _MISS = object()
+
+# Per-byte decode table: byte value -> bit positions set in it.  One
+# ``int.to_bytes`` conversion turns slot extraction into a C-level byte
+# scan with table lookups — O(words + answers) instead of the bit-kernel
+# loop's O(answers * words) repeated big-int ``mask & -mask`` arithmetic.
+_BYTE_SLOTS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(b for b in range(8) if byte >> b & 1) for byte in range(256))
+
+
+def slots_of(mask: int) -> list[int]:
+    """Slots (bit positions) of a mask, ascending — document order.
+
+    Batch-decoded through :data:`_BYTE_SLOTS`; on >10k-node documents this
+    is what keeps whole-mask extraction off the profile (see the
+    ``decoder`` row of ``benchmarks/bench_stream.py``).
+    """
+    out: list[int] = []
+    append = out.append  # not ``out += [...]``: a list per byte costs 2x
+    offset = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for b in _BYTE_SLOTS[byte]:
+                append(offset + b)
+        offset += 8
+    return out
 
 
 class DirtyBatch:
@@ -379,9 +397,8 @@ class BitsetEvaluator:
         key = (self._canonical_pattern(pattern), anchor)
         hit = self._query_memo.get(key)
         if hit is None:
-            node_at = idx.node_at
-            hit = frozenset(node_at(s)
-                            for s in iter_slots(self._sweep_mask(key[0], anchor)))
+            hit = frozenset(map(idx.node_at,
+                                slots_of(self._sweep_mask(key[0], anchor))))
             self._query_memo.put(key, hit)
         return set(hit)
 

@@ -293,7 +293,8 @@ class TestCheckpoints:
         json.dumps(record)  # JSON-safe throughout
 
     @pytest.mark.parametrize("field, value", [("engine", "indexed"),
-                                              ("version", 2)])
+                                              ("version", 2),
+                                              ("analysis", "false")])
     def test_refused_checkpoint_names_document_and_lsn(self, tmp_path,
                                                         field, value):
         svc, journal, _ = durable_service(tmp_path, checkpoint_every=1)

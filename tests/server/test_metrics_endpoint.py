@@ -8,9 +8,9 @@ gauges are all live and correct; trace
 ids round-trip through the wire envelope (error responses included); and
 the endpoint stays serveable while the server refuses everything else.
 
-Each test swaps in a fresh process-global registry *before* building its
-servers (instruments are resolved at construction time), so counts here
-are exact, not cumulative across tests.
+Each test counts into a fresh process-global registry (the autouse
+fixture in ``conftest.py``), swapped in *before* its servers are built,
+so counts here are exact, not cumulative across tests.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import asyncio
 import pytest
 
 from repro.constraints import constraint_set
-from repro.obs import MetricsRegistry, registry, set_registry
+from repro.obs import registry
 from repro.server import ReproClient, ReproServer
 from repro.server.framing import read_frame, write_frame
 from repro.service.async_service import AsyncService
@@ -37,13 +37,6 @@ from repro.trees.tree import DataTree
 
 POLICY = constraint_set(("/patient[/clinicalTrial]", "up"),
                         ("/patient[/visit]", "down"))
-
-
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    previous = set_registry(MetricsRegistry())
-    yield
-    set_registry(previous)
 
 
 def fresh_doc() -> DataTree:

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import MetricsRegistry, set_registry
 from repro.server import ReproServer
 from repro.server.framing import encode_record, read_frame, write_frame
 from repro.service.async_service import AsyncService
@@ -39,14 +38,6 @@ from test_wire_fuzz import (  # noqa: E402  (the byte-boundary fuzzer)
 
 #: Longest wait for any one reply; a missing reply fails, never hangs.
 REPLY_TIMEOUT = 10.0
-
-
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    """Keep these servers' counters out of the process-global registry."""
-    previous = set_registry(MetricsRegistry())
-    yield
-    set_registry(previous)
 
 
 async def reply_to(reader: asyncio.StreamReader) -> dict:

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import AsyncService, ConstraintService
-from repro.obs import MetricsRegistry, set_registry
 from repro.server import ReproClient, ReproServer
 from repro.service import (
     Ack,
@@ -46,14 +45,6 @@ BACKLOG = 40
 #: Explicit node ids stay below this; allocated ids are pushed above it,
 #: so the replay and the served run never collide differently.
 NID_CEILING = 100_000
-
-
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    """Keep these servers' counters out of the process-global registry."""
-    previous = set_registry(MetricsRegistry())
-    yield
-    set_registry(previous)
 
 
 def constraints(name, policy=POLICY, replace=False):
