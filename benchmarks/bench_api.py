@@ -25,7 +25,7 @@ import random
 import sys
 from pathlib import Path
 
-from bench_helpers import compare_reports, timed
+from bench_helpers import compare_reports, timed_interleaved
 from repro import Reasoner, implies, implies_on
 from repro.constraints.model import ConstraintType, UpdateConstraint
 from repro.workloads import FragmentSpec, random_constraints, random_pattern, random_tree
@@ -34,7 +34,7 @@ LABELS = ["a", "b", "c"]
 SEED = 20070611  # PODS 2007
 POOL_SIZE = 25          # distinct conclusions in the pool
 REPEATS = 5             # times each pool entry appears in the stream
-ROUNDS = 3              # timing rounds; best-of is reported
+ROUNDS = 7              # timing rounds; best-of is reported
 
 
 def build_workload():
@@ -79,9 +79,9 @@ def bench_general(premises, pool, stream):
         for c in pool:
             reasoner.implies(c)
 
-    legacy_qps = timed(legacy, len(stream), ROUNDS)
-    session_qps = timed(session, len(stream), ROUNDS)
-    distinct_qps = timed(session_distinct, len(pool), ROUNDS)
+    legacy_qps, session_qps, distinct_qps = timed_interleaved(
+        [(legacy, len(stream)), (session, len(stream)),
+         (session_distinct, len(pool))], ROUNDS)
     assert checksum(legacy_out) == checksum(session_out), "verdicts diverged"
     return {
         "queries": len(stream),
@@ -106,8 +106,8 @@ def bench_instance(premises, pool, stream, tree):
         bound = Reasoner(premises).bind(tree)
         session_out.extend(bound.implies_on(c) for c in stream)
 
-    legacy_qps = timed(legacy, len(stream), ROUNDS)
-    session_qps = timed(session, len(stream), ROUNDS)
+    legacy_qps, session_qps = timed_interleaved(
+        [(legacy, len(stream)), (session, len(stream))], ROUNDS)
     assert checksum(legacy_out) == checksum(session_out), "verdicts diverged"
     return {
         "queries": len(stream),

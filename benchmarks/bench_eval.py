@@ -22,6 +22,10 @@ answering identically:
   budgets -> UNKNOWN), asked as a production-style repeated stream:
   legacy one-shot vs a bound session.
 
+Each section times its competing paths round-robin, seven rounds in the
+full run (``bench_helpers.timed_interleaved``), so a slow moment of a
+shared machine lands on both sides of a gated ratio.
+
 Run:  PYTHONPATH=src python benchmarks/bench_eval.py [output.json]
           [--smoke] [--compare BASELINE.json] [--tolerance 0.2]
 
@@ -41,7 +45,7 @@ import random
 import sys
 from pathlib import Path
 
-from bench_helpers import compare_reports, timed
+from bench_helpers import compare_reports, timed_interleaved
 from repro import Reasoner, implies_on
 from repro.constraints.model import ConstraintType, UpdateConstraint
 from repro.trees.index import TreeIndex
@@ -97,10 +101,10 @@ def bench_eval(tree_size: int, pool_size: int, repeats: int, rounds: int) -> dic
         for p in pool:
             ctx.evaluate_ids(p)
 
-    naive_qps = timed(naive, len(stream), rounds)
-    bitset_qps = timed(bitset, len(stream), rounds)
-    naive_distinct_qps = timed(naive_distinct, len(pool), rounds)
-    bitset_distinct_qps = timed(bitset_distinct, len(pool), rounds)
+    naive_qps, bitset_qps, naive_distinct_qps, bitset_distinct_qps = (
+        timed_interleaved([(naive, len(stream)), (bitset, len(stream)),
+                           (naive_distinct, len(pool)),
+                           (bitset_distinct, len(pool))], rounds))
     naive_sum = answer_checksum(naive_out)
     bitset_sum = answer_checksum(bitset_out)
     return {
@@ -149,8 +153,8 @@ def bench_bitset(tree_size: int, pool_size: int, rounds: int) -> dict:
         ctx = BitsetEvaluator(snapshot)
         bitset_out.extend(ctx.evaluate_ids(p) for p in pool)
 
-    naive_qps = timed(naive, len(pool), max(1, rounds - 1))
-    bitset_qps = timed(bitset_cold, len(pool), rounds)
+    naive_qps, bitset_qps = timed_interleaved(
+        [(naive, len(pool)), (bitset_cold, len(pool))], rounds)
     bitset_sum = answer_checksum(bitset_out)
     return {
         "tree_size": tree.size,
@@ -186,8 +190,8 @@ def bench_instance(tree_size: int, pool_size: int, rounds: int) -> dict:
         session = Reasoner(premises).bind(tree)  # snapshot charged here
         bound_out.extend(session.implies_on(c) for c in conclusions)
 
-    legacy_qps = timed(legacy, len(conclusions), rounds)
-    bound_qps = timed(bound, len(conclusions), rounds)
+    legacy_qps, bound_qps = timed_interleaved(
+        [(legacy, len(conclusions)), (bound, len(conclusions))], rounds)
     legacy_sum = verdict_checksum(legacy_out)
     bound_sum = verdict_checksum(bound_out)
     return {
@@ -242,8 +246,8 @@ def bench_search(tree_size: int, pool_size: int, repeats: int,
                                             search_budget=budget)
                          for c in stream)
 
-    legacy_qps = timed(legacy, len(stream), rounds)
-    bound_qps = timed(bound, len(stream), rounds)
+    legacy_qps, bound_qps = timed_interleaved(
+        [(legacy, len(stream)), (bound, len(stream))], rounds)
     legacy_sum = verdict_checksum(legacy_out)
     bound_sum = verdict_checksum(bound_out)
     return {
@@ -287,11 +291,11 @@ def main() -> None:
         floors = {"pattern_evaluation": 1.0, "bitset": 1.0,
                   "instance_implication": 1.0, "instance_search": 1.0}
     else:
-        eval_row = bench_eval(tree_size=1000, pool_size=20, repeats=5, rounds=3)
-        bitset_row = bench_bitset(tree_size=2000, pool_size=30, rounds=5)
-        instance_row = bench_instance(tree_size=150, pool_size=15, rounds=3)
+        eval_row = bench_eval(tree_size=1000, pool_size=20, repeats=5, rounds=7)
+        bitset_row = bench_bitset(tree_size=2000, pool_size=30, rounds=7)
+        instance_row = bench_instance(tree_size=150, pool_size=15, rounds=7)
         search_row = bench_search(tree_size=60, pool_size=8, repeats=3,
-                                  rounds=3, budget=300)
+                                  rounds=7, budget=300)
         floors = {"pattern_evaluation": 10.0, "bitset": 7.0,
                   "instance_implication": 3.0, "instance_search": 1.5}
 

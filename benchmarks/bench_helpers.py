@@ -7,6 +7,7 @@ exposing each cell's growth trend (recorded in EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 
@@ -72,11 +73,13 @@ def timed_interleaved(paths, rounds: int) -> list[float]:
     Interleaving means clock drift, cache state and CPU frequency shifts
     hit every path alike — a separate best-of block per path can
     attribute a machine hiccup entirely to one side, which matters when
-    a gate is a ratio between paths.
+    a gate is a ratio between paths.  Each timed call starts from a
+    full collection, so no path pays for the garbage another left.
     """
     best = [float("inf")] * len(paths)
     for _ in range(rounds):
         for i, (fn, _) in enumerate(paths):
+            gc.collect()
             start = time.perf_counter()
             fn()
             best[i] = min(best[i], time.perf_counter() - start)

@@ -87,7 +87,6 @@ from repro.service import (
     AsyncService,
     ConstraintService,
     DocumentStore,
-    InlineExecutor,
 )
 from repro.stream import (
     AddLeaf,
@@ -128,7 +127,6 @@ __all__ = [
     "satisfies_relative",
     # service
     "ConstraintService", "DocumentStore", "AsyncService",
-    "InlineExecutor",
     # stream
     "StreamEnforcer", "AuditTrail", "Decision",
     "AddLeaf", "Move", "RemoveSubtree", "Begin", "Commit", "Rollback",

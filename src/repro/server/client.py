@@ -27,34 +27,27 @@ request is answered ahead of the requests sent before it.
 from __future__ import annotations
 
 import asyncio
-from collections.abc import Iterable, Sequence
 
-from repro.certify.templates import Bindings, UpdateTemplate
-from repro.constraints.model import ConstraintSet, UpdateConstraint
 from repro.errors import ServerError
 from repro.obs import new_trace_id, trace_id
 from repro.server.framing import read_frame, write_frame
+from repro.service.async_service import RequestMethods
 from repro.service.protocol import (
     PROTOCOL_VERSION,
-    CertifiedSubmit,
-    ImplicationQuery,
-    InstanceQuery,
-    MetricsRequest,
-    RegisterConstraints,
-    RegisterDocument,
-    RegisterTemplate,
     Request,
     Response,
-    StreamStatus,
-    StreamSubmit,
     response_from_dict,
 )
-from repro.stream.ops import StreamOp
-from repro.trees.tree import DataTree
 
 
-class ReproClient:
-    """One connection to a repro server; safe to pipeline from one task."""
+class ReproClient(RequestMethods):
+    """One connection to a repro server; safe to pipeline from one task.
+
+    The request conveniences (:meth:`register_document`, :meth:`enforce`,
+    :meth:`status`, :meth:`metrics`, …) come from
+    :class:`~repro.service.async_service.RequestMethods`, shared with
+    :class:`~repro.service.async_service.AsyncService`.
+    """
 
     def __init__(self, reader: asyncio.StreamReader,
                  writer: asyncio.StreamWriter):
@@ -156,76 +149,6 @@ class ReproClient:
             self._pending.pop(envelope_id, None)
             raise ServerError(f"the connection is gone: {err}") from None
         return future
-
-    # ------------------------------------------------------------------
-    # Conveniences (one protocol request each)
-    # ------------------------------------------------------------------
-    async def register_document(self, name: str, tree: DataTree, *,
-                                replace: bool = False) -> Response:
-        return await self.request(RegisterDocument(name, tree,
-                                                   replace=replace))
-
-    async def register_constraints(self, name: str,
-                                   constraints: ConstraintSet | Iterable, *,
-                                   replace: bool = False) -> Response:
-        if not isinstance(constraints, ConstraintSet):
-            from repro.constraints.model import constraint_set
-            constraints = constraint_set(*constraints)
-        return await self.request(RegisterConstraints(
-            name, tuple(constraints), replace=replace))
-
-    async def enforce(self, document: str, constraints: str,
-                      ops: Sequence[StreamOp]) -> Response:
-        return await self.request(StreamSubmit(document, constraints,
-                                               tuple(ops)))
-
-    async def register_template(self, name: str, template: UpdateTemplate,
-                                constraints: str, *,
-                                replace: bool = False) -> Response:
-        """Certify-and-register an update template against a named set.
-
-        The :class:`~repro.service.protocol.Ack` carries the verdict in
-        ``stats`` (``certify.certified`` is 1 iff the template may be
-        submitted through :meth:`certified_submit`).
-        """
-        return await self.request(RegisterTemplate(name, template,
-                                                   constraints,
-                                                   replace=replace))
-
-    async def certified_submit(self, document: str, constraints: str,
-                               template: str,
-                               bindings: Bindings) -> Response:
-        """Run one certified-template instantiation on the hot path."""
-        return await self.request(CertifiedSubmit(
-            document, constraints, template,
-            tuple(sorted(dict(bindings).items()))))
-
-    async def status(self, document: str) -> Response:
-        """Where the document's stream stands (reconnect reconciliation)."""
-        return await self.request(StreamStatus(document))
-
-    async def metrics(self) -> Response:
-        """The server's live introspection snapshot.
-
-        Served inline by the server — before its backpressure gate and
-        ahead of the requests still waiting to run — so it answers even
-        while the server is overloaded or draining.
-        """
-        return await self.request(MetricsRequest())
-
-    async def implies(self, constraints: str,
-                      conclusions: Sequence[UpdateConstraint], *,
-                      fail_fast: bool = False,
-                      require_decision: bool = False) -> Response:
-        return await self.request(ImplicationQuery(
-            constraints, tuple(conclusions), fail_fast=fail_fast,
-            require_decision=require_decision))
-
-    async def implies_on(self, constraints: str, document: str,
-                         conclusions: Sequence[UpdateConstraint],
-                         **kwargs) -> Response:
-        return await self.request(InstanceQuery(
-            constraints, document, tuple(conclusions), **kwargs))
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -42,19 +42,17 @@ from __future__ import annotations
 
 import os
 import urllib.parse
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import BinaryIO, Iterable
+from typing import Any, BinaryIO
 
 from repro import codec
-from repro.certify.templates import (
-    UpdateTemplate,
-    bindings_from_wire,
-    bindings_to_wire,
-)
+from repro.certify.templates import Binding, UpdateTemplate, bindings_to_wire
+from repro.codec import Count
 from repro.constraints.model import UpdateConstraint
-from repro.errors import JournalError, ServiceError
+from repro.errors import JournalError, ReproError, ServiceError, WireError
 from repro.obs import MetricsRegistry, registry as _obs_registry, span
 from repro.server.framing import encode_record, scan_records
 from repro.stream.engine import StreamEnforcer
@@ -63,9 +61,36 @@ from repro.trees import serialize
 from repro.trees.tree import DataTree
 
 #: Record payloads travel through the wire codec.
-_constraints_out, _constraints_in = codec.derive(
-    tuple[UpdateConstraint, ...], "constraints")
-_ops_out, _ops_in = codec.derive(tuple[StreamOp, ...], "ops")
+_constraints_out = codec.derive(tuple[UpdateConstraint, ...], "constraints")[0]
+_ops_out = codec.derive(tuple[StreamOp, ...], "ops")[0]
+
+
+def _fields(**types: Any) -> dict[str, Callable[..., Any]]:
+    return {key: codec.derive(tp, key)[1] for key, tp in types.items()}
+
+
+_NAMES = tuple[str, ...]
+#: Every record's envelope, then the record kinds each file may hold and
+#: their fields: recovery decodes a record through these before it acts
+#: on it, so an ill-typed value is refused, never coerced.  ``None``
+#: marks a field a record may omit.
+_ENVELOPE = _fields(lsn=Count, kind=str)
+_SET_KINDS = {
+    "constraints": _fields(name=str, constraints=tuple[UpdateConstraint, ...],
+                           replace=bool | None),
+    "template": _fields(name=str, template=UpdateTemplate, set=str,
+                        replace=bool | None),
+    "fleet": _fields(documents=_NAMES, set=str, epoch=Count,
+                     checksum=Count),
+    "fleet-drop": _fields(documents=_NAMES, set=str),
+}
+_DOC_KINDS = {
+    "document": _fields(name=str, tree=DataTree, replace=bool | None),
+    "submit": _fields(set=str, ops=tuple[StreamOp, ...]),
+    "certified": _fields(set=str, template=str, bindings=dict[str, Binding],
+                         ops=tuple[StreamOp, ...]),
+}
+_CHECKPOINT_KINDS = {"checkpoint": _fields(doc=str, set=str, next_id=int)}
 
 _SETS = "sets.journal"
 _DOCS = "docs"
@@ -88,6 +113,32 @@ def _fsync_dir(path: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def _decoded(record: Any, path: Path, kinds: dict[str, dict]) -> dict:
+    """``record``, read back from ``path``, with its fields decoded.
+
+    A record must be an object with a non-negative int ``lsn`` and a
+    ``kind`` that ``path`` may hold, whose fields decode; anything else
+    is a :class:`~repro.errors.JournalError` naming the file and the lsn.
+    """
+    where = f"record in {path}"
+    try:
+        if record.__class__ is not dict:
+            raise WireError(f"a record must be a JSON object, got "
+                            f"{record!r:.80}")
+        for key, decode in _ENVELOPE.items():
+            decode(record.get(key))
+        where = f"record (lsn {record['lsn']}) in {path}"
+        fields = kinds.get(record["kind"])
+        if fields is None:
+            raise WireError(f"unknown record kind {record['kind']!r}; "
+                            f"expected one of {sorted(kinds)}")
+        for key, decode in fields.items():
+            record[key] = decode(record.get(key))
+    except ReproError as err:
+        raise JournalError(f"malformed {where}: {err}") from None
+    return record
 
 
 @dataclass
@@ -208,7 +259,7 @@ class ServerJournal:
             self._fault("journal-fsync")
 
     # ------------------------------------------------------------------
-    # Store hooks (called by DocumentStore / the executor)
+    # Store hooks (called by DocumentStore)
     # ------------------------------------------------------------------
     def constraints_registered(self, name: str, constraints: Iterable,
                                replace: bool) -> None:
@@ -266,25 +317,45 @@ class ServerJournal:
         A journaled log must replay to the *same* document, so fresh
         leaves cannot draw from the process-global allocator (a recovered
         process would allocate differently).  The per-document counter is
-        deterministic — it starts past the registered tree's ids and
-        every journaled pin advances it, on the live server and during
-        replay alike — and pinning at the service boundary also tells the
-        wire client which id its insert received.
+        deterministic — it starts past the registered tree's ids and only
+        a journaled record moves it (:meth:`_advance`), on the live server
+        and during replay alike, so an op that never reaches the journal
+        uses up no id.  A caller therefore appends a document's record
+        before it pins that document's next ops.  Pinning at the service
+        boundary also tells the wire client which id its insert received.
         """
         counter = self._next_id.get(doc)
         if counter is None:
             return ops  # unknown document: the enforcer lookup will raise
         pinned: list[StreamOp] = []
         for op in ops:
-            if isinstance(op, AddLeaf) and op.nid is None:
-                pinned.append(AddLeaf(op.parent, op.label, nid=counter))
-                counter += 1
-            else:
-                if isinstance(op, AddLeaf):
-                    counter = max(counter, op.nid + 1)
-                pinned.append(op)
-        self._next_id[doc] = counter
+            if isinstance(op, AddLeaf):
+                if op.nid is None:
+                    op = AddLeaf(op.parent, op.label, nid=counter)
+                counter = max(counter, op.nid + 1)
+            pinned.append(op)
         return tuple(pinned)
+
+    def _advance(self, doc: str, ops: Iterable[StreamOp]) -> None:
+        """Move the document's leaf-id counter past a record's pinned ids
+        and count the record toward the next checkpoint."""
+        counter = self._next_id.get(doc, 1)
+        for op in ops:
+            if isinstance(op, AddLeaf) and op.nid is not None:
+                counter = max(counter, op.nid + 1)
+        self._next_id[doc] = counter
+        self._since_checkpoint[doc] = self._since_checkpoint.get(doc, 0) + 1
+
+    def _doc_record(self, doc: str, set_name: str, record: dict,
+                    ops: tuple[StreamOp, ...],
+                    enforcer: StreamEnforcer) -> None:
+        """Append a submission record to the document's journal, advance
+        its counter past the record's ops, and checkpoint when due."""
+        self._append(self.doc_journal_path(doc), record)
+        self._advance(doc, ops)
+        if (self._since_checkpoint[doc] >= self.checkpoint_every
+                and not enforcer.in_transaction):
+            self.checkpoint(doc, set_name, enforcer)
 
     def fleet_submitted(self, documents: tuple[str, ...], set_name: str,
                         epoch: int, checksum: int) -> None:
@@ -321,15 +392,10 @@ class ServerJournal:
                          ops: tuple[StreamOp, ...],
                          enforcer: StreamEnforcer) -> None:
         """Record one effective submission; checkpoint when due."""
-        if not ops:
-            return
-        self._append(self.doc_journal_path(doc), {
-            "kind": "submit", "set": set_name, "ops": _ops_out(ops),
-        })
-        count = self._since_checkpoint.get(doc, 0) + 1
-        self._since_checkpoint[doc] = count
-        if count >= self.checkpoint_every and not enforcer.in_transaction:
-            self.checkpoint(doc, set_name, enforcer)
+        if ops:
+            self._doc_record(doc, set_name, {
+                "kind": "submit", "set": set_name, "ops": _ops_out(ops),
+            }, ops, enforcer)
 
     def certified_submitted(self, doc: str, set_name: str,
                             template_name: str, bindings: dict,
@@ -344,15 +410,11 @@ class ServerJournal:
         always lower), so a recovered stream's audit trail, counters and
         ``certified`` accounting match the live one's exactly.
         """
-        self._append(self.doc_journal_path(doc), {
+        self._doc_record(doc, set_name, {
             "kind": "certified", "set": set_name,
             "template": template_name,
             "bindings": bindings_to_wire(bindings), "ops": _ops_out(ops),
-        })
-        count = self._since_checkpoint.get(doc, 0) + 1
-        self._since_checkpoint[doc] = count
-        if count >= self.checkpoint_every and not enforcer.in_transaction:
-            self.checkpoint(doc, set_name, enforcer)
+        }, ops, enforcer)
 
     # ------------------------------------------------------------------
     # Checkpoints and compaction
@@ -428,7 +490,7 @@ class ServerJournal:
         """
         report = RecoveryReport()
         events: list[tuple[int, int, str, dict]] = []  # (lsn, tie, kind, data)
-        top = self._scan(self.sets_journal_path, report)
+        top = self._scan(self.sets_journal_path, _SET_KINDS, report)
         for record in top:
             events.append((record["lsn"], 0, record["kind"], record))
         docs_root = self.root / _DOCS
@@ -443,8 +505,10 @@ class ServerJournal:
         self._lsn = max_lsn + 1
         return report
 
-    def _scan(self, path: Path, report: RecoveryReport) -> list[dict]:
-        """Read a journal file, truncating a torn tail in place."""
+    def _scan(self, path: Path, kinds: dict[str, dict],
+              report: RecoveryReport) -> list[dict]:
+        """Read a journal file's records (:func:`_decoded`), truncating a
+        torn tail in place."""
         if not path.exists():
             return []
         blob = path.read_bytes()
@@ -456,14 +520,14 @@ class ServerJournal:
                 handle.truncate(good)
                 if self.fsync:
                     os.fsync(handle.fileno())
-        return records
+        return [_decoded(record, path, kinds) for record in records]
 
     def _gather_doc(self, doc_dir: Path,
                     events: list[tuple[int, int, str, dict]],
                     report: RecoveryReport) -> None:
         name = urllib.parse.unquote(doc_dir.name[len("doc-"):])
         journal_path = doc_dir / _JOURNAL
-        records = self._scan(journal_path, report)
+        records = self._scan(journal_path, _DOC_KINDS, report)
         checkpoint = self._load_checkpoint(doc_dir / _CHECKPOINT, report)
         covered = -1
         if checkpoint is not None:
@@ -499,32 +563,30 @@ class ServerJournal:
             report.torn_tails.append((str(path), len(blob) - good))
             self._m_torn.inc()
             return None
-        return records[0]
+        return _decoded(records[0], path, _CHECKPOINT_KINDS)
 
     def _apply(self, kind: str, data: dict, store,
                report: RecoveryReport) -> None:
         if kind == "constraints":
             store.add_constraints(
-                data["name"],
-                _constraints_in(data["constraints"]),
-                replace=bool(data.get("replace")) or
+                data["name"], data["constraints"],
+                replace=bool(data["replace"]) or
                 data["name"] in store.constraint_sets())
             if data["name"] not in report.constraint_sets:
                 report.constraint_sets.append(data["name"])
         elif kind == "document":
             name = data["name"]
-            store.add_document(name, serialize.from_dict(data["tree"]),
-                               replace=bool(data.get("replace")) or
+            store.add_document(name, data["tree"],
+                               replace=bool(data["replace"]) or
                                name in store.documents())
             self._next_id[name] = max(store.document(name).node_ids()) + 1
             self._since_checkpoint[name] = 0
             if name not in report.documents:
                 report.documents.append(name)
         elif kind == "template":
-            template = UpdateTemplate.from_dict(data["template"])
             outcome = store.add_template(
-                data["name"], template, data["set"],
-                replace=bool(data.get("replace")) or
+                data["name"], data["template"], data["set"],
+                replace=bool(data["replace"]) or
                 data["name"] in store.templates())
             if not outcome.certified:
                 # certify() is deterministic over (template, set); a
@@ -537,32 +599,26 @@ class ServerJournal:
         elif kind in ("submit", "certified"):
             name = data["doc"]
             what = "submission" if kind == "submit" else "certified submission"
+            ops = data["ops"]
             try:
-                ops = _ops_in(data["ops"])
                 enforcer = store.stream(name, data["set"])
                 if kind == "submit":
                     decisions = enforcer.replay(ops)
                 else:
                     template, _ = store.template(data["template"], data["set"])
                     decisions = enforcer.apply_certified(
-                        template, bindings_from_wire(data["bindings"]), ops=ops)
+                        template, data["bindings"], ops=ops)
             except Exception as err:
                 raise JournalError(
                     f"replay of journaled {what} (lsn {data['lsn']}) for "
                     f"document {name!r} failed: {err}") from err
             report.decisions_replayed += len(decisions)
-            counter = self._next_id.get(name, 1)
-            for op in ops:
-                if isinstance(op, AddLeaf) and op.nid is not None:
-                    counter = max(counter, op.nid + 1)
-            self._next_id[name] = counter
-            self._since_checkpoint[name] = (
-                self._since_checkpoint.get(name, 0) + 1)
+            self._advance(name, ops)
         elif kind == "fleet":
             store.restore_fleet(data["documents"], data["set"],
-                                int(data["epoch"]), int(data["checksum"]))
+                                data["epoch"], data["checksum"])
         elif kind == "fleet-drop":
-            key = (tuple(data["documents"]), data["set"])
+            key = (data["documents"], data["set"])
             if key not in {(docs, set_name)
                            for docs, set_name, _ in store.live_fleets()}:
                 raise JournalError(
@@ -585,12 +641,10 @@ class ServerJournal:
                 raise JournalError(
                     f"restore of checkpoint (lsn {data['lsn']}) for "
                     f"document {name!r} failed: {err}") from err
-            self._next_id[name] = int(data.get("next_id", 1))
+            self._next_id[name] = data["next_id"]
             self._since_checkpoint[name] = 0
             if name not in report.documents:
                 report.documents.append(name)
-        else:
-            raise JournalError(f"unknown journal record kind {kind!r}")
 
     # ------------------------------------------------------------------
     # Lifecycle and fault hooks

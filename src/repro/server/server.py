@@ -58,7 +58,6 @@ from repro.obs.registry import Counter, Histogram
 from repro.server.framing import read_frame, write_frame
 from repro.server.journal import RecoveryReport, ServerJournal
 from repro.service.async_service import AsyncService
-from repro.service.executors import build_metrics_snapshot
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     ErrorResponse,
@@ -288,8 +287,7 @@ class ReproServer:
                     # the snapshot inline, before the backpressure gate and
                     # ahead of the requests still waiting to be served.
                     with tracing(trace):
-                        snapshot = build_metrics_snapshot(
-                            self._service.service.store)
+                        snapshot = self._service.service.metrics_snapshot()
                     await self._send(writer, lock, envelope_id, snapshot,
                                      trace=trace)
                     continue

@@ -23,15 +23,16 @@ False
 Components: :mod:`~repro.service.protocol` (the wire-level request and
 response dataclasses, ``to_dict``/``from_dict`` round-trippable),
 :mod:`~repro.service.store` (:class:`DocumentStore`),
-:mod:`~repro.service.executors` (:class:`InlineExecutor`),
-:mod:`~repro.service.async_service`
+:mod:`~repro.service.service` (:class:`ConstraintService`, which serves
+every request kind itself), :mod:`~repro.service.async_service`
 (:class:`AsyncService`, the ``asyncio`` front end that serves requests
-in submission order) and :mod:`~repro.service.dispatch` (the session
-settings the store shares with the legacy free functions).
+in submission order, and :class:`RequestMethods`, the request
+conveniences it shares with the socket client) and
+:mod:`~repro.service.dispatch` (the session settings the store shares
+with the legacy free functions).
 """
 
 from repro.service.async_service import AsyncService
-from repro.service.executors import InlineExecutor
 from repro.service.protocol import (
     Ack,
     CertifiedSubmit,
@@ -67,7 +68,6 @@ from repro.service.store import DocumentStore
 
 __all__ = [
     "ConstraintService", "DocumentStore", "AsyncService",
-    "InlineExecutor",
     "Request", "RegisterConstraints", "RegisterDocument",
     "RegisterTemplate", "CertifiedSubmit",
     "ImplicationQuery", "InstanceQuery", "StreamSubmit", "StreamStatus",

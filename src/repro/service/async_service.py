@@ -35,15 +35,18 @@ from __future__ import annotations
 import asyncio
 from collections.abc import Iterable, Sequence
 
-from repro.constraints.model import ConstraintSet, UpdateConstraint
+from repro.certify.templates import Bindings, UpdateTemplate
+from repro.constraints.model import ConstraintSet, UpdateConstraint, constraint_set
 from repro.errors import ServiceError
 from repro.obs import registry as _obs_registry
 from repro.service.protocol import (
-    Ack,
+    CertifiedSubmit,
     ImplicationQuery,
     InstanceQuery,
+    MetricsRequest,
     RegisterConstraints,
     RegisterDocument,
+    RegisterTemplate,
     Request,
     Response,
     StreamDecisions,
@@ -56,7 +59,100 @@ from repro.stream.ops import StreamOp
 from repro.trees.tree import DataTree
 
 
-class AsyncService:
+class RequestMethods:
+    """One protocol request per convenience, on top of ``request()``.
+
+    Shared by :class:`AsyncService` and the socket client
+    (:class:`~repro.server.client.ReproClient`), so the two fronts build
+    every request the same way; each only defines how one request is
+    sent and its response awaited.
+    """
+
+    async def request(self, request: Request) -> Response:
+        raise NotImplementedError
+
+    async def register_document(self, name: str, tree: DataTree, *,
+                                replace: bool = False) -> Response:
+        return await self.request(RegisterDocument(name, tree,
+                                                   replace=replace))
+
+    async def register_constraints(self, name: str,
+                                   constraints: ConstraintSet | Iterable, *,
+                                   replace: bool = False) -> Response:
+        if not isinstance(constraints, ConstraintSet):
+            constraints = constraint_set(*constraints)
+        return await self.request(RegisterConstraints(
+            name, tuple(constraints), replace=replace))
+
+    async def register_template(self, name: str, template: UpdateTemplate,
+                                constraints: str, *,
+                                replace: bool = False) -> Response:
+        """Certify-and-register an update template against a named set.
+
+        The :class:`~repro.service.protocol.Ack` carries the verdict in
+        ``stats`` (``certify.certified`` is 1 iff the template may be
+        submitted through :meth:`certified_submit`).
+        """
+        return await self.request(RegisterTemplate(name, template,
+                                                   constraints,
+                                                   replace=replace))
+
+    async def implies(self, constraints: str,
+                      conclusions: Sequence[UpdateConstraint], *,
+                      fail_fast: bool = False,
+                      require_decision: bool = False) -> Response:
+        return await self.request(ImplicationQuery(
+            constraints, tuple(conclusions), fail_fast=fail_fast,
+            require_decision=require_decision))
+
+    async def implies_on(self, constraints: str, document: str,
+                         conclusions: Sequence[UpdateConstraint], *,
+                         fail_fast: bool = False,
+                         require_decision: bool = False,
+                         max_moves: int = 2,
+                         search_budget: int = 5000) -> Response:
+        return await self.request(InstanceQuery(
+            constraints, document, tuple(conclusions), fail_fast=fail_fast,
+            require_decision=require_decision, max_moves=max_moves,
+            search_budget=search_budget))
+
+    async def enforce(self, document: str, constraints: str,
+                      ops: Sequence[StreamOp]) -> Response:
+        """Submit a log slice; resolves to its :class:`StreamDecisions`."""
+        return await self.request(StreamSubmit(document, constraints,
+                                               tuple(ops)))
+
+    async def apply(self, document: str, constraints: str,
+                    op: StreamOp) -> WireDecision:
+        """Submit one operation; resolves to its single decision."""
+        response = await self.enforce(document, constraints, (op,))
+        if not isinstance(response, StreamDecisions):
+            raise ServiceError(f"{response.to_dict()}")
+        return response.decisions[0]
+
+    async def certified_submit(self, document: str, constraints: str,
+                               template: str,
+                               bindings: Bindings) -> Response:
+        """Run one certified-template instantiation on the hot path."""
+        return await self.request(CertifiedSubmit(
+            document, constraints, template,
+            tuple(sorted(dict(bindings).items()))))
+
+    async def status(self, document: str) -> Response:
+        """Where the document's stream stands (after every earlier edit)."""
+        return await self.request(StreamStatus(document))
+
+    async def metrics(self) -> Response:
+        """The live introspection snapshot.
+
+        The socket server serves it inline — before its backpressure
+        gate and ahead of the requests still waiting to run — so it
+        answers even while the server is overloaded or draining.
+        """
+        return await self.request(MetricsRequest())
+
+
+class AsyncService(RequestMethods):
     """Awaitable façade over a (synchronous) :class:`ConstraintService`."""
 
     def __init__(self, service: ConstraintService | None = None):
@@ -108,61 +204,8 @@ class AsyncService:
         """Submit and await one request."""
         return await self.submit(request)
 
-    # ------------------------------------------------------------------
-    # Conveniences (one protocol request each)
-    # ------------------------------------------------------------------
-    async def register_document(self, name: str, tree: DataTree, *,
-                                replace: bool = False) -> Ack:
-        return await self.submit(RegisterDocument(name, tree, replace=replace))
-
-    async def register_constraints(self, name: str,
-                                   constraints: ConstraintSet | Iterable, *,
-                                   replace: bool = False) -> Ack:
-        if not isinstance(constraints, ConstraintSet):
-            from repro.constraints.model import constraint_set
-            constraints = constraint_set(*constraints)
-        return await self.submit(
-            RegisterConstraints(name, tuple(constraints), replace=replace))
-
-    async def implies(self, constraints: str,
-                      conclusions: Sequence[UpdateConstraint], *,
-                      fail_fast: bool = False,
-                      require_decision: bool = False) -> Response:
-        return await self.submit(ImplicationQuery(
-            constraints, tuple(conclusions), fail_fast=fail_fast,
-            require_decision=require_decision))
-
-    async def implies_on(self, constraints: str, document: str,
-                         conclusions: Sequence[UpdateConstraint], *,
-                         fail_fast: bool = False,
-                         require_decision: bool = False,
-                         max_moves: int = 2,
-                         search_budget: int = 5000) -> Response:
-        return await self.submit(InstanceQuery(
-            constraints, document, tuple(conclusions), fail_fast=fail_fast,
-            require_decision=require_decision, max_moves=max_moves,
-            search_budget=search_budget))
-
-    async def enforce(self, document: str, constraints: str,
-                      ops: Sequence[StreamOp]) -> Response:
-        """Submit a log slice; resolves to its :class:`StreamDecisions`."""
-        return await self.submit(StreamSubmit(document, constraints,
-                                              tuple(ops)))
-
-    async def status(self, document: str) -> Response:
-        """Where the document's stream stands (after every earlier edit)."""
-        return await self.submit(StreamStatus(document))
-
-    async def apply(self, document: str, constraints: str,
-                    op: StreamOp) -> WireDecision:
-        """Submit one operation; resolves to its single decision."""
-        response = await self.enforce(document, constraints, (op,))
-        if not isinstance(response, StreamDecisions):
-            raise ServiceError(f"{response.to_dict()}")
-        return response.decisions[0]
-
     def __repr__(self) -> str:
         return f"AsyncService({self._service!r})"
 
 
-__all__ = ["AsyncService"]
+__all__ = ["AsyncService", "RequestMethods"]

@@ -137,7 +137,7 @@ class DocumentStore:
         """Certify ``template`` against a registered set; store iff certified.
 
         Always returns the :class:`~repro.certify.CertifyOutcome` — the
-        caller decides how to surface a rejection (the executor ships the
+        caller decides how to surface a rejection (the service ships the
         verdict and search accounting in ``Ack.stats``; the counterexample
         object stays server-side).  Certified templates are journaled in
         ``sets.journal``; recovery replays the record through this same
@@ -283,7 +283,7 @@ class DocumentStore:
 
     def stream(self, doc_name: str, set_name: str) -> StreamEnforcer:
         """The document's stream, opened on first use with no fleet
-        admission check: the fleet executor runs members' epochs on it,
+        admission check: the service runs fleet members' epochs on it,
         and journal recovery replays every stream record through it."""
         existing = self._enforcers.get(doc_name)
         if existing is not None:
@@ -298,6 +298,11 @@ class DocumentStore:
         enforcer = self.session(set_name).open_stream(self.document(doc_name))
         self._enforcers[doc_name] = (set_name, enforcer)
         return enforcer
+
+    def close_stream(self, doc_name: str) -> None:
+        """Drop the document's live stream, if any; the document keeps
+        its current state and a later submission opens a fresh stream."""
+        self._enforcers.pop(doc_name, None)
 
     def fleet_of(self, doc_name: str) -> FleetKey | None:
         """The ``(documents, set)`` key of the live fleet holding a

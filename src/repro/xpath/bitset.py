@@ -48,11 +48,6 @@ __all__ = [
     "CANON_MEMO_SIZE",
     "PRED_MASK_MEMO_SIZE",
     "QUERY_MEMO_SIZE",
-    "context_for",
-    "evaluate",
-    "evaluate_ids",
-    "matches_at",
-    "selects",
     "slots_of",
 ]
 
@@ -414,33 +409,3 @@ class BitsetEvaluator:
     def __repr__(self) -> str:
         return (f"BitsetEvaluator({self._index!r}, "
                 f"masks={len(self._pred_masks)})")
-
-
-# ----------------------------------------------------------------------
-# Module-level mirrors of the naive evaluator's API
-# ----------------------------------------------------------------------
-def context_for(source: BitsetEvaluator | TreeIndex | DataTree) -> BitsetEvaluator:
-    """Coerce any snapshot-ish object into a :class:`BitsetEvaluator`."""
-    if isinstance(source, BitsetEvaluator):
-        return source
-    return BitsetEvaluator(source)
-
-
-def evaluate(pattern: Pattern, context: BitsetEvaluator | TreeIndex | DataTree,
-             start: int | None = None) -> set[Node]:
-    return context_for(context).evaluate(pattern, start)
-
-
-def evaluate_ids(pattern: Pattern, context: BitsetEvaluator | TreeIndex | DataTree,
-                 start: int | None = None) -> set[int]:
-    return context_for(context).evaluate_ids(pattern, start)
-
-
-def selects(pattern: Pattern, context: BitsetEvaluator | TreeIndex | DataTree,
-            nid: int) -> bool:
-    return context_for(context).selects(pattern, nid)
-
-
-def matches_at(pred: Pred, context: BitsetEvaluator | TreeIndex | DataTree,
-               anchor: int) -> bool:
-    return context_for(context).matches_at(pred, anchor)

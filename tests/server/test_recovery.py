@@ -10,7 +10,7 @@ member stream submits, two fleets over overlapping members) on three
 more — cut it at arbitrary points, recover into a fresh store,
 and drive the live and recovered services with the identical
 continuation, comparing response checksums pairwise (the same
-equivalence oracle the executor suite uses).
+equivalence oracle the service suite uses).
 
 Requests are served in their wire form, decoded afresh per service: a
 ``RegisterDocument`` adopts its tree, so one request object handed to
@@ -20,17 +20,29 @@ both services would make them share a document.
 from __future__ import annotations
 
 import random
+import re
+import shutil
 
 import pytest
 
+from repro.certify import (
+    LabelHole,
+    NodeHole,
+    SubtreeHole,
+    TemplateAdd,
+    TemplateRemove,
+    UpdateTemplate,
+)
 from repro.constraints import constraint_set
 from repro.errors import JournalCorruptError, JournalError
 from repro.server.journal import ServerJournal
 from repro.service.protocol import (
+    CertifiedSubmit,
     FleetSubmit,
     MetricsRequest,
     RegisterConstraints,
     RegisterDocument,
+    RegisterTemplate,
     StreamStatus,
     StreamSubmit,
     request_from_dict,
@@ -268,6 +280,95 @@ class TestRecoveryEquivalence:
         j2.close()
 
 
+#: Two notes under one node: certified against POLICY.
+TWO_NOTES = UpdateTemplate("two-notes", (
+    TemplateAdd(NodeHole("p"), "note"),
+    TemplateAdd(NodeHole("p"), "note"),
+))
+#: Remove a note-only subtree, then add a note under a node: certified
+#: against POLICY, and structurally broken halfway when ``x`` and ``y``
+#: bind one node (the guard checks each op against the pre-state).
+REMOVE_THEN_ADD = UpdateTemplate("remove-then-add", (
+    TemplateRemove(SubtreeHole("x", frozenset({"note"}))),
+    TemplateAdd(NodeHole("y"), LabelHole("l", frozenset({"note"}))),
+))
+
+
+def certified(template, **bindings):
+    return CertifiedSubmit("ward", "policy", template,
+                           tuple(sorted(bindings.items())))
+
+
+#: Refused requests that took no decision; ``ward`` has no stream yet.
+IDLE = {
+    "empty stream-submit": StreamSubmit("ward", "policy", ()),
+    "lone commit": StreamSubmit("ward", "policy", (Commit(),)),
+    "binding outside its domain": certified("remove-then-add", x=9, y=5,
+                                            l="visit"),
+    "refused by its guard": certified("two-notes", p=999),
+    "structural failure halfway": certified("remove-then-add", x=9, y=9,
+                                            l="note"),
+}
+#: Refused requests that pinned leaf ids no record kept.
+PINNED = {
+    "nested begin after one add": StreamSubmit("ward", "policy", (
+        AddLeaf(5, "note"), Begin(), Begin(), AddLeaf(5, "note"))),
+    "refused by its guard": IDLE["refused by its guard"],
+    "structural failure halfway": IDLE["structural failure halfway"],
+}
+
+
+class TestRefusedRequests:
+    """A refused request leaves nothing a restart would not rebuild:
+    the next fresh leaf id, ``stream-status`` and fleet admission agree
+    between a live service and one recovered from a copy of its
+    journal directory."""
+
+    @staticmethod
+    def live_and_restarted(tmp_path, refused):
+        live, journal, _ = durable_service(tmp_path / "live")
+        live.handle(RegisterConstraints("policy", tuple(POLICY)))
+        doc = fresh_doc()
+        doc.add_child(5, "note", nid=9)
+        live.handle(RegisterDocument("ward", doc))
+        for template in (TWO_NOTES, REMOVE_THEN_ADD):
+            ack = live.handle(RegisterTemplate(template.name, template,
+                                               "policy"))
+            assert dict(ack.stats)["certify.certified"] == 1
+        assert live.handle(request_from_dict(refused.to_dict())).kind in (
+            "error", "decisions")
+        shutil.copytree(tmp_path / "live", tmp_path / "copy")
+        restarted, j2, _ = durable_service(tmp_path / "copy")
+        return (live, journal), (restarted, j2)
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_refused_request_uses_up_no_leaf_id(self, tmp_path, case):
+        pairs = self.live_and_restarted(tmp_path, PINNED[case])
+        status = [svc.handle(StreamStatus("ward")) for svc, _ in pairs]
+        assert status[0] == status[1]
+        probe = StreamSubmit("ward", "policy", (AddLeaf(5, "note"),))
+        ids = [svc.handle(probe).decisions[0].op.nid for svc, _ in pairs]
+        assert ids[0] == ids[1]
+        for _, journal in pairs:
+            journal.close()
+
+    @pytest.mark.parametrize("case", sorted(IDLE))
+    def test_request_that_journals_nothing_opens_no_stream(self, tmp_path,
+                                                           case):
+        pairs = self.live_and_restarted(tmp_path, IDLE[case])
+        status = [svc.handle(StreamStatus("ward")).to_dict()
+                  for svc, _ in pairs]
+        assert status[0] == status[1] == {
+            "response": "ack", "registered": "stream", "name": "ward",
+            "size": 0}
+        fleet = FleetSubmit(("ward",), "policy", ((("ward", ()),),))
+        replies = [svc.handle(fleet) for svc, _ in pairs]
+        assert replies[0] == replies[1]
+        assert replies[0].kind == "fleet-decisions"
+        for _, journal in pairs:
+            journal.close()
+
+
 class TestRecoveryRefusals:
     def test_corrupt_history_refuses_loudly(self, tmp_path):
         from repro.server.faults import flip_byte
@@ -316,6 +417,46 @@ class TestRecoveryRefusals:
         journal.sets_journal_path.write_bytes(b"")  # lose the registrations
         with pytest.raises(JournalError):
             durable_service(tmp_path, checkpoint_every=1)
+
+
+def _without_lsn(record):
+    return {key: value for key, value in record.items() if key != "lsn"}
+
+
+#: CRC-valid ``sets.journal`` records no writer produces: ``(record
+#: index, edit)``, where record 0 registers the set and record -1 is the
+#: fleet's ledger after its first submission.
+MALFORMED = {
+    "a JSON list": (-1, lambda r: [r]),
+    "no lsn": (-1, _without_lsn),
+    "a string lsn": (-1, lambda r: {**r, "lsn": str(r["lsn"])}),
+    "a string epoch": (-1, lambda r: {**r, "epoch": str(r["epoch"])}),
+    "a float epoch": (-1, lambda r: {**r, "epoch": r["epoch"] + 0.9}),
+    "a string of members": (-1, lambda r: {**r, "documents": "abc"}),
+    "a string flag": (0, lambda r: {**r, "replace": "false"}),
+}
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_recovery_refuses_naming_file_and_lsn(self, tmp_path, case):
+        from repro.server.framing import encode_record, scan_records
+        live, journal, _ = durable_service(tmp_path)
+        live.handle(RegisterConstraints("policy", tuple(POLICY)))
+        live.handle(RegisterDocument("f0", fresh_doc()))
+        live.handle(FleetSubmit(("f0",), "policy", (
+            (("f0", (AddLeaf(5, "note"),)),),)))
+        journal.close()
+        path = journal.sets_journal_path
+        records, _ = scan_records(path.read_bytes())
+        at, edit = MALFORMED[case]
+        lsn = records[at]["lsn"]
+        edited = records[at] = edit(records[at])
+        path.write_bytes(b"".join(encode_record(r) for r in records))
+        keeps_lsn = isinstance(edited, dict) and edited.get("lsn") == lsn
+        where = f"(lsn {lsn}) in {path}" if keeps_lsn else str(path)
+        with pytest.raises(JournalError, match=re.escape(where)):
+            durable_service(tmp_path)
 
 
 class TestDocumentNames:

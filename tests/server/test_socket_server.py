@@ -22,9 +22,9 @@ import zlib
 import pytest
 
 from repro.certify import LabelHole, NodeHole, TemplateAdd, UpdateTemplate
-from repro.constraints import constraint_set
+from repro.constraints import constraint_set, no_insert
 from repro.errors import ServerError
-from repro.server import ReproClient, ReproServer
+from repro.server import ReproClient, ReproServer, ServerJournal
 from repro.server.framing import HEADER, encode_record, read_frame, write_frame
 from repro.service.async_service import AsyncService
 from repro.service.protocol import (
@@ -36,6 +36,8 @@ from repro.service.protocol import (
     StreamSubmit,
     response_checksum,
 )
+from repro.service.service import ConstraintService
+from repro.service.store import DocumentStore
 from repro.stream.ops import AddLeaf, Begin, Commit, RemoveSubtree, Rollback
 from repro.trees.tree import DataTree
 from repro.xpath.parser import parse
@@ -439,6 +441,57 @@ class TestCertifiedClientCalls:
         assert isinstance(duplicate, ErrorResponse)
         assert dict(replaced.stats)["certify.certified"] == 1
         assert [d.accepted for d in out.decisions] == [True] * 3
+
+
+#: Every request convenience, defined once in RequestMethods.
+CONVENIENCES = ("register_document", "register_constraints",
+                "register_template", "implies", "implies_on", "enforce",
+                "apply", "certified_submit", "status", "metrics")
+
+
+def test_both_fronts_share_every_request_convenience(tmp_path):
+    """``AsyncService`` and ``ReproClient`` define no convenience of
+    their own, and each convenience answers alike through both: the
+    in-process front over a journaled service and a durable server."""
+    for front in (AsyncService, ReproClient):
+        assert not set(CONVENIENCES) & set(vars(front)), front
+        assert all(callable(getattr(front, name)) for name in CONVENIENCES)
+
+    async def drive(front):
+        conclusion = no_insert("/patient[/visit]")
+        replies = [
+            await front.register_constraints("p", tuple(POLICY)),
+            await front.register_document("d", fresh_doc()),
+            await front.register_template("annotate", ANNOTATE, "p"),
+            await front.implies("p", [conclusion]),
+            await front.implies_on("p", "d", [conclusion], max_moves=1),
+            await front.enforce("d", "p", [AddLeaf(5, "note")]),
+            await front.apply("d", "p", AddLeaf(5, "visit")),
+            await front.certified_submit("d", "p", "annotate",
+                                         {"p": 5, "l": "memo"}),
+            await front.status("d"),
+        ]
+        snapshot = await front.metrics()
+        return ([response_checksum(reply) for reply in replies],
+                snapshot.streams, snapshot.fleets)
+
+    async def run():
+        store = DocumentStore()
+        journal = ServerJournal(tmp_path / "inline")
+        journal.recover(store)
+        store.attach_journal(journal)
+        async with AsyncService(ConstraintService(store=store)) as inline:
+            direct = await drive(inline)
+        journal.close()
+        async with ReproServer.durable(tmp_path / "socket") as server:
+            client = await ReproClient.connect(*server.address)
+            remote = await drive(client)
+            await client.close()
+        return direct, remote
+
+    direct, remote = asyncio.run(run())
+    assert direct == remote
+    assert direct[1]  # the stream the conveniences opened is reported
 
 
 class _BuggyStatusService(AsyncService):

@@ -196,8 +196,10 @@ def expect_error(response, fragment: str) -> None:
 
 
 def test_streamed_document_cannot_join_a_fleet():
-    svc = make_service([("ward0", make_doc())])
-    svc.handle(StreamSubmit(document="ward0", constraints="policy", ops=()))
+    doc = make_doc()
+    svc = make_service([("ward0", doc)])
+    svc.handle(StreamSubmit(document="ward0", constraints="policy",
+                            ops=(AddLeaf(doc.root, "note"),)))
     expect_error(
         submit(svc, FleetSubmit(documents=("ward0",), constraints="policy",
                                 epochs=())),

@@ -29,7 +29,6 @@ from repro.workloads import (
     random_tree,
 )
 from repro.xpath import BitsetEvaluator
-from repro.xpath import bitset as bitset_mod
 from repro.xpath.evaluator import evaluate, evaluate_ids, matches_at, selects
 
 LABELS = ["a", "b", "c"]
@@ -60,9 +59,7 @@ def test_bitset_evaluate_matches_naive(seed, idx):
                                  spine=rng.randint(1, 4))
         expected = evaluate_ids(pattern, tree)
         assert bit.evaluate_ids(pattern) == expected
-        assert bitset_mod.evaluate_ids(pattern, snapshot) == expected
         assert bit.evaluate(pattern) == evaluate(pattern, tree)
-        assert bitset_mod.evaluate(pattern, bit) == evaluate(pattern, tree)
         # evaluation anchored below the root must agree too
         start = rng.choice(list(tree.node_ids()))
         assert bit.evaluate_ids(pattern, start) == evaluate_ids(pattern, tree, start)
@@ -79,10 +76,8 @@ def test_bitset_selects_and_matches_at(seed, idx):
     for nid in tree.node_ids():
         naive_sel = selects(pattern, tree, nid)
         assert bit.selects(pattern, nid) == naive_sel
-        assert bitset_mod.selects(pattern, bit, nid) == naive_sel
         naive_pred = matches_at(pred, tree, nid)
         assert bit.matches_at(pred, nid) == naive_pred
-        assert bitset_mod.matches_at(pred, bit, nid) == naive_pred
 
 
 @given(seed=seeds)
@@ -91,7 +86,7 @@ def test_bitset_context_fast_path_is_transparent(seed):
     """evaluate(context=...) answers identically and survives staleness."""
     rng = random.Random(seed)
     tree = random_tree(rng, LABELS, size=rng.randint(1, 12))
-    ctx = bitset_mod.context_for(tree)
+    ctx = BitsetEvaluator.for_tree(tree)
     pattern = random_pattern(rng, LABELS, SPECS[4], spine=rng.randint(1, 3))
     assert (evaluate(pattern, tree, context=ctx)
             == evaluate(pattern, tree, context=None))
