@@ -22,6 +22,13 @@ whence ``n ∈ p(I)`` via ``W``.  The fresh nodes of ``I`` (``n'`` and the
 branch) are invisible to no-insert premises, which only constrain ``J``.
 When ``Hit(n) = ∅`` the branch is unnecessary: ``I = J with n ↦ n'``.
 
+The certificate records ``I`` as that edit of ``J`` — ``(n, n', branch)``,
+a :class:`~repro.implication.result.PastEdit`, with ``n'`` drawn when the
+certificate is made — and builds the tree only when something reads
+``Counterexample.before``.  The hybrid dispatch validates the edit against
+``J``'s answers without ever building it
+(:func:`repro.instance.search.relocation_refutation`).
+
 *Completeness.*  A real witness ``I0`` gives ``n ∈ ⋂Hit(n)(I0) ∖ q(I0)``
 directly, so the intersection escapes ``q``.
 
@@ -38,10 +45,12 @@ from repro.errors import FragmentError
 from repro.implication.result import (
     Counterexample,
     ImplicationResult,
+    PastEdit,
     implied,
     not_implied,
 )
-from repro.trees.ops import graft_at_root, remap_ids
+from repro.trees.node import fresh_id
+from repro.trees.ops import remap_ids
 from repro.trees.tree import DataTree
 from repro.xpath.evaluator import evaluate_ids
 from repro.xpath.intersection import escape_witness
@@ -50,15 +59,14 @@ ENGINE = "instance-no-insert"
 
 
 def _past_instance(current: DataTree, n: int, witness_tree: DataTree | None,
-                   witness_output: int | None) -> DataTree:
-    """Assemble the past instance described in the module docstring."""
-    past = current.copy()
-    past.relabel_fresh(n)
+                   witness_output: int | None) -> Counterexample:
+    """The certificate whose past is the edit of the module docstring."""
+    branch = None
     if witness_tree is not None:
         assert witness_output is not None
         branch = remap_ids(witness_tree, {witness_output: n})
-        graft_at_root(past, branch, fresh=False)
-    return past
+    edit = PastEdit(n, fresh_id(), branch, current.version)
+    return Counterexample(None, current, witness=n, edit=edit)
 
 
 def implies_no_insert(premises: ConstraintSet, current: DataTree,
@@ -91,15 +99,14 @@ def implies_no_insert(premises: ConstraintSet, current: DataTree,
     for node in sorted(q_ids):
         hit = [c.range for c in premises if node in range_hits[c]]
         if not hit:
-            past = _past_instance(current, node, None, None)
             return not_implied(engine, premises, conclusion,
-                               Counterexample(past, current, witness=node),
+                               _past_instance(current, node, None, None),
                                reason=f"node {node} sits in no premise range")
         witness = escape_witness(hit, [q])
         if witness is not None:
-            past = _past_instance(current, node, witness.tree, witness.output)
             return not_implied(engine, premises, conclusion,
-                               Counterexample(past, current, witness=node),
+                               _past_instance(current, node, witness.tree,
+                                              witness.output),
                                reason=f"node {node} could have entered q from "
                                       f"⋂ of {len(hit)} ranges")
     return implied(engine, premises, conclusion,

@@ -229,6 +229,31 @@ def _identify(candidate: DataTree, output: int,
     return mapping
 
 
+def _label_buckets(current: DataTree, context=None) -> dict[str, list[int]]:
+    """J's non-root nodes by label, each bucket in preorder.
+
+    Preorder buckets keep the matching graph's edge order (and with it the
+    certificate networkx returns) independent of how J is indexed.  A
+    snapshot ``context`` covering ``current`` already holds them: its
+    label buckets are in document order, which is the tree's preorder.
+    """
+    root = current.root
+    buckets: dict[str, list[int]] = {}
+    if context is not None and context.covers(current):
+        index = context.index
+        for label in index.labels():
+            bucket = index.nodes_with_label(label)
+            if bucket[0] == root:  # first in document order
+                del bucket[0]
+            if bucket:
+                buckets[label] = bucket
+        return buckets
+    for nid in current.node_ids():
+        if nid != root:
+            buckets.setdefault(current.label(nid), []).append(nid)
+    return buckets
+
+
 def implies_no_remove(premises: ConstraintSet, current: DataTree,
                       conclusion: UpdateConstraint,
                       merge_budget: int = 512,
@@ -255,12 +280,7 @@ def implies_no_remove(premises: ConstraintSet, current: DataTree,
     premises.require_concrete()
     q = conclusion.range
     cap = max_star_length(list(premises.ranges) + [q]) + 1
-    # Preorder buckets keep the matching graph's edge order (and with it
-    # the certificate networkx returns) independent of how J is indexed.
-    j_by_label: dict[str, list[int]] = {}
-    for nid in current.node_ids():
-        if nid != current.root:
-            j_by_label.setdefault(current.label(nid), []).append(nid)
+    j_by_label = _label_buckets(current, context)
     fresh = fresh_label_for(labels_of(q, *premises.ranges) | set(j_by_label))
     wildcard_labels = sorted(j_by_label) + [fresh]
     q_answers = evaluate_ids(q, current, context=context)

@@ -23,6 +23,13 @@ via the embedding engine):
 outcome from its subset test, so it validates that outcome's certificate
 (:func:`relocation_refutation`) and runs only :func:`cascade_refutation`.
 
+A single relocation is one candidate, checked as an *edit* of ``J``: the
+no-insert certificate records ``(n, n', branch)``
+(:class:`~repro.implication.result.PastEdit`), and with a snapshot of ``J``
+each range's answer on the past follows from its answer ids on ``J`` and a
+naive run over the few-node branch — no copy of ``J`` is built or walked.
+Only the cascade family walks candidates.
+
 The cascade walk is **copy-free and snapshot-carrying**: all candidates are
 realised on one scratch tree through a move/undo journal, and on trees
 worth indexing the journal is applied *through* an incrementally-maintained
@@ -43,11 +50,13 @@ from itertools import combinations
 from repro.constraints.model import ConstraintSet, ConstraintType, UpdateConstraint
 from repro.constraints.validity import is_valid, violation_of
 from repro.errors import TreeError
-from repro.implication.result import Counterexample, ImplicationResult
+from repro.implication.result import Counterexample, ImplicationResult, PastEdit
 from repro.instance.no_insert_engine import implies_no_insert
 from repro.instance.no_remove_engine import implies_no_remove
+from repro.trees.node import Node
 from repro.trees.tree import DataTree
 from repro.xpath.bitset import BitsetEvaluator
+from repro.xpath.evaluator import evaluate
 
 # Below this many nodes, naive per-candidate evaluation wins: it is
 # output-sensitive (child steps touch only the frontier's children), while
@@ -85,6 +94,37 @@ def same_type_implication(premises: ConstraintSet, current: DataTree,
                   context=context)
 
 
+def _edit_is_refutation(edit: PastEdit, current: DataTree,
+                        premises: ConstraintSet,
+                        conclusion: UpdateConstraint,
+                        context: BitsetEvaluator) -> bool:
+    """:func:`_candidate_is_refutation` for the past ``edit`` makes of ``J``.
+
+    ``I`` is ``J`` with ``n`` replaced by the fresh ``n'`` plus the
+    branch's top-level subtrees.  With downward navigation and no root
+    predicates a node's membership depends only on the top-level subtree
+    holding it (:func:`repro.trees.ops.graft_at_root`), so
+    ``q(I) = q(J) - {n} + {n' if n ∈ q(J)} + q(branch)``: each range needs
+    ``q(J)`` as ids from ``context`` and a naive run over the few-node
+    branch, never a copy of ``J``.
+    """
+    edit.check_fresh(current)
+    n = edit.node
+    node = Node(n, current.label(n))
+
+    def violated(constraint: UpdateConstraint) -> bool:
+        answers = context.evaluate_ids(constraint.range)
+        grafted = (evaluate(constraint.range, edit.branch)
+                   if edit.branch is not None else set())
+        if constraint.type is ConstraintType.NO_REMOVE:
+            # q(I) ⊆ q(J) fails on n' (fresh) or on any grafted answer:
+            # each is fresh too, or carries n when n is not in q(J).
+            return n in answers or bool(grafted)
+        return n in answers and node not in grafted
+
+    return violated(conclusion) and not any(map(violated, premises))
+
+
 def relocation_refutation(premises: ConstraintSet, current: DataTree,
                           conclusion: UpdateConstraint,
                           same_type: ImplicationResult,
@@ -95,13 +135,23 @@ def relocation_refutation(premises: ConstraintSet, current: DataTree,
     ``same_type`` is :func:`same_type_implication` on the same-type
     premises — a caller that already ran it (the hybrid dispatch's
     subset test) validates that outcome instead of re-running the engine.
+    A no-insert certificate is an edit of ``J``; with a snapshot
+    ``context`` of ``current`` it is checked as one
+    (:func:`_edit_is_refutation`) and its past is never built here.
     """
     certificate = same_type.counterexample
-    if certificate is not None and _candidate_is_refutation(
-            certificate.before, current, premises, conclusion,
-            context=context):
-        return certificate
-    return None
+    if certificate is None:
+        return None
+    edit = certificate.edit
+    if (edit is not None and certificate.after is current
+            and context is not None and context.covers(current)):
+        valid = _edit_is_refutation(edit, current, premises, conclusion,
+                                    context)
+    else:
+        valid = _candidate_is_refutation(certificate.before, current,
+                                         premises, conclusion,
+                                         context=context)
+    return certificate if valid else None
 
 
 def _cascade_walk(scratch: DataTree, max_moves: int, budget: int,

@@ -20,7 +20,8 @@ file, fsync'd *before* the response that acknowledges it is sent:
   enforcement stream's :meth:`~repro.stream.engine.StreamEnforcer.
   state_dict` plus the journal position it covers, written to a temp
   file and atomically renamed.  After a checkpoint the journal is
-  *compacted*: records the checkpoint covers are dropped.
+  *compacted*: the checkpoint covers every record it held, so it is
+  emptied.
 
 Every record carries a globally monotone ``lsn`` (log sequence number),
 so :meth:`recover` can merge the set journal and all document journals
@@ -201,6 +202,7 @@ class ServerJournal:
         self._handles: dict[Path, BinaryIO] = {}
         self._synced: dict[Path, int] = {}  # last fsync'd size per file
         self._sizes: dict[Path, int] = {}   # written size per file
+        self._journal_paths: dict[str, Path] = {}  # built once per document
         self._next_id: dict[str, int] = {}  # per-document leaf-id counter
         self._since_checkpoint: dict[str, int] = {}
         self._closed = False
@@ -212,7 +214,12 @@ class ServerJournal:
         return self.root / _DOCS / _doc_dirname(name)
 
     def doc_journal_path(self, name: str) -> Path:
-        return self._doc_dir(name) / _JOURNAL
+        # Every submit record appends here: quote the name and join the
+        # parts once per document, not once per record.
+        path = self._journal_paths.get(name)
+        if path is None:
+            path = self._journal_paths[name] = self._doc_dir(name) / _JOURNAL
+        return path
 
     def doc_checkpoint_path(self, name: str) -> Path:
         return self._doc_dir(name) / _CHECKPOINT
@@ -447,34 +454,31 @@ class ServerJournal:
             os.replace(tmp, path)
             _fsync_dir(path.parent)
             self._fault("checkpoint-rename")
-            self._compact(doc, covered)
+            self._compact(doc)
             enforcer.audit.compact(keep_last=self.audit_keep)
         self._since_checkpoint[doc] = 0
 
-    def _compact(self, doc: str, covered_lsn: int) -> None:
-        """Drop journal records the checkpoint at ``covered_lsn`` covers."""
-        with span("journal.compact", registry=self._metrics):
-            self._compact_inner(doc, covered_lsn)
+    def _compact(self, doc: str) -> None:
+        """Empty the document's journal, crash-safely.
 
-    def _compact_inner(self, doc: str, covered_lsn: int) -> None:
-        journal = self.doc_journal_path(doc)
-        records, _ = scan_records(journal.read_bytes(), path=str(journal))
-        keep = [r for r in records if r["lsn"] > covered_lsn]
-        handle = self._handles.pop(journal, None)
-        if handle is not None:
-            handle.close()
-        tmp = journal.with_suffix(".compact")
-        with open(tmp, "wb") as out:
-            for record in keep:
-                out.write(encode_record(record))
-            if self.fsync:
-                os.fsync(out.fileno())
-        os.replace(tmp, journal)
-        _fsync_dir(journal.parent)
-        self._fault("compact")
-        size = journal.stat().st_size
-        self._sizes[journal] = size
-        self._synced[journal] = size
+        The checkpoint just written covers every record a document
+        journal can hold (each has ``lsn < self._lsn``), so nothing is
+        kept and nothing needs reading first.
+        """
+        with span("journal.compact", registry=self._metrics):
+            journal = self.doc_journal_path(doc)
+            handle = self._handles.pop(journal, None)
+            if handle is not None:
+                handle.close()
+            tmp = journal.with_suffix(".compact")
+            with open(tmp, "wb") as out:
+                if self.fsync:
+                    os.fsync(out.fileno())
+            os.replace(tmp, journal)
+            _fsync_dir(journal.parent)
+            self._fault("compact")
+            self._sizes[journal] = 0
+            self._synced[journal] = 0
 
     # ------------------------------------------------------------------
     # Recovery
@@ -502,8 +506,29 @@ class ServerJournal:
             max_lsn = max(max_lsn, lsn)
             self._apply(kind, data, store, report)
             report.records_replayed += 1
+        self._check_fleets(store)
         self._lsn = max_lsn + 1
         return report
+
+    @staticmethod
+    def _check_fleets(store) -> None:
+        """Refuse a recovered fleet whose set or member nothing registers.
+
+        A ledger record skips admission, and a member's registration may
+        sit in a checkpoint restored at a later lsn, so this runs once the
+        whole replay is done.
+        """
+        sets, documents = set(store.constraint_sets()), set(store.documents())
+        for docs, set_name, _ in store.live_fleets():
+            missing = ([f"constraint set {set_name!r}"]
+                       if set_name not in sets else [])
+            missing += [f"document {doc!r}" for doc in docs
+                        if doc not in documents]
+            if missing:
+                raise JournalError(
+                    f"journaled fleet {(docs, set_name)!r} names "
+                    f"{' and '.join(missing)}, which the journals never "
+                    f"register")
 
     def _scan(self, path: Path, kinds: dict[str, dict],
               report: RecoveryReport) -> list[dict]:

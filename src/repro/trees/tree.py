@@ -260,16 +260,24 @@ class DataTree:
         self._children[new_parent].append(nid)
         self._touch(old_parent, new_parent)
 
-    def relabel_fresh(self, nid: int, label: str | None = None) -> int:
+    def relabel_fresh(self, nid: int, label: str | None = None,
+                      new_id: int | None = None) -> int:
         """Replace node ``nid`` by a *fresh* node (new id, possibly new label).
 
         The paper's model has no label modification: changing a label means
         the old ``(id, label)`` node disappears and a new node takes its
         structural place.  Children are preserved.  Returns the new id.
+        ``new_id`` optionally supplies an id drawn earlier; like
+        :meth:`add_child`'s ``nid`` it must be unused in this tree.
         """
         if nid == self._root:
             raise TreeError("cannot relabel the root in place")
-        new_id = fresh_id()
+        if new_id is None:
+            new_id = fresh_id()
+        else:
+            if new_id in self._labels:
+                raise TreeError(f"node id {new_id} already present")
+            GLOBAL_IDS.reserve_above(new_id)
         new_label = self._labels[nid] if label is None else label
         parent = self._parent[nid]
         assert parent is not None

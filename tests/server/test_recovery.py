@@ -409,6 +409,25 @@ class TestRecoveryRefusals:
         with pytest.raises(JournalError, match="never opened"):
             durable_service(tmp_path)
 
+    @pytest.mark.parametrize("members, set_name, missing", [
+        (["f0", "ghost"], "policy", "document 'ghost'"),
+        (["f0"], "lost", "constraint set 'lost'"),
+    ])
+    def test_fleet_naming_an_unregistered_member_refuses(
+            self, tmp_path, members, set_name, missing):
+        # A ledger skips admission: without the post-replay check this
+        # recovered a fleet every later fleet-submit failed on.
+        from repro.server.framing import encode_record
+        live, journal, _ = durable_service(tmp_path)
+        register_all(live)
+        journal.close()
+        with open(journal.sets_journal_path, "ab") as ledgers:
+            ledgers.write(encode_record(
+                {"kind": "fleet", "lsn": 100, "documents": members,
+                 "set": set_name, "epoch": 0, "checksum": 0}))
+        with pytest.raises(JournalError, match=f"names {missing}"):
+            durable_service(tmp_path)
+
     def test_checkpoint_naming_unregistered_set_refuses(self, tmp_path):
         live, journal, _ = durable_service(tmp_path, checkpoint_every=1)
         register_all(live)

@@ -8,6 +8,7 @@ from repro.trees import (
     branch,
     build,
     copy_subtree,
+    fresh_id,
     from_dict,
     graft_at_root,
     leaf,
@@ -128,6 +129,16 @@ class TestMutation:
         a = next(n.nid for n in tree.nodes() if n.label == "a")
         new_id = tree.relabel_fresh(a, "x")
         assert sorted(tree.label(k) for k in tree.children(new_id)) == ["b", "c"]
+
+    def test_relabel_fresh_takes_an_id_drawn_earlier(self):
+        tree = parse_tree("a(b)")
+        a, b = (n.nid for n in tree.nodes() if n.nid != tree.root)
+        drawn = fresh_id()
+        assert tree.relabel_fresh(a, new_id=drawn) == drawn
+        tree.validate()
+        assert tree.children(drawn) == (b,) and a not in tree
+        with pytest.raises(TreeError):
+            tree.relabel_fresh(b, new_id=drawn)
 
 
 class TestCopiesAndIdentity:
