@@ -9,9 +9,6 @@ against one ``C``.  A :class:`Reasoner` compiles ``C`` exactly once —
   engine dispatch,
 * DFAs for every predicate-free range over the compiled alphabet (shared
   with the linear record engine through the global automata cache),
-* plus, on first access, the pairwise containment matrix (and, on the
-  child-only fragment, the pairwise intersection matrix) over the ranges —
-  compile artifacts for introspection and future subsumption pruning,
 
 — and then serves queries through a memoising dispatch layer:
 
@@ -67,11 +64,8 @@ from repro.instance.search import (
 from repro.stream.engine import StreamEnforcer
 from repro.trees.index import TreeIndex
 from repro.trees.tree import DataTree
-from repro.xpath.ast import Pattern
-from repro.xpath.containment import contained
 from repro.xpath.bitset import BitsetEvaluator
 from repro.xpath.evaluator import evaluate_ids
-from repro.xpath.intersection import intersect_child_only
 from repro.xpath.properties import Fragment, is_linear
 
 
@@ -111,10 +105,9 @@ class Reasoner:
             disables memoisation, ``None`` means unbounded).
         precompile: build the cheap compilation artifacts (fragment
             classification, label alphabet, star length, linear DFAs)
-            eagerly.  The ``O(|C|^2)`` containment/intersection matrices
-            always stay lazy and build on first access.  The legacy
-            wrappers pass ``False`` so a transient single-query session
-            costs exactly what the old free functions did.
+            eagerly.  The legacy wrappers pass ``False`` so a transient
+            single-query session costs exactly what the old free
+            functions did.
     """
 
     def __init__(self,
@@ -133,15 +126,9 @@ class Reasoner:
         self._by_type: dict[ConstraintType, ConstraintSet] = {}
         self._labels: set[str] | None = None
         self._memo = LRUMemo(memo_size)
-        self._containment: dict[tuple[int, int], bool] | None = None
-        self._intersections: dict[tuple[int, int], Pattern | None] | None = None
         if precompile:
             _ = (self.fragment, self.labels, self.star_length)
             self._compile_linear_dfas()
-            # The containment/intersection matrices are compile artifacts for
-            # callers (schema introspection, future subsumption pruning), not
-            # inputs of the dispatch: they stay lazy so Reasoner(C) startup
-            # does not pay O(|C|^2) containment checks nobody asked for.
 
     # ------------------------------------------------------------------
     # Compiled views
@@ -175,38 +162,6 @@ class Reasoner:
         if view is None:
             view = self._by_type[ctype] = self._premises.of_type(ctype)
         return view
-
-    def containment_matrix(self) -> dict[tuple[int, int], bool]:
-        """``(i, j) -> ranges[i] ⊆ ranges[j]`` over the premise ranges.
-
-        Computed lazily, once per session, on first access.
-        """
-        if self._containment is None:
-            ranges = self._premises.ranges
-            self._containment = {
-                (i, j): contained(p, q)
-                for i, p in enumerate(ranges)
-                for j, q in enumerate(ranges)
-                if i != j
-            }
-        return self._containment
-
-    def intersection_matrix(self) -> dict[tuple[int, int], Pattern | None]:
-        """Pairwise range intersections on the child-only fragment.
-
-        ``None`` values mark empty intersections.  Empty dict when the
-        premises leave ``XP{/,[],*}`` (the closed-form intersection is only
-        defined without ``//``).
-        """
-        if self._intersections is None:
-            self._intersections = {}
-            if not self.fragment.descendant:
-                ranges = self._premises.ranges
-                for i, p in enumerate(ranges):
-                    for j in range(i + 1, len(ranges)):
-                        self._intersections[(i, j)] = intersect_child_only(
-                            [p, ranges[j]])
-        return self._intersections
 
     def _compile_linear_dfas(self) -> None:
         """Warm the automata cache for every predicate-free range.
@@ -296,9 +251,6 @@ class Reasoner:
     def stats(self) -> CacheStats:
         """Hit/miss statistics of the session's result memo."""
         return self._memo.stats
-
-    def clear_cache(self) -> None:
-        self._memo.clear()
 
     def __repr__(self) -> str:
         return (f"Reasoner({len(self._premises)} constraints, "

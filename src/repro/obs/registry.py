@@ -342,29 +342,8 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     # ------------------------------------------------------------------
-    # Merge / reset
+    # Reset
     # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (shard/worker aggregation).
-
-        Counters and histograms add; gauges take ``other``'s value (the
-        newer level wins).  Histograms must agree on bucket bounds.
-        """
-        for instrument in other:
-            labels = dict(instrument.labels)
-            if isinstance(instrument, Counter):
-                self.counter(instrument.name, **labels).inc(instrument.value)
-            elif isinstance(instrument, Gauge):
-                self.gauge(instrument.name, **labels).set(instrument.value)
-            else:
-                mine = self.histogram(instrument.name,
-                                      buckets=instrument.bounds, **labels)
-                with mine._lock:
-                    for at, count in enumerate(instrument.bucket_counts):
-                        mine._counts[at] += count
-                    mine._count += instrument.count
-                    mine._sum += instrument.sum
-
     def reset(self) -> None:
         """Drop every instrument (tests and benchmark isolation)."""
         with self._lock:

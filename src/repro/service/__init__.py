@@ -61,7 +61,6 @@ from repro.service.protocol import (
     request_from_json,
     response_checksum,
     response_from_dict,
-    response_from_json,
 )
 from repro.service.service import ConstraintService
 from repro.service.store import DocumentStore
@@ -76,5 +75,5 @@ __all__ = [
     "WireViolation", "WireDecision", "StreamDecisions", "ErrorResponse",
     "WireEpoch", "FleetDecisions",
     "request_from_dict", "request_from_json",
-    "response_from_dict", "response_from_json", "response_checksum",
+    "response_from_dict", "response_checksum",
 ]

@@ -471,10 +471,6 @@ def response_from_dict(data: Any) -> Response:
     return _decode(data, "response", _RESPONSE_KINDS)
 
 
-def response_from_json(payload: str) -> Response:
-    return response_from_dict(json.loads(payload))
-
-
 def response_checksum(response: Response) -> int:
     """CRC of the canonical JSON wire form — one integer per response.
 
@@ -521,5 +517,5 @@ __all__ = [
     "WireViolation", "WireDecision", "StreamDecisions", "ErrorResponse",
     "WireEpoch", "FleetDecisions", "MetricsSnapshot",
     "request_from_dict", "request_from_json",
-    "response_from_dict", "response_from_json", "response_checksum",
+    "response_from_dict", "response_checksum",
 ]

@@ -7,7 +7,8 @@ label lookups by full scans — so repeated pattern evaluation over one
 instance (the workload of every Table 2 engine and of a bound
 :class:`repro.api.session.BoundReasoner`) pays a quadratic-ish tax.
 
-A :class:`TreeIndex` encodes one tree into flat lookup structures:
+A :class:`TreeIndex` adds flat lookup structures to one tree (labels,
+parents and children it reads from the tree's own maps):
 
 * an Euler-tour **pre/post interval numbering** over *gapped slots* —
   ``is_ancestor`` and descendant-interval membership become two integer
@@ -16,8 +17,8 @@ A :class:`TreeIndex` encodes one tree into flat lookup structures:
 * a **label index**: label → slots of the nodes carrying it, sorted by
   construction, so "descendants of ``n`` labelled ``a``" is one ``bisect``
   pair instead of a subtree scan;
-* per-node **depth** and **path-label** arrays (the node *words* consumed by
-  the linear-fragment engines);
+* a memoised **path-label** map (the node *words* consumed by the
+  linear-fragment engines);
 * **bitset views** (:meth:`label_mask`, :meth:`all_mask`,
   :meth:`subtree_mask`) — node-sets as Python ``int`` masks keyed by slot,
   the substrate of the set-at-a-time
@@ -44,9 +45,10 @@ it — appends an :class:`EditDelta` to a bounded log (:meth:`deltas_since`),
 from which the set-at-a-time evaluator *patches* its cached predicate masks
 instead of recomputing them (only the ancestor chains of the edit points
 can change downward structure), and re-syncs the recorded tree
-:attr:`~repro.trees.tree.DataTree.version`, so :attr:`fresh` stays true.  Mutating the tree *behind* the
-index (directly through :class:`DataTree` methods) still stales it, exactly
-as before: an index never observes mutations it did not apply.
+:attr:`~repro.trees.tree.DataTree.version`, so :attr:`fresh` stays true.
+Mutating the tree *behind* the index (directly through :class:`DataTree`
+methods) stales it, and a stale snapshot must not be read: its slots no
+longer describe the tree whose maps its lookups read.
 """
 
 from __future__ import annotations
@@ -176,13 +178,16 @@ class EditDelta:
 class TreeIndex:
     """An interval-encoded view of one :class:`DataTree`.
 
-    Frozen with respect to *foreign* mutations (anything done directly to
-    the tree), updatable in place through the ``apply_*`` methods.
+    Holds only what it adds to the tree (slots and intervals, label
+    buckets, masks, the path-label memo and the delta log); labels, parents
+    and children are the tree's own maps.  Updatable in place through the
+    ``apply_*`` methods; a snapshot staled by any other mutation of the
+    tree (:attr:`fresh` is false) must not be read.
     """
 
     __slots__ = ("_tree", "_built_version", "_root", "_slot", "_post",
-                 "_slots", "_node_at", "_depth", "_labels", "_children",
-                 "_parent", "_by_label", "_paths", "_revision", "_rebuilds",
+                 "_slots", "_node_at", "_labels", "_children", "_parent",
+                 "_by_label", "_paths", "_revision", "_rebuilds",
                  "_label_masks", "_all_mask", "_kids_masks", "_parent_slots",
                  "_delta_log", "_capture")
 
@@ -190,18 +195,16 @@ class TreeIndex:
         self._tree = tree
         self._built_version = tree.version
         self._root = tree.root
-        # One iterative Euler tour builds every structure at once.
+        # The tree's own maps: a DataTree never rebinds them.
+        self._labels = labels = tree._labels
+        self._children = children = tree._children
+        self._parent = tree._parent
+        # One iterative Euler tour assigns every slot.
         slot: dict[int, int] = {}
         post: dict[int, int] = {}
-        depth: dict[int, int] = {tree.root: 0}
         slots: list[int] = []
         node_at: dict[int, int] = {}
         by_label: dict[str, list[int]] = {}
-        labels: dict[int, str] = {}
-        children: dict[int, tuple[int, ...]] = {}
-        parent: dict[int, int | None] = {tree.root: None}
-        tree_children = tree.children
-        tree_label = tree.label
         stack: list[int] = [tree.root]
         while stack:
             nid = stack.pop()
@@ -209,21 +212,15 @@ class TreeIndex:
             slot[nid] = s
             slots.append(s)
             node_at[s] = nid
-            label = tree_label(nid)
-            labels[nid] = label
+            label = labels[nid]
             bucket = by_label.get(label)
             if bucket is None:
                 by_label[label] = [s]
             else:
                 bucket.append(s)
-            kids = tree_children(nid)
-            children[nid] = kids
+            kids = children[nid]
             if kids:
-                child_depth = depth[nid] + 1
-                for child in reversed(kids):
-                    depth[child] = child_depth
-                    parent[child] = nid
-                    stack.append(child)
+                stack.extend(reversed(kids))
         # Preorder places a node's last child's subtree at the end of its
         # interval, so one reversed pass closes every interval.
         for s in reversed(slots):
@@ -234,10 +231,6 @@ class TreeIndex:
         self._post = post
         self._slots = slots
         self._node_at = node_at
-        self._depth = depth
-        self._labels = labels
-        self._children = children
-        self._parent = parent
         self._by_label = by_label
         self._paths: dict[int, tuple[str, ...]] = {tree.root: ()}
         self._revision = 0
@@ -300,7 +293,7 @@ class TreeIndex:
 
     def children(self, nid: int) -> tuple[int, ...]:
         try:
-            return self._children[nid]
+            return tuple(self._children[nid])
         except KeyError:
             raise TreeError(f"node {nid} not in snapshot") from None
 
@@ -311,10 +304,7 @@ class TreeIndex:
             raise TreeError(f"node {nid} not in snapshot") from None
 
     def depth(self, nid: int) -> int:
-        try:
-            return self._depth[nid]
-        except KeyError:
-            raise TreeError(f"node {nid} not in snapshot") from None
+        return len(self.path_labels(nid))
 
     def pre(self, nid: int) -> int:
         """Document-order (Euler-tour) slot of ``nid``.
@@ -636,9 +626,9 @@ class TreeIndex:
     def _detach_subtree(self, nid: int) -> list[int]:
         """Remove the subtree's slots from every slot structure.
 
-        Returns the subtree's nodes in document order.  Structural maps
-        (labels/parent/children/depth) are left to the caller; the bitset
-        caches are patched in place.
+        Returns the subtree's nodes in document order.  Reads the nodes'
+        labels, so a removal detaches before the tree deletes them; the
+        bitset caches are patched in place.
         """
         lo, hi = self._slot[nid], self._post[nid]
         slots = self._slots
@@ -679,12 +669,16 @@ class TreeIndex:
             self._all_mask ^= self.pack_slots(removed)
         return nodes
 
-    def _fix_posts_upward(self, start: int | None) -> None:
-        """Re-close intervals from ``start`` up, stopping once unchanged."""
+    def _fix_posts_upward(self, start: int | None,
+                          skip: int | None = None) -> None:
+        """Re-close intervals from ``start`` up, stopping once unchanged;
+        ``skip`` is a detached node the tree already lists as a child."""
         a = start
         while a is not None:
             new_post = self._slot[a]
             for c in self._children[a]:
+                if c == skip:
+                    continue
                 pc = self._post[c]
                 if pc > new_post:
                     new_post = pc
@@ -713,25 +707,18 @@ class TreeIndex:
     def _renumber_subtree(self, host: int) -> None:
         """Re-spread ``host``'s whole subtree over its slot interval.
 
-        Unslotted nodes hanging off the structural maps (a freshly attached
-        subtree) receive slots; ``pre``/``post`` of ``host`` itself are
-        preserved (root excepted: the root re-spaces with fresh gaps, which
-        is the full-rebuild fallback counted by :attr:`rebuild_count`)."""
+        Unslotted nodes the tree already lists (a freshly attached subtree)
+        receive slots; ``pre``/``post`` of ``host`` itself are preserved
+        (root excepted: the root re-spaces with fresh gaps, which is the
+        full-rebuild fallback counted by :attr:`rebuild_count`)."""
         children = self._children
-        # New document order of the host subtree, depths refreshed as the
-        # walk descends (moved nodes change depth).
+        # New document order of the host subtree.
         order: list[int] = []
-        depth = self._depth
         stack = [host]
         while stack:
             n = stack.pop()
             order.append(n)
-            kids = children[n]
-            if kids:
-                d = depth[n] + 1
-                for c in reversed(kids):
-                    depth[c] = d
-                    stack.append(c)
+            stack.extend(reversed(children[n]))
         m = len(order)
         if host == self._root:
             self._rebuilds += 1
@@ -791,22 +778,18 @@ class TreeIndex:
         """
         if nid not in self._slot or new_parent not in self._slot:
             raise TreeError("node not in snapshot")
-        self._tree.move(nid, new_parent)  # validates root/cycle first
         old_parent = self._parent[nid]
+        self._tree.move(nid, new_parent)  # validates root/cycle first
         assert old_parent is not None
         capture: dict[int, int] = {}
         self._capture = capture
         try:
             detached = self._detach_subtree(nid)
-            self._children[old_parent] = tuple(
-                c for c in self._children[old_parent] if c != nid)
             self._kids_masks.pop(old_parent, None)
+            self._kids_masks.pop(new_parent, None)
             # Close the old side's intervals while the moved subtree is still
             # fully detached (its nodes have no posts to consult).
-            self._fix_posts_upward(old_parent)
-            self._children[new_parent] = self._children[new_parent] + (nid,)
-            self._kids_masks.pop(new_parent, None)
-            self._parent[nid] = new_parent
+            self._fix_posts_upward(old_parent, skip=nid)
             if not self._attach_after(new_parent, detached):
                 self._renumber_subtree(
                     self._find_host(new_parent, len(detached)))
@@ -836,16 +819,11 @@ class TreeIndex:
         slot_of = self._slot
         node_at = self._node_at
         kids_masks = self._kids_masks
-        depth = self._depth
-        parent_d = self._parent
         fresh_by_label: dict[str, list[int]] = {}
         for n, s in zip(detached, new_slots, strict=True):
             slot_of[n] = s
             node_at[s] = n
             kids_masks.pop(n, None)
-            # Parents precede children in preorder, so depths resolve in
-            # one pass even though the whole subtree changed level.
-            depth[n] = depth[parent_d[n]] + 1  # type: ignore[index]
             fresh_by_label.setdefault(self._labels[n], []).append(s)
         slots[i:i] = new_slots
         label_masks = self._label_masks
@@ -887,11 +865,6 @@ class TreeIndex:
         if parent not in self._slot:
             raise TreeError(f"parent {parent} not in snapshot")
         new_id = self._tree.add_child(parent, label, nid=nid)
-        self._labels[new_id] = label
-        self._parent[new_id] = parent
-        self._children[new_id] = ()
-        self._children[parent] = self._children[parent] + (new_id,)
-        self._depth[new_id] = self._depth[parent] + 1
         self._kids_masks.pop(parent, None)
         old_post = self._post[parent]
         slots = self._slots
@@ -961,15 +934,8 @@ class TreeIndex:
                 kids[parent].append(nid)
             kids[nid] = []
         tree = self._tree
-        labels = self._labels
-        parent_d = self._parent
-        children = self._children
         for nid, parent, label in spec:
             tree.add_child(parent, label, nid=nid)
-            labels[nid] = label
-            parent_d[nid] = parent
-            children[nid] = tuple(kids[nid])
-        children[top_parent] = children[top_parent] + (top,)
         self._kids_masks.pop(top_parent, None)
         order: list[int] = []
         stack = [top]
@@ -993,23 +959,18 @@ class TreeIndex:
         """Delete ``nid``'s subtree from the tree *and* the index."""
         if nid not in self._slot:
             raise TreeError(f"node {nid} not in snapshot")
-        self._tree.remove_subtree(nid)  # validates (root) first
         parent = self._parent[nid]
-        assert parent is not None
+        if parent is None:
+            raise TreeError("cannot remove the root")
         capture: dict[int, int] = {}
         self._capture = capture
         try:
-            doomed = self._detach_subtree(nid)
+            # Detach first: it reads the labels the tree is about to delete.
+            self._detach_subtree(nid)
         finally:
             self._capture = None
-        self._children[parent] = tuple(
-            c for c in self._children[parent] if c != nid)
+        self._tree.remove_subtree(nid)
         self._kids_masks.pop(parent, None)
-        for n in doomed:
-            del self._labels[n]
-            del self._parent[n]
-            del self._children[n]
-            del self._depth[n]
         self._fix_posts_upward(parent)
         self._bump()
         self._log_delta({}, vanished=tuple(capture.items()), added=(),

@@ -52,6 +52,10 @@ class IdAllocator:
         else:
             self._counter = itertools.count(current)
 
+    def reset(self, start: int = 1) -> None:
+        """Restart the counter at ``start``."""
+        self._counter = itertools.count(start)
+
 
 #: Process-wide allocator used whenever an id is not supplied explicitly.
 GLOBAL_IDS = IdAllocator()
@@ -63,6 +67,6 @@ def fresh_id() -> int:
 
 
 def reset_ids(start: int = 1) -> None:
-    """Reset the global allocator (test isolation only)."""
-    global GLOBAL_IDS
-    GLOBAL_IDS = IdAllocator(start)
+    """Reset the global allocator in place (test isolation only), so every
+    module that imported :data:`GLOBAL_IDS` keeps sharing it."""
+    GLOBAL_IDS.reset(start)

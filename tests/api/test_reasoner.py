@@ -89,23 +89,6 @@ class TestRequireDecision:
 
 
 class TestCompilation:
-    def test_containment_matrix(self):
-        reasoner = Reasoner(constraint_set(("/a/b", "up"), ("//b", "up"),
-                                           ("/a[/c]", "down")))
-        matrix = reasoner.containment_matrix()
-        assert matrix[(0, 1)] is True     # /a/b ⊆ //b
-        assert matrix[(1, 0)] is False
-        assert (0, 0) not in matrix
-
-    def test_intersection_matrix_child_only(self):
-        reasoner = Reasoner(constraint_set(("/a[/b]", "up"), ("/a[/c]", "up")))
-        inter = reasoner.intersection_matrix()
-        assert str(inter[(0, 1)]) == "/a[/b][/c]"
-
-    def test_intersection_matrix_empty_with_descendant(self):
-        reasoner = Reasoner(constraint_set(("//a", "up"), ("/a", "up")))
-        assert reasoner.intersection_matrix() == {}
-
     def test_compiled_views(self):
         premises = constraint_set(("/a[/b]", "up"), ("//c", "down"))
         reasoner = Reasoner(premises)

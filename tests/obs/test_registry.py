@@ -1,4 +1,4 @@
-"""The metrics registry: instruments, edge cases, export, merge."""
+"""The metrics registry: instruments, edge cases, export."""
 
 import asyncio
 import json
@@ -101,23 +101,6 @@ class TestHistogramEdges:
             reg.histogram("t.x_seconds", buckets=(1.0, 3.0))
         # no buckets argument accepts whatever is registered
         assert reg.histogram("t.x_seconds").bounds == (1.0, 2.0)
-
-    def test_merge_adds_counters_and_histograms_takes_gauges(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c_total").inc(2)
-        b.counter("c_total").inc(3)
-        a.gauge("g").set(1)
-        b.gauge("g").set(7)
-        for value in (0.05, 0.3):
-            a.histogram("h_seconds", buckets=(0.1, 0.5)).observe(value)
-        b.histogram("h_seconds", buckets=(0.1, 0.5)).observe(0.05)
-        a.merge(b)
-        assert a.counter("c_total").value == 5
-        assert a.gauge("g").value == 7
-        merged = a.histogram("h_seconds")
-        assert merged.count == 3
-        assert merged.bucket_counts == (2, 1, 0)
-        assert merged.sum == pytest.approx(0.4)
 
     def test_concurrent_increments_from_asyncio_tasks(self):
         reg = MetricsRegistry()

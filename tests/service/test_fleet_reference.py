@@ -224,12 +224,13 @@ def pinned_workload(docs: int = 1000, tree_size: int = 30,
 
 
 def test_pinned_workload_reproduces_the_committed_checksum():
-    previous = tree_node.GLOBAL_IDS
+    resume = fresh_id()
     reset_ids()  # the ids, and so every witness, as in a fresh process
     try:
         constraints, trees, epochs = pinned_workload()
     finally:
-        tree_node.GLOBAL_IDS = previous
+        # Later trees draw ids past every id drawn before this test.
+        tree_node.GLOBAL_IDS.reserve_above(resume)
     docs = names(len(trees))
     svc = ConstraintService()
     svc.register_constraints("policy", constraints)

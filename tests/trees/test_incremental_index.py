@@ -3,9 +3,10 @@
 The incremental contract: after any sequence of ``apply_*`` edits, the
 index answers every structural query exactly like a freshly built index of
 the mutated tree — same document order, intervals, label buckets, depths,
-path-label arrays and bitset views — while staying ``fresh`` (the edits
-re-sync the recorded tree version) and bumping ``revision`` so evaluators
-know to drop their masks.
+path labels and bitset views — while staying ``fresh`` (the edits re-sync
+the recorded tree version) and bumping ``revision`` so evaluators know to
+drop their masks.  Labels, parents and children are the tree's own maps,
+which both indexes read, so they are not compared here.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ def assert_matches_fresh(index: TreeIndex, tree: DataTree) -> None:
     fresh = TreeIndex(tree)
     assert list(index.node_ids()) == list(fresh.node_ids())
     for nid in tree.node_ids():
-        assert index.label(nid) == fresh.label(nid)
-        assert index.parent(nid) == fresh.parent(nid)
-        assert index.children(nid) == fresh.children(nid)
         assert index.depth(nid) == fresh.depth(nid)
         assert index.path_labels(nid) == fresh.path_labels(nid)
         assert index.descendants(nid) == fresh.descendants(nid)

@@ -16,12 +16,14 @@ from repro.trees import (
     prune_to_union,
     relabel_outside,
     remap_ids,
+    reset_ids,
     restrict_labels,
     swap_ids,
     to_dict,
     to_literal,
     to_xml,
 )
+from repro.trees import node as tree_node
 from repro.trees.ops import fresh_label_for
 
 
@@ -60,6 +62,17 @@ class TestConstruction:
                      branch("a", branch("b", nid=777002)))
         tree.validate()
         assert 777001 in tree and 777002 in tree
+
+    def test_reset_ids_resets_the_allocator_every_module_uses(self):
+        resume = fresh_id()
+        reset_ids(1)
+        try:
+            tree = DataTree(root_id=3)  # reserves 1-3 in the shared allocator
+            added = [tree.add_child(tree.root, "a") for _ in range(3)]
+            assert added == [4, 5, 6]
+            tree.validate()
+        finally:
+            tree_node.GLOBAL_IDS.reserve_above(resume)
 
 
 class TestNavigation:
