@@ -36,6 +36,7 @@ from pathlib import Path
 
 from bench_helpers import compare_reports, timed
 from repro.constraints.validity import Violation, range_violation
+from repro.errors import TreeError
 from repro.stream import StreamEnforcer, decision_checksum
 from repro.trees.index import TreeIndex
 from repro.trees.tree import DataTree
@@ -57,24 +58,36 @@ class RawEdits:
     The shared edit journal (:func:`repro.stream.ops.perform` /
     :func:`~repro.stream.ops.undo`) drives whatever it is handed; this
     hands it the tree itself, so no snapshot is maintained per edit.
+    Each edit returns the same inverse a :class:`TreeIndex` edit does.
     """
 
     def __init__(self, tree: DataTree):
         self.tree = tree
 
+    @property
+    def index(self) -> "RawEdits":
+        """Where the stream reaches its evaluator's edit surface."""
+        return self
+
     def apply_add_leaf(self, parent: int, label: str,
                        nid: int | None = None) -> int:
         return self.tree.add_child(parent, label, nid=nid)
 
-    def apply_move(self, nid: int, new_parent: int) -> None:
-        self.tree.move(nid, new_parent)
+    def apply_move(self, nid: int, new_parent: int) -> int:
+        return self.tree.move(nid, new_parent)
 
     def apply_add_subtree(self, spec) -> None:
         for nid, parent, label in spec:
             self.tree.add_child(parent, label, nid=nid)
 
-    def apply_remove_subtree(self, nid: int) -> None:
-        self.tree.remove_subtree(nid)
+    def apply_remove_subtree(self, nid: int):
+        tree = self.tree
+        if tree.parent(nid) is None:  # an absent node raises here
+            raise TreeError("cannot remove the root")
+        spec = tuple((n, tree.parent(n), tree.label(n))
+                     for n in tree.descendants(nid, include_self=True))
+        tree.remove_subtree(nid)
+        return spec
 
 
 class ScratchEnforcer(StreamEnforcer):

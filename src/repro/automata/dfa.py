@@ -16,7 +16,10 @@ step opening the proof of Theorem 4.2).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
+from typing import TypeVar
+
+_Key = TypeVar("_Key", bound=Hashable)
 
 
 class DFA:
@@ -92,6 +95,36 @@ class DFA:
         return None
 
 
+def reachable_dfa(alphabet: Sequence[str], start: _Key,
+                  step: Callable[[_Key, str], _Key],
+                  accepts: Callable[[_Key], bool]) -> tuple[DFA, list[_Key]]:
+    """The complete DFA of the keys reachable from ``start`` under ``step``.
+
+    The one reachable-state construction behind subset construction,
+    products and regex compilation.  Keys are explored breadth-first, each
+    key's successors in alphabet order, so state ``i`` is the ``i``-th key
+    discovered and the start is state 0.  Returns the DFA with its keys in
+    state order.
+    """
+    index: dict[_Key, int] = {start: 0}
+    order = [start]
+    transitions: list[dict[str, int]] = []
+    while len(transitions) < len(order):
+        # Rows are built in discovery order, so ``order`` is the queue.
+        key = order[len(transitions)]
+        row: dict[str, int] = {}
+        for symbol in alphabet:
+            nxt = step(key, symbol)
+            state = index.get(nxt)
+            if state is None:
+                state = index[nxt] = len(order)
+                order.append(nxt)
+            row[symbol] = state
+        transitions.append(row)
+    accepting = [i for i, key in enumerate(order) if accepts(key)]
+    return DFA(alphabet, 0, transitions, accepting), order
+
+
 def product_dfa(dfas: Sequence[DFA]) -> tuple["DFA", list[frozenset[int]]]:
     """Reachable product of DFAs sharing one alphabet.
 
@@ -106,28 +139,17 @@ def product_dfa(dfas: Sequence[DFA]) -> tuple["DFA", list[frozenset[int]]]:
     for d in dfas:
         if d.alphabet != alphabet:
             raise ValueError("product requires a shared alphabet")
-    start_key = tuple(d.start for d in dfas)
-    index: dict[tuple[int, ...], int] = {start_key: 0}
-    order = [start_key]
-    transitions: list[dict[str, int]] = []
-    queue = deque([start_key])
-    while queue:
-        key = queue.popleft()
-        row: dict[str, int] = {}
-        for symbol in alphabet:
-            nxt = tuple(d.step(s, symbol) for d, s in zip(dfas, key, strict=True))
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row[symbol] = index[nxt]
-        transitions.append(row)
+    product, order = reachable_dfa(
+        alphabet, tuple(d.start for d in dfas),
+        lambda key, symbol: tuple(d.step(s, symbol)
+                                  for d, s in zip(dfas, key, strict=True)),
+        lambda key: all(s in d.accepting
+                        for d, s in zip(dfas, key, strict=True)))
     vectors = [
         frozenset(i for i, (d, s) in enumerate(zip(dfas, key, strict=True)) if s in d.accepting)
         for key in order
     ]
-    accepting = [i for i, vec in enumerate(vectors) if len(vec) == len(dfas)]
-    return DFA(alphabet, 0, transitions, accepting), vectors
+    return product, vectors
 
 
 def intersection_nonempty(dfas: Sequence[DFA]) -> tuple[str, ...] | None:

@@ -10,10 +10,9 @@ require to be bounded for tractability.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 
-from repro.automata.dfa import DFA
+from repro.automata.dfa import DFA, reachable_dfa
 
 
 class NFA:
@@ -51,21 +50,6 @@ class NFA:
 
     def determinize(self) -> DFA:
         """Subset construction; the result is complete (has a sink)."""
-        start_key = self.start
-        index: dict[frozenset[int], int] = {start_key: 0}
-        order = [start_key]
-        transitions: list[dict[str, int]] = []
-        queue: deque[frozenset[int]] = deque([start_key])
-        while queue:
-            key = queue.popleft()
-            row: dict[str, int] = {}
-            for symbol in self.alphabet:
-                nxt = self.step(key, symbol)
-                if nxt not in index:
-                    index[nxt] = len(order)
-                    order.append(nxt)
-                    queue.append(nxt)
-                row[symbol] = index[nxt]
-            transitions.append(row)
-        accepting = [i for i, key in enumerate(order) if key & self.accepting]
-        return DFA(self.alphabet, 0, transitions, accepting)
+        dfa, _ = reachable_dfa(self.alphabet, self.start, self.step,
+                               lambda key: bool(key & self.accepting))
+        return dfa

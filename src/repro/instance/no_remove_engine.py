@@ -83,15 +83,16 @@ def _merge_walk(scratch: DataTree, output: int, budget: int = 512,
     ``context`` is a mutable snapshot evaluator of ``scratch`` (e.g. a
     :class:`repro.xpath.bitset.BitsetEvaluator`); when given, every journal
     edit — child relocations, the emptied sibling's removal and its
-    revival on undo — is applied through it, so candidate quotients are
-    evaluated set-at-a-time without rebinding per candidate.
+    revival on undo — is applied through its index, so candidate quotients
+    are evaluated set-at-a-time without rebinding per candidate.
     """
     seen: set[tuple] = set()
     produced = 0
     if context is not None:
-        move = context.apply_move
-        remove_leaf = context.apply_remove_subtree
-        add_leaf = context.apply_add_leaf
+        index = context.index
+        move = index.apply_move
+        remove_leaf = index.apply_remove_subtree
+        add_leaf = index.apply_add_leaf
     else:
         move = scratch.move
         remove_leaf = scratch.remove_subtree

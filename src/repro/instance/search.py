@@ -159,12 +159,13 @@ def _cascade_walk(scratch: DataTree, max_moves: int, budget: int,
     """The move/undo journal over one scratch tree (optionally snapshotted).
 
     When ``context`` is given it must be a mutable snapshot of ``scratch``;
-    every journal move (and undo) is applied through it, so the snapshot
-    tracks every candidate in place — no rebind per candidate.
+    every journal move (and undo) is applied through its index, so the
+    snapshot tracks every candidate in place — no rebind per candidate.
     """
     movable = [nid for nid in scratch.node_ids() if nid != scratch.root]
     targets = list(scratch.node_ids())
-    move = context.apply_move if context is not None else scratch.move
+    # Both moves return the parent the node left: the journal's undo entry.
+    move = context.index.apply_move if context is not None else scratch.move
     produced = 0
     for count in range(1, max_moves + 1):
         for nodes in combinations(movable, count):
@@ -172,14 +173,11 @@ def _cascade_walk(scratch: DataTree, max_moves: int, budget: int,
                 journal: list[tuple[int, int]] = []
                 legal = True
                 for nid, target in assignment:
-                    old_parent = scratch.parent(nid)
-                    assert old_parent is not None
                     try:
-                        move(nid, target)
+                        journal.append((nid, move(nid, target)))
                     except TreeError:
                         legal = False
                         break
-                    journal.append((nid, old_parent))
                 if legal:
                     produced += 1
                     yield scratch, None

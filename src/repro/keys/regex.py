@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from collections.abc import Sequence
 
-from repro.automata.dfa import DFA
+from repro.automata.dfa import DFA, reachable_dfa
 
 
 class Regex:
@@ -174,21 +174,6 @@ class _Thompson:
 def _regex_dfa(regex: Regex, alphabet: tuple[str, ...]) -> DFA:
     nfa = _Thompson(alphabet)
     start, accept = nfa.build(regex)
-    start_key = nfa.closure(frozenset({start}))
-    index: dict[frozenset[int], int] = {start_key: 0}
-    order = [start_key]
-    transitions: list[dict[str, int]] = []
-    queue = deque([start_key])
-    while queue:
-        key = queue.popleft()
-        row: dict[str, int] = {}
-        for symbol in alphabet:
-            nxt = nfa.step(key, symbol)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            row[symbol] = index[nxt]
-        transitions.append(row)
-    accepting = [i for i, key in enumerate(order) if accept in key]
-    return DFA(alphabet, 0, transitions, accepting)
+    dfa, _ = reachable_dfa(alphabet, nfa.closure(frozenset({start})),
+                           nfa.step, lambda key: accept in key)
+    return dfa

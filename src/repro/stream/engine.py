@@ -10,9 +10,9 @@ instance" reading of Section 2.2).
 The hot loop never re-snapshots:
 
 * the document lives behind **one** incrementally-maintained
-  :class:`~repro.trees.index.TreeIndex`, mutated in place through the
-  ``apply_*`` edits (the same machinery the refutation-search journals
-  drive);
+  :class:`~repro.trees.index.TreeIndex`, mutated in place through its
+  ``apply_*`` edits — the library's one edit path, which the
+  refutation-search journals drive too;
 * the evaluator's predicate masks are **delta-patched** per edit from the
   index's :class:`~repro.trees.index.EditDelta` log — per-op re-checking
   costs the edit's footprint (ancestor chains), not the document;
@@ -26,11 +26,10 @@ The hot loop never re-snapshots:
 Rejected operations — and transactions whose commit finds the cumulative
 edit invalid — are rolled back through the shared edit journal of
 :mod:`repro.stream.ops` (:func:`~repro.stream.ops.perform` /
-:func:`~repro.stream.ops.undo`): every applied edit records its inverse (a
-move records the old parent, an add records the leaf to re-remove, a
-remove records the doomed subtree's preorder spec, revived as one edit
-into the freed slot run), and a rollback replays the inverses
-newest-first.
+:func:`~repro.stream.ops.undo`): every applied edit records the inverse
+its index edit returned (a move's old parent, an added leaf to re-remove,
+a removed subtree's preorder spec, revived as one edit into the freed slot
+run), and a rollback replays the inverses newest-first.
 Every submitted entry yields exactly one
 :class:`~repro.stream.log.Decision` in the append-only
 :class:`~repro.stream.log.AuditTrail`, with per-constraint
@@ -39,7 +38,7 @@ Every submitted entry yields exactly one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from time import perf_counter
 from typing import TYPE_CHECKING
 from collections.abc import Collection, Iterable, Sequence
@@ -115,14 +114,8 @@ class StreamStats:
         checkpoint-restored twin (everything returned here is part of
         the recovery-equivalence contract, pinned by the fault suite).
         """
-        return tuple(sorted({
-            "entries": self.entries, "ops": self.ops,
-            "accepted": self.accepted, "rejected": self.rejected,
-            "transactions": self.transactions, "committed": self.committed,
-            "rolled_back": self.rolled_back,
-            "independent": self.independent,
-            "certified": self.certified,
-        }.items()))
+        return tuple(sorted((name, getattr(self, name))
+                            for name in _COUNTERS))
 
     def __str__(self) -> str:
         return (f"{self.ops} ops ({self.accepted} accepted, "
@@ -130,6 +123,14 @@ class StreamStats:
                 f"{self.transactions} txns "
                 f"({self.committed} committed, {self.rolled_back} rolled "
                 f"back), rev {self.revision}")
+
+
+# The stream's counters, in checkpoint order: every StreamStats field but
+# ``revision``.  The enforcer keeps them in one dict (with ``entries`` read
+# off the audit trail), so its stats, wire pairs, checkpoints and restores
+# all read this one table.
+_COUNTERS = tuple(f.name for f in fields(StreamStats)
+                  if f.name != "revision")
 
 
 class StreamEnforcer:
@@ -199,14 +200,8 @@ class StreamEnforcer:
         self._audit = AuditTrail()
         self._journal: list[UndoEntry] | None = None  # open txn's undo journal
         self._txn_id: int | None = None
-        self._txn_count = 0
-        self._ops = 0
-        self._accepted = 0
-        self._rejected = 0
-        self._committed = 0
-        self._rolled_back = 0
-        self._independent = 0
-        self._certified_ops = 0
+        # Every counter but ``entries``, which is the audit trail's length.
+        self._counts = dict.fromkeys(_COUNTERS[1:], 0)
 
     # ------------------------------------------------------------------
     # State surface
@@ -240,14 +235,12 @@ class StreamEnforcer:
 
     @property
     def stats(self) -> StreamStats:
-        return StreamStats(
-            entries=len(self._audit), ops=self._ops,
-            accepted=self._accepted, rejected=self._rejected,
-            transactions=self._txn_count, committed=self._committed,
-            rolled_back=self._rolled_back,
-            revision=self._ctx.index.revision,
-            independent=self._independent,
-            certified=self._certified_ops)
+        return StreamStats(**self._counters(),
+                           revision=self._ctx.index.revision)
+
+    def _counters(self) -> dict[str, int]:
+        """Every counter by name, in ``_COUNTERS`` order."""
+        return {"entries": len(self._audit), **self._counts}
 
     def baseline_answers(self) -> dict[UpdateConstraint, frozenset[Node]]:
         """``{c: q_c(I₀)}`` as frozen when the stream opened."""
@@ -362,12 +355,13 @@ class StreamEnforcer:
             raise CertifyError(
                 f"template {template.name!r} has {len(template.ops)} "
                 f"op(s) but {len(concrete)} were supplied")
+        index = self._ctx.index
         undos: list[UndoEntry] = []
         try:
             for op in concrete:
-                undos.append(perform(self._ctx, op))
+                undos.append(perform(index, op))
         except TreeError as err:
-            undo(self._ctx, undos)
+            undo(index, undos)
             raise CertifyError(
                 f"template {template.name!r} op {len(undos)} failed "
                 f"structurally after the guard passed (an earlier op in "
@@ -375,8 +369,9 @@ class StreamEnforcer:
         # All applied: record the full bracket exactly as an uncertified
         # commit would have (certification guarantees it would accept).
         applied = len(concrete)
-        self._txn_count += 1
-        txn = self._txn_count
+        counts = self._counts
+        counts["transactions"] += 1
+        txn = counts["transactions"]
         decisions = [self._record(Begin(template.name), accepted=True,
                                   txn=txn)]
         for op in concrete:
@@ -384,10 +379,10 @@ class StreamEnforcer:
                                           pending=True))
         decisions.append(self._record(Commit(), accepted=True, txn=txn,
                                       note=f"{applied} op(s) committed"))
-        self._ops += applied
-        self._accepted += applied
-        self._committed += 1
-        self._certified_ops += applied
+        counts["ops"] += applied
+        counts["accepted"] += applied
+        counts["committed"] += 1
+        counts["certified"] += applied
         self._m_ops.inc(applied)
         self._m_accepted.inc(applied)
         self._m_certified.inc(applied)
@@ -423,17 +418,7 @@ class StreamEnforcer:
             "tree": serialize.to_dict(self._tree),
             "baseline": [sorted(map(list, ledger.items()))
                          for _, ledger in self._masked.ledgers()],
-            "counters": {
-                "entries": len(self._audit),
-                "ops": self._ops,
-                "accepted": self._accepted,
-                "rejected": self._rejected,
-                "transactions": self._txn_count,
-                "committed": self._committed,
-                "rolled_back": self._rolled_back,
-                "independent": self._independent,
-                "certified": self._certified_ops,
-            },
+            "counters": self._counters(),
         }
 
     @classmethod
@@ -481,19 +466,15 @@ class StreamEnforcer:
         stream._masked = MaskedBaseline(constraints, stream._ctx, baseline)
         stream._metrics = None  # restored streams count into the global
         stream._finish_init(analysis)
+        # Checkpoints written before certified templates lack its counter.
+        counters = {"certified": 0, **counters}
         try:
-            stream._audit.dropped = counters["entries"]
-            stream._ops = counters["ops"]
-            stream._accepted = counters["accepted"]
-            stream._rejected = counters["rejected"]
-            stream._txn_count = counters["transactions"]
-            stream._committed = counters["committed"]
-            stream._rolled_back = counters["rolled_back"]
-            stream._independent = counters["independent"]
+            counts = {name: counters[name] for name in _COUNTERS}
         except KeyError as err:
             raise StreamError(f"stream checkpoint lacks the {err} "
                               f"counter") from None
-        stream._certified_ops = counters.get("certified", 0)
+        stream._audit.dropped = counts.pop("entries")
+        stream._counts = counts
         return stream
 
     def begin(self, name: str | None = None) -> Decision:
@@ -509,22 +490,23 @@ class StreamEnforcer:
     # Update operations
     # ------------------------------------------------------------------
     def _apply_update(self, op: StreamOp) -> Decision:
-        self._ops += 1
+        counts = self._counts
+        counts["ops"] += 1
         self._m_ops.inc()
         # What the re-check must cover, decided on the *pre-edit*
         # snapshot; an empty set is the zero-work fast path.
         recheck = self._recheck(op)
         fast = recheck is not None and not recheck
         try:
-            inverse = perform(self._ctx, op)
+            inverse = perform(self._ctx.index, op)
         except TreeError as err:
-            # Nothing was applied: the edit paths validate before mutating.
-            self._rejected += 1
+            # Nothing was applied: the index validates before mutating.
+            counts["rejected"] += 1
             self._m_rejected.inc()
             return self._record(op, accepted=False, txn=self._txn_id,
                                 note=f"structural error: {err}")
         if fast:
-            self._independent += 1
+            counts["independent"] += 1
             self._m_independent.inc()
             violations: tuple[Violation, ...] = ()
         else:
@@ -538,12 +520,12 @@ class StreamEnforcer:
                                 violations=violations, txn=self._txn_id,
                                 pending=True, independent=fast)
         if violations:
-            undo(self._ctx, [inverse])
+            undo(self._ctx.index, [inverse])
             self._standing = ()  # the undo restored the last valid state
-            self._rejected += 1
+            counts["rejected"] += 1
             self._m_rejected.inc()
             return self._record(op, accepted=False, violations=violations)
-        self._accepted += 1
+        counts["accepted"] += 1
         self._m_accepted.inc()
         return self._record(op, accepted=True, independent=fast)
 
@@ -574,8 +556,8 @@ class StreamEnforcer:
         if self._journal is not None:
             raise StreamError("transactions do not nest: commit or roll "
                               "back the open one before begin")
-        self._txn_count += 1
-        self._txn_id = self._txn_count
+        self._counts["transactions"] += 1
+        self._txn_id = self._counts["transactions"]
         self._journal = []
         return self._record(op, accepted=True, txn=self._txn_id)
 
@@ -584,18 +566,19 @@ class StreamEnforcer:
         violations = self._current_violations()
         txn = self._txn_id
         applied = len(journal)
+        counts = self._counts
         if violations:
-            undo(self._ctx, journal)
-            self._rolled_back += 1
-            self._rejected += applied
+            undo(self._ctx.index, journal)
+            counts["rolled_back"] += 1
+            counts["rejected"] += applied
             self._m_rollbacks.inc()
             self._m_rejected.inc(applied)
             decision = self._record(op, accepted=False,
                                     violations=violations, txn=txn,
                                     note=f"{applied} op(s) rolled back")
         else:
-            self._committed += 1
-            self._accepted += applied
+            counts["committed"] += 1
+            counts["accepted"] += applied
             self._m_accepted.inc(applied)
             decision = self._record(op, accepted=True, txn=txn,
                                     note=f"{applied} op(s) committed")
@@ -608,9 +591,9 @@ class StreamEnforcer:
         journal = self._require_open("rollback")
         txn = self._txn_id
         applied = len(journal)
-        undo(self._ctx, journal)
-        self._rolled_back += 1
-        self._rejected += applied
+        undo(self._ctx.index, journal)
+        self._counts["rolled_back"] += 1
+        self._counts["rejected"] += applied
         self._m_rollbacks.inc()
         self._m_rejected.inc(applied)
         self._journal = None

@@ -18,9 +18,11 @@ strings, an unset ``nid``/``name`` stays off the wire, and a key naming no
 field is refused.
 
 :func:`perform` and :func:`undo` are the enforcement stream's one edit
-journal (per-op, bracketed and certified writes alike): an edit applied
-through a live snapshot returns its inverse, and a journal of inverses
-replays newest-first to restore the pre-edit document.
+journal (per-op, bracketed and certified writes alike).  They check and
+walk nothing themselves: each op maps to one
+:class:`~repro.trees.index.TreeIndex` ``apply_*`` edit, which validates
+it, applies it and returns its inverse, and a journal of inverses replays
+newest-first to restore the pre-edit document.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Union
 
 from repro import codec
-from repro.errors import StreamError, TreeError
+from repro.errors import StreamError
 
 if TYPE_CHECKING:  # annotations only: the op model stays import-light
-    from repro.xpath.bitset import BitsetEvaluator
+    from repro.trees.index import TreeIndex
 
 
 class _Op(codec.Wire):
@@ -140,34 +142,24 @@ _UNDO_REVIVE = "revive"  # (tag, ((nid, parent, label), ...) preorder)
 UndoEntry = tuple[Any, ...]
 
 
-def perform(ctx: BitsetEvaluator, op: StreamOp) -> UndoEntry:
-    """Apply one edit through the live snapshot ``ctx``; return its inverse.
+def perform(index: TreeIndex, op: StreamOp) -> UndoEntry:
+    """Apply one edit through the live snapshot ``index``; return its inverse.
 
-    A structurally invalid edit raises :class:`~repro.errors.TreeError`
-    with nothing applied (the ``apply_*`` paths validate before mutating);
-    a marker is a :class:`~repro.errors.StreamError`.
+    The index checks the edit: an invalid one raises
+    :class:`~repro.errors.TreeError` with nothing applied.  A marker is a
+    :class:`~repro.errors.StreamError`.
     """
     if isinstance(op, AddLeaf):
-        nid = ctx.apply_add_leaf(op.parent, op.label, nid=op.nid)
-        return (_UNDO_UNADD, nid)
-    tree = ctx.tree
+        return (_UNDO_UNADD, index.apply_add_leaf(op.parent, op.label,
+                                                  nid=op.nid))
     if isinstance(op, Move):
-        old_parent = tree.parent(op.nid)
-        if old_parent is None:
-            raise TreeError("cannot move the root")
-        ctx.apply_move(op.nid, op.new_parent)
-        return (_UNDO_MOVE, op.nid, old_parent)
+        return (_UNDO_MOVE, op.nid, index.apply_move(op.nid, op.new_parent))
     if isinstance(op, RemoveSubtree):
-        if op.nid not in tree:
-            raise TreeError(f"node {op.nid} not in tree")
-        spec = tuple((n, tree.parent(n), tree.label(n))
-                     for n in tree.descendants(op.nid, include_self=True))
-        ctx.apply_remove_subtree(op.nid)
-        return (_UNDO_REVIVE, spec)
+        return (_UNDO_REVIVE, index.apply_remove_subtree(op.nid))
     raise StreamError(f"unknown stream operation {op!r}")
 
 
-def undo(ctx: BitsetEvaluator, journal: Sequence[UndoEntry]) -> None:
+def undo(index: TreeIndex, journal: Sequence[UndoEntry]) -> None:
     """Replay inverse edits newest-first (the search-journal pattern: an
     undone move finds the gap the original left, a revived subtree
     compacts into the freed slot run).
@@ -179,11 +171,11 @@ def undo(ctx: BitsetEvaluator, journal: Sequence[UndoEntry]) -> None:
     for entry in reversed(journal):
         tag = entry[0]
         if tag == _UNDO_MOVE:
-            ctx.apply_move(entry[1], entry[2])
+            index.apply_move(entry[1], entry[2])
         elif tag == _UNDO_UNADD:
-            ctx.apply_remove_subtree(entry[1])
+            index.apply_remove_subtree(entry[1])
         else:
-            ctx.apply_add_subtree(entry[1])
+            index.apply_add_subtree(entry[1])
 
 
 # ----------------------------------------------------------------------

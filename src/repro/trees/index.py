@@ -32,13 +32,18 @@ snapshot survives small edits *in place*: :meth:`apply_move`,
 :meth:`apply_remove_subtree` mutate the tree **and** the index together,
 renumbering only the smallest enclosing subtree whose interval still has
 room (a weight-balanced host search; the root is renumbered with fresh
-gaps when nothing smaller fits).  This is what lets the move/undo journals
-of the refutation search (:mod:`repro.instance.search`,
+gaps when nothing smaller fits).  They are the library's one edit path:
+each checks its edit (raising :class:`TreeError` with nothing changed),
+applies it, and returns what undoes it — the old parent of a move, the id
+of an added leaf, the preorder spec of a removed subtree.  This is what
+lets the move/undo journals of the refutation search
+(:mod:`repro.instance.search`,
 :func:`repro.instance.no_remove_engine.merge_variants`) keep one live
 snapshot across thousands of candidate pasts instead of rebinding per
-candidate, and what lets the stream's rollback journal revive a removed
-subtree as one edit — compacted into the slot run its removal freed —
-instead of one leaf at a time.
+candidate, and what lets the stream's rollback journal
+(:mod:`repro.stream.ops`) revive a removed subtree as one edit —
+compacted into the slot run its removal freed — instead of one leaf at a
+time.
 
 Every applied edit bumps :attr:`revision` — evaluators key their memos on
 it — appends an :class:`EditDelta` to a bounded log (:meth:`deltas_since`),
@@ -722,23 +727,32 @@ class TreeIndex:
         m = len(order)
         if host == self._root:
             self._rebuilds += 1
-            lo = 0
             new_slots = [i * SLOT_GAP for i in range(m)]
         else:
             lo, hi = self._slot[host], self._post[host]
-            width = hi - lo + 1
             if m == 1:
                 new_slots = [lo]
             else:
-                step = width - 1
+                step = hi - lo
                 new_slots = [lo + (i * step) // (m - 1) for i in range(m)]
         # Drop the old slots of the already-slotted part of the subtree
         # (detached nodes in `order` have none), then slot the new layout.
         if host in self._slot:
             self._detach_subtree(host)
+        self._place(order, new_slots)
+
+    def _place(self, order: list[int], new_slots: list[int]) -> None:
+        """Slot a subtree no slot structure holds, and close its intervals.
+
+        ``order`` is the subtree in preorder and ``new_slots`` its free,
+        ascending slots, so one insertion per sorted list keeps it sorted;
+        the bitset caches are patched in place.  The one placement routine
+        of the compact attach and of the host renumber.
+        """
         slots = self._slots
-        at = bisect_left(slots, lo)
+        at = bisect_left(slots, new_slots[0])
         slots[at:at] = new_slots
+        labels = self._labels
         node_at = self._node_at
         slot_of = self._slot
         kids_masks = self._kids_masks
@@ -747,40 +761,47 @@ class TreeIndex:
             slot_of[n] = s
             node_at[s] = n
             kids_masks.pop(n, None)
-            fresh_by_label.setdefault(self._labels[n], []).append(s)
+            fresh_by_label.setdefault(labels[n], []).append(s)
         label_masks = self._label_masks
         for label, added in fresh_by_label.items():
             bucket = self._by_label.setdefault(label, [])
-            a = bisect_left(bucket, lo)
+            a = bisect_left(bucket, added[0])
             bucket[a:a] = added  # ascending and disjoint from the rest
             mask = label_masks.get(label)
             if mask is not None:
-                label_masks[label] = mask ^ self.pack_slots(added)
+                label_masks[label] = mask | self.pack_slots(added)
         if self._all_mask is not None:
-            self._all_mask ^= self.pack_slots(new_slots)
+            self._all_mask |= self.pack_slots(new_slots)
         parent_slots = self._parent_slots
+        parent = self._parent
         if parent_slots is not None:
-            parent_d = self._parent
             for n in order:
-                if n != self._root:
-                    parent_slots[slot_of[n]] = slot_of[parent_d[n]]  # type: ignore[index]
+                p = parent[n]
+                if p is not None:
+                    parent_slots[slot_of[n]] = slot_of[p]
+        children = self._children
         post = self._post
         for n in reversed(order):
             kids = children[n]
             post[n] = post[kids[-1]] if kids else slot_of[n]
 
-    def apply_move(self, nid: int, new_parent: int) -> None:
-        """Move ``nid`` under ``new_parent`` in the tree *and* the index.
+    def apply_move(self, nid: int, new_parent: int) -> int:
+        """Move ``nid`` under ``new_parent`` in the tree *and* the index;
+        returns the old parent, which moves it back.
 
         The index stays fresh: only the smallest enclosing interval with
-        room is renumbered.  Raises :class:`TreeError` (tree and index both
-        untouched) on illegal moves, exactly like :meth:`DataTree.move`.
+        room is renumbered.  An illegal move raises :class:`TreeError`
+        with tree and index both untouched, checked in this order: an
+        absent ``nid``, the root, an absent ``new_parent``, a target inside
+        the moved subtree (:meth:`DataTree.move`'s check).
         """
-        if nid not in self._slot or new_parent not in self._slot:
+        if nid not in self._slot:
+            raise TreeError(f"node {nid} not in tree")
+        if nid == self._root:
+            raise TreeError("cannot move the root")
+        if new_parent not in self._slot:
             raise TreeError("node not in snapshot")
-        old_parent = self._parent[nid]
-        self._tree.move(nid, new_parent)  # validates root/cycle first
-        assert old_parent is not None
+        old_parent = self._tree.move(nid, new_parent)  # refuses a cycle
         capture: dict[int, int] = {}
         self._capture = capture
         try:
@@ -798,6 +819,7 @@ class TreeIndex:
         self._bump()
         self._log_delta(capture, vanished=(), added=(),
                         dirty_anchors=(old_parent, new_parent))
+        return old_parent
 
     def _attach_after(self, new_parent: int, detached: list[int]) -> bool:
         """Fast attach: compact the detached subtree into the free run right
@@ -815,37 +837,7 @@ class TreeIndex:
         i = bisect_right(slots, old_post)
         if i < len(slots) and slots[i] - old_post - 1 < k:
             return False
-        new_slots = list(range(old_post + 1, old_post + 1 + k))
-        slot_of = self._slot
-        node_at = self._node_at
-        kids_masks = self._kids_masks
-        fresh_by_label: dict[str, list[int]] = {}
-        for n, s in zip(detached, new_slots, strict=True):
-            slot_of[n] = s
-            node_at[s] = n
-            kids_masks.pop(n, None)
-            fresh_by_label.setdefault(self._labels[n], []).append(s)
-        slots[i:i] = new_slots
-        label_masks = self._label_masks
-        for label, added in fresh_by_label.items():
-            bucket = self._by_label.setdefault(label, [])
-            a = bisect_left(bucket, added[0])
-            bucket[a:a] = added
-            mask = label_masks.get(label)
-            if mask is not None:
-                label_masks[label] = mask | self.pack_slots(added)
-        if self._all_mask is not None:
-            self._all_mask |= self.pack_slots(new_slots)
-        parent_slots = self._parent_slots
-        if parent_slots is not None:
-            parent_d = self._parent
-            for n in detached:
-                parent_slots[slot_of[n]] = slot_of[parent_d[n]]  # type: ignore[index]
-        children = self._children
-        post = self._post
-        for n in reversed(detached):
-            kids = children[n]
-            post[n] = post[kids[-1]] if kids else slot_of[n]
+        self._place(detached, list(range(old_post + 1, old_post + 1 + k)))
         top = old_post + k
         a: int | None = new_parent
         while a is not None and self._post[a] == old_post:
@@ -861,6 +853,8 @@ class TreeIndex:
         n) (the gap a removed sibling left behind — the merge journals'
         leaf-revive pattern; whole subtrees revive through
         :meth:`apply_add_subtree`); otherwise the host renumber kicks in.
+        An absent ``parent`` or a taken ``nid`` raises :class:`TreeError`
+        with nothing changed.
         """
         if parent not in self._slot:
             raise TreeError(f"parent {parent} not in snapshot")
@@ -905,16 +899,16 @@ class TreeIndex:
         """Attach a subtree of fresh nodes in the tree *and* the index.
 
         ``spec`` lists the subtree as ``(nid, parent, label)`` triples in
-        preorder — the shape :func:`repro.stream.ops.perform` records for
-        a removal: the first entry's parent is in the snapshot and every
-        later entry's parent is an earlier entry.  The top node becomes
-        its parent's last child and siblings keep their spec order, which
-        is the tree a leaf-by-leaf :meth:`apply_add_leaf` replay builds —
-        but as one edit: one revision, one :class:`EditDelta` whose
-        ``added`` is the subtree in preorder, and at most one host
-        renumber (the compact attach usually finds the slot run the
-        subtree's removal freed).  A malformed spec raises
-        :class:`TreeError` with tree, index and revision untouched.
+        preorder — the shape :meth:`apply_remove_subtree` returns: the
+        first entry's parent is in the snapshot and every later entry's
+        parent is an earlier entry.  The top node becomes its parent's
+        last child and siblings keep their spec order, which is the tree
+        a leaf-by-leaf :meth:`apply_add_leaf` replay builds — but as one
+        edit: one revision, one :class:`EditDelta` whose ``added`` is the
+        subtree in preorder, and at most one host renumber (the compact
+        attach usually finds the slot run the subtree's removal freed).
+        A malformed spec raises :class:`TreeError` with tree, index and
+        revision untouched.
         """
         if not spec:
             raise TreeError("empty subtree spec")
@@ -955,10 +949,17 @@ class TreeIndex:
         self._log_delta(capture, vanished=(), added=tuple(order),
                         dirty_anchors=(top_parent,))
 
-    def apply_remove_subtree(self, nid: int) -> None:
-        """Delete ``nid``'s subtree from the tree *and* the index."""
+    def apply_remove_subtree(self, nid: int
+                             ) -> tuple[tuple[int, int, str], ...]:
+        """Delete ``nid``'s subtree from the tree *and* the index; returns
+        its preorder ``(nid, parent, label)`` spec, which
+        :meth:`apply_add_subtree` revives.
+
+        An absent ``nid`` or the root raises :class:`TreeError` before any
+        node is visited.
+        """
         if nid not in self._slot:
-            raise TreeError(f"node {nid} not in snapshot")
+            raise TreeError(f"node {nid} not in tree")
         parent = self._parent[nid]
         if parent is None:
             raise TreeError("cannot remove the root")
@@ -966,15 +967,18 @@ class TreeIndex:
         self._capture = capture
         try:
             # Detach first: it reads the labels the tree is about to delete.
-            self._detach_subtree(nid)
+            nodes = self._detach_subtree(nid)
         finally:
             self._capture = None
+        parents, labels = self._parent, self._labels
+        spec = tuple((n, parents[n], labels[n]) for n in nodes)
         self._tree.remove_subtree(nid)
         self._kids_masks.pop(parent, None)
         self._fix_posts_upward(parent)
         self._bump()
         self._log_delta({}, vanished=tuple(capture.items()), added=(),
                         dirty_anchors=(parent,))
+        return spec  # type: ignore[return-value]  # no root: no None parent
 
     def __repr__(self) -> str:
         state = "fresh" if self.fresh else "STALE"

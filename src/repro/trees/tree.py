@@ -238,12 +238,13 @@ class DataTree:
             del self._children[d]
         self._touch(parent, *doomed)
 
-    def move(self, nid: int, new_parent: int) -> None:
+    def move(self, nid: int, new_parent: int) -> int:
         """Re-attach the subtree rooted at ``nid`` under ``new_parent``.
 
         Node identifiers are preserved — this models the *move* updates of
         the paper's update language ([27]), under which a node may appear in
-        a totally different part of the document after the update.
+        a totally different part of the document after the update.  Returns
+        the parent ``nid`` left, which is what moves it back.
         """
         if nid == self._root:
             raise TreeError("cannot move the root")
@@ -259,6 +260,7 @@ class DataTree:
         self._parent[nid] = new_parent
         self._children[new_parent].append(nid)
         self._touch(old_parent, new_parent)
+        return old_parent
 
     def relabel_fresh(self, nid: int, label: str | None = None,
                       new_id: int | None = None) -> int:

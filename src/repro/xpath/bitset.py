@@ -18,11 +18,14 @@ evaluates whole frontiers at once as Python ``int`` masks keyed by the
   membership tests) or, for sparse frontiers, a union of cached per-node
   children masks.
 
-The evaluator tracks its snapshot's :attr:`~repro.trees.index.TreeIndex.
-revision`: after an in-place index edit (the search journals' moves, the
-enforcement stream's operations) cached predicate masks are
-**delta-patched** from the index's :class:`~repro.trees.index.EditDelta`
-log rather than recomputed — under a single edit only the ancestor chains of the edit points can change their
+The evaluator does not edit: edits go through the ``apply_*`` methods of
+its :attr:`~BitsetEvaluator.index`.  It tracks that snapshot's
+:attr:`~repro.trees.index.TreeIndex.revision` with one stamp for the whole
+mask memo, so a memo hit is a bare dict probe.  After an in-place index
+edit (the search journals' moves, the enforcement stream's operations)
+cached predicate masks are **delta-patched** from the index's
+:class:`~repro.trees.index.EditDelta` log rather than recomputed — under
+a single edit only the ancestor chains of the edit points can change their
 downward structure, so a stale mask is repaired by remapping relocated
 slots (satisfaction travels with a moved subtree) and re-deciding the
 predicate at the few dirty nodes.  Per-edit upkeep is proportional to the
@@ -34,7 +37,6 @@ query stream cannot grow without bound.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Callable, Self, cast
 
 from repro.caching import LRUMemo
@@ -121,14 +123,13 @@ class BitsetEvaluator:
     """A set-at-a-time evaluation session pinned to one tree snapshot.
 
     Every answer is bit-identical to the naive evaluator on the same
-    tree; every ``context=`` fast path accepts one.  Edits applied
-    through the ``apply_*`` passthroughs move the tree and the snapshot
-    together, and the next query patches the cached masks from the
+    tree; every ``context=`` fast path accepts one.  Edits go through
+    :attr:`index` (its ``apply_*`` methods move the tree and the snapshot
+    together), and the next query patches the cached masks from the
     index's edit deltas.
     """
 
-    __slots__ = ("_index", "_revision", "_pred_masks", "_query_memo",
-                 "_masks_rev")
+    __slots__ = ("_index", "_revision", "_pred_masks", "_query_memo")
 
     def __init__(self, snapshot: TreeIndex | DataTree):
         if isinstance(snapshot, DataTree):
@@ -137,13 +138,6 @@ class BitsetEvaluator:
         self._revision = snapshot.revision
         self._pred_masks = LRUMemo(PRED_MASK_MEMO_SIZE)
         self._query_memo = LRUMemo(QUERY_MEMO_SIZE)
-        # The packed revision side-table: ONE revision stamp for the whole
-        # mask memo instead of a (mask, revision) pair per entry.  Every
-        # cached mask is current at ``_masks_rev``; a revision bump patches
-        # them all in one batch (sharing the deltas and the dirty set), so
-        # the hot read path is a bare dict hit — no tuple allocation per
-        # store, no unpack-and-compare per lookup.
-        self._masks_rev = self._revision
 
     @classmethod
     def for_tree(cls, tree: DataTree) -> Self:
@@ -166,23 +160,6 @@ class BitsetEvaluator:
         """Number of cached predicate masks (observability hook)."""
         return len(self._pred_masks)
 
-    # ------------------------------------------------------------------
-    # Incremental edits (tree + snapshot move together)
-    # ------------------------------------------------------------------
-    def apply_move(self, nid: int, new_parent: int) -> None:
-        self._index.apply_move(nid, new_parent)
-
-    def apply_add_leaf(self, parent: int, label: str,
-                       nid: int | None = None) -> int:
-        return self._index.apply_add_leaf(parent, label, nid=nid)
-
-    def apply_add_subtree(self, spec: Sequence[tuple[int, int, str]]
-                          ) -> None:
-        self._index.apply_add_subtree(spec)
-
-    def apply_remove_subtree(self, nid: int) -> None:
-        self._index.apply_remove_subtree(nid)
-
     def _sync(self) -> None:
         """Catch the memos up with in-place index edits.
 
@@ -192,9 +169,10 @@ class BitsetEvaluator:
         """
         rev = self._index.revision
         if rev != self._revision:
+            since = self._revision
             self._revision = rev
             self._query_memo.clear()
-            self._patch_all_masks()
+            self._patch_all_masks(since)
 
     # ------------------------------------------------------------------
     # Canonicalisation (tree-independent, survives revision bumps)
@@ -245,8 +223,9 @@ class BitsetEvaluator:
         self._pred_masks.put(pred, result)
         return result
 
-    def _patch_all_masks(self) -> None:
-        """Repair every cached satisfaction mask from the index's deltas.
+    def _patch_all_masks(self, since: int) -> None:
+        """Repair every cached satisfaction mask from the index's deltas
+        since revision ``since``, at which every cached mask is current.
 
         Two facts make this sound: satisfaction of a downward-looking
         predicate travels verbatim with a relocated subtree (its contents
@@ -261,9 +240,7 @@ class BitsetEvaluator:
         wholesale and masks rebuild cold on next use.
         """
         idx = self._index
-        rev = idx.revision
-        deltas = idx.deltas_since(self._masks_rev)
-        self._masks_rev = rev
+        deltas = idx.deltas_since(since)
         if deltas is None:
             self._pred_masks.clear()
             return

@@ -152,17 +152,10 @@ def hom_contained(p: Pattern, q: Pattern) -> bool:
 def canonical_contained(p: Pattern, q: Pattern) -> bool:
     """Exact containment ``p ⊆ q`` on the full fragment.
 
-    Checks every canonical model of ``p`` with cap ``star_length(q) + 1``.
+    Checks every canonical model of ``p`` with cap ``star_length(q) + 1``:
+    no model's output escapes ``q``.
     """
-    from repro.trees.ops import fresh_label_for
-    from repro.xpath.properties import labels_of
-
-    cap = star_length(q) + 1
-    fresh = fresh_label_for(labels_of(p, q))
-    for model in canonical_models(p, cap, fresh=fresh):
-        if model.output not in evaluate_ids(q, model.tree):
-            return False
-    return True
+    return find_separating_model(p, q) is None
 
 
 def _hom_complete(p: Pattern, q: Pattern) -> bool:

@@ -117,6 +117,18 @@ class TestRoundTrip:
             == naive
 
 
+def test_a_checkpoint_without_certified_restores_it_as_zero():
+    # Checkpoints written before certified templates lack that counter;
+    # the restored stream writes it back, in place, byte for byte.
+    stream, _, state = checkpointed()
+    del state["counters"]["certified"]
+    restored = StreamEnforcer.restore(POLICY, state)
+    assert restored.stats.certified == 0
+    assert restored.stats.wire_pairs() == stream.stats.wire_pairs()
+    assert json.dumps(restored.state_dict()) == json.dumps(
+        stream.state_dict())
+
+
 class TestRefusals:
     @pytest.mark.parametrize("path, value", [
         (("baseline", 0, 0, 0), True),

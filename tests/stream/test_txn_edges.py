@@ -193,7 +193,7 @@ class TestDeltaLogHorizon:
         pattern = parse("/patient[/visit]")
         assert ctx.evaluate_ids(pattern) == {9000, 9100}
         for i in range(DELTA_LOG_CAP + 8):
-            ctx.apply_add_leaf(9102, "prescription", nid=20000 + i)
+            ctx.index.apply_add_leaf(9102, "prescription", nid=20000 + i)
         fresh = BitsetEvaluator.for_tree(tree)
         assert ctx.evaluate_ids(pattern) == fresh.evaluate_ids(pattern)
         removed = parse("//prescription")
@@ -209,7 +209,7 @@ class TestDeltaLogHorizon:
         stream = StreamEnforcer(POLICY, doc)
         assert stream.is_valid()
         for i in range(DELTA_LOG_CAP + 8):
-            stream.context.apply_add_leaf(9002, "note", nid=30000 + i)
+            stream.context.index.apply_add_leaf(9002, "note", nid=30000 + i)
         violations = stream.violations()
         reference = explain_violations(opening, doc, POLICY)
         # Both sides see the same (zero) violations: "note" leaves touch

@@ -443,6 +443,28 @@ class TestApplyAddSubtree:
             self.helpers.assert_parent_slots_consistent(index, tree)
         assert attached and renumbered  # both branches exercised
 
+    def test_removal_returns_the_spec_that_revives_it(self):
+        # apply_remove_subtree hands back its preorder spec; reviving it
+        # restores the same instance (ids, labels and edges).
+        for seed in range(8):
+            rng = random.Random(9_100 + seed)
+            tree = random_tree(rng, LABELS, size=40)
+            index = TreeIndex(tree)
+            self.helpers.warm(index)
+            for _ in range(6):
+                before = tree.copy()
+                victim = rng.choice([n for n in tree.node_ids()
+                                     if n != tree.root])
+                walked = [(n, tree.parent(n), tree.label(n)) for n in
+                          tree.descendants(victim, include_self=True)]
+                spec = index.apply_remove_subtree(victim)
+                assert list(spec) == walked
+                index.apply_add_subtree(spec)
+                assert tree.same_instance(before)
+                tree.validate()
+            assert_matches_fresh(index, tree)
+            self.helpers.assert_parent_slots_consistent(index, tree)
+
     @pytest.mark.parametrize("case", [
         "empty", "id-present", "duplicate-id", "parent-missing",
         "parent-not-earlier"])
