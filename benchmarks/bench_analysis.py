@@ -29,7 +29,7 @@ import random
 import sys
 from pathlib import Path
 
-from bench_helpers import compare_reports, timed
+from bench_helpers import compare_reports, timed_interleaved
 from repro.stream import StreamEnforcer, decision_checksum
 from repro.workloads import (
     FragmentSpec,
@@ -68,8 +68,8 @@ def bench_fastpath(tree_size: int, ops: int, irrelevant_rate: float,
         stream = StreamEnforcer(constraints, base.copy(), analysis=False)
         full_out.extend(stream.submit(log))
 
-    fast_qps = timed(fastpath, len(log), rounds)
-    full_qps = timed(full, len(log), max(1, rounds - 1))
+    fast_qps, full_qps = timed_interleaved(
+        [(fastpath, len(log)), (full, len(log))], rounds)
     fast_sum = decision_checksum(fast_out)
     full_sum = decision_checksum(full_out)
     independent = sum(1 for d in fast_out if d.independent)

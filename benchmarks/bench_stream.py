@@ -8,9 +8,9 @@ identically:
   a mixed constraint set.  The incremental path is the shipped
   :class:`~repro.stream.engine.StreamEnforcer`: one live
   :class:`~repro.trees.index.TreeIndex` across the whole stream,
-  predicate masks delta-patched per edit.  The baseline is the same
-  engine with its validation strategy swapped for honest per-op
-  recompute-from-scratch: a *fresh* snapshot and cold masks for every
+  predicate masks delta-patched when a check reads them.  The baseline
+  is the same engine with its validation strategy swapped for honest
+  per-op recompute-from-scratch: a *fresh* snapshot and cold masks for every
   check (what a caller would do with the session API alone, rebinding
   after each mutation).  Same decisions, same witnesses — the acceptance
   floor is a ≥3x per-op speedup at 2k nodes.
@@ -34,7 +34,7 @@ import random
 import sys
 from pathlib import Path
 
-from bench_helpers import compare_reports, timed
+from bench_helpers import compare_reports, timed_interleaved
 from repro.constraints.validity import Violation, range_violation
 from repro.errors import TreeError
 from repro.stream import StreamEnforcer, decision_checksum
@@ -146,8 +146,8 @@ def bench_enforcement(tree_size: int, ops: int, rounds: int) -> dict:
         stream = ScratchEnforcer(constraints, base.copy())
         scratch_out.extend(stream.submit(log))
 
-    incremental_qps = timed(incremental, len(log), rounds)
-    scratch_qps = timed(scratch, len(log), max(1, rounds - 1))
+    incremental_qps, scratch_qps = timed_interleaved(
+        [(incremental, len(log)), (scratch, len(log))], rounds)
     inc_sum = decision_checksum(incremental_out)
     scr_sum = decision_checksum(scratch_out)
     rejected = sum(1 for d in incremental_out if d.rejected and not d.pending)
@@ -190,8 +190,8 @@ def bench_decoder(tree_size: int, rounds: int) -> dict:
         for m in masks:
             bitkernel(m)
 
-    batch_sps = timed(batch, total_slots, rounds)
-    kernel_sps = timed(kernel, total_slots, rounds)
+    batch_sps, kernel_sps = timed_interleaved(
+        [(batch, total_slots), (kernel, total_slots)], rounds)
     checksum = sum(sum(slots_of(m)) for m in masks) % (2 ** 61)
     reference = sum(sum(bitkernel(m)) for m in masks) % (2 ** 61)
     return {

@@ -62,7 +62,6 @@ from repro.instance.search import (
     same_type_implication,
 )
 from repro.stream.engine import StreamEnforcer
-from repro.trees.index import TreeIndex
 from repro.trees.tree import DataTree
 from repro.xpath.bitset import BitsetEvaluator
 from repro.xpath.evaluator import evaluate_ids
@@ -304,40 +303,39 @@ class BoundReasoner:
     result memo keyed on canonical conclusions.
 
     The bound tree must not be mutated while the binding is in use;
-    mutate-and-requery through a fresh :meth:`Reasoner.bind`.  The
-    snapshot's mutation-version guard catches every structural change
-    (bitset engine); naive bindings fall back to the cheaper
-    size-based guard, which moves and relabels can escape.
+    mutate-and-requery through a fresh :meth:`Reasoner.bind`.  On either
+    engine the binding records the tree's mutation
+    :attr:`~repro.trees.tree.DataTree.version` at bind time, so every
+    structural change — moves and relabels that keep the size included —
+    makes further queries raise :class:`ValueError`.
 
-    ``snapshot`` optionally hands in a fresh index of ``current`` to bind
-    through instead of building one — the service passes its live
-    enforcement stream's index.  The binding gets its own evaluator (and
-    memos) over it, and goes stale as soon as the index's revision moves.
+    ``context`` optionally hands in an evaluator over a fresh index of
+    ``current`` to bind through instead of building one — the service
+    passes its live enforcement stream's evaluator, so one mask memo
+    serves the document.  The stream's edits go through that index and
+    move the tree's version, so the binding goes stale with the first one.
     """
 
     ENGINES = ("bitset", "naive")
 
     def __init__(self, reasoner: Reasoner, current: DataTree,
                  engine: str = "bitset", *,
-                 snapshot: TreeIndex | None = None):
+                 context: BitsetEvaluator | None = None):
         if engine not in self.ENGINES:
             raise ValueError(f"unknown evaluation engine {engine!r}; "
                              f"expected one of {self.ENGINES}")
         self._reasoner = reasoner
         self._current = current
-        self._size_at_bind = current.size
+        self._version_at_bind = current.version
         self._engine = engine
         self._context: BitsetEvaluator | None = None
         if engine == "bitset":
-            if snapshot is None:
-                snapshot = TreeIndex(current)
-            elif not snapshot.covers(current):
-                raise ValueError("snapshot is not a fresh index of the "
-                                 "bound tree")
-            self._context = BitsetEvaluator(snapshot)
-            # A shared index edited in place by its owner (a live stream)
-            # stays fresh, so staleness is also keyed on its revision.
-            self._revision_at_bind = snapshot.revision
+            if context is None:
+                context = BitsetEvaluator.for_tree(current)
+            elif not context.covers(current):
+                raise ValueError("context is not an evaluator over a fresh "
+                                 "index of the bound tree")
+            self._context = context
         self._range_hits: dict[UpdateConstraint, set[int]] = {}
         self._memo = LRUMemo(reasoner.memo_size)
 
@@ -384,17 +382,9 @@ class BoundReasoner:
         return self._range_hits
 
     def _check_fresh(self) -> None:
-        ctx = self._context
-        if ctx is not None and (not ctx.covers(self._current)
-                                or ctx.index.revision != self._revision_at_bind):
+        if self._current.version != self._version_at_bind:
             raise ValueError(
                 "the bound tree mutated since bind(); a BoundReasoner "
-                "caches an indexed snapshot and per-tree answer sets — "
-                "rebind after mutating J"
-            )
-        if self._current.size != self._size_at_bind:
-            raise ValueError(
-                "the bound tree changed size since bind(); a BoundReasoner "
                 "caches per-tree answer sets — rebind after mutating J"
             )
 

@@ -82,19 +82,6 @@ class LRUMemo:
     def enabled(self) -> bool:
         return self._maxsize is None or self._maxsize > 0
 
-    def keys(self) -> list[Hashable]:
-        """The cached keys, LRU-first (a stable copy, safe to mutate over)."""
-        return list(self._data)
-
-    def peek(self, key: Hashable, default: Any = None) -> Any:
-        """Cached value for ``key`` without touching recency or statistics.
-
-        Maintenance passes (e.g. batch delta-patching every cached mask)
-        must not distort the LRU order or the hit/miss counters callers
-        read as *query* statistics.
-        """
-        return self._data.get(key, default)
-
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Cached value for ``key`` (touching its recency), else ``default``.
 

@@ -18,8 +18,8 @@ from collections.abc import Iterable
 from repro.api.session import BoundReasoner, Reasoner
 from repro.constraints.model import ConstraintSet, UpdateConstraint
 from repro.implication.result import ImplicationResult
-from repro.trees.index import TreeIndex
 from repro.trees.tree import DataTree
+from repro.xpath.bitset import BitsetEvaluator
 
 
 def compiled_session(constraints: ConstraintSet | Iterable[UpdateConstraint],
@@ -37,9 +37,9 @@ def transient_session(constraints: ConstraintSet | Iterable[UpdateConstraint],
 
 def bind_session(reasoner: Reasoner, current: DataTree, *,
                  engine: str = "bitset",
-                 snapshot: TreeIndex | None = None) -> BoundReasoner:
+                 context: BitsetEvaluator | None = None) -> BoundReasoner:
     """Fix a current instance for a session (the Table 2 entry point)."""
-    return BoundReasoner(reasoner, current, engine=engine, snapshot=snapshot)
+    return BoundReasoner(reasoner, current, engine=engine, context=context)
 
 
 def one_shot_implies(premises: ConstraintSet | Iterable[UpdateConstraint],

@@ -21,9 +21,10 @@ registration makes shareable —
 * one :class:`~repro.api.session.BoundReasoner` per ``(set, document)``
   pair, keyed by the document's mutation version, so repeated instance
   queries between edits reuse the snapshot and the per-tree answer sets.
-  A binding on a document under enforcement shares the live stream's
-  :class:`~repro.trees.index.TreeIndex` (with an evaluator of its own)
-  instead of indexing every tree version afresh.
+  A binding on a document under enforcement reads through the live
+  stream's :class:`~repro.xpath.bitset.BitsetEvaluator` instead of
+  indexing every tree version afresh, so one mask memo serves the
+  document.
 
 Names are flat strings; re-registering a taken name raises
 :class:`~repro.errors.ServiceError` unless ``replace=True`` (replacement
@@ -248,9 +249,9 @@ class DocumentStore:
         mutation version, so instance queries interleaved with stream
         edits always see the live state yet amortise the snapshot between
         edits.  A document under enforcement is bound through its stream's
-        live index (no rebuild per tree version); the binding still gets
-        its own evaluator, so conclusion predicates never enter the mask
-        memo the stream patches on every op.
+        evaluator (no rebuild per tree version): its masks catch up only
+        when read, so the conclusion predicates a query caches there cost
+        the stream nothing per op.
         """
         tree = self.document(doc_name)
         key = (set_name, doc_name)
@@ -258,10 +259,10 @@ class DocumentStore:
         if cached is not None and cached[0] == tree.version:
             return cached[1]
         live = self._enforcers.get(doc_name)
-        snapshot = live[1].context.index if live is not None else None
-        if snapshot is not None and not snapshot.covers(tree):
-            snapshot = None  # edited behind the stream's back: rebuild
-        bound = bind_session(self.session(set_name), tree, snapshot=snapshot)
+        context = live[1].context if live is not None else None
+        if context is not None and not context.covers(tree):
+            context = None  # edited behind the stream's back: rebuild
+        bound = bind_session(self.session(set_name), tree, context=context)
         self._bindings[key] = (tree.version, bound)
         return bound
 

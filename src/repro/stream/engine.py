@@ -13,11 +13,12 @@ The hot loop never re-snapshots:
   :class:`~repro.trees.index.TreeIndex`, mutated in place through its
   ``apply_*`` edits — the library's one edit path, which the
   refutation-search journals drive too;
-* the evaluator's predicate masks are **delta-patched** per edit from the
-  index's :class:`~repro.trees.index.EditDelta` log — per-op re-checking
-  costs the edit's footprint (ancestor chains), not the document;
+* the evaluator's predicate masks are **delta-patched** from the
+  index's :class:`~repro.trees.index.EditDelta` log when a check reads
+  them — per-op re-checking costs the footprint (ancestor chains) of the
+  edits since each read mask's last read, not the document;
 * the baseline side of every constraint is evaluated exactly once, at
-  open, and frozen as a delta-maintained slot mask
+  open, and frozen as a slot mask patched the same way
   (:class:`~repro.stream.baseline.MaskedBaseline`);
 * the static independence analysis (:mod:`repro.analysis`) narrows each
   re-check to the constraints the op can reach, and skips it outright

@@ -972,7 +972,7 @@ class TreeIndex:
             self._capture = None
         parents, labels = self._parent, self._labels
         spec = tuple((n, parents[n], labels[n]) for n in nodes)
-        self._tree.remove_subtree(nid)
+        self._tree._delete(nodes)
         self._kids_masks.pop(parent, None)
         self._fix_posts_upward(parent)
         self._bump()

@@ -228,10 +228,16 @@ class DataTree:
             raise TreeError("cannot remove the root")
         if nid not in self._labels:
             raise TreeError(f"node {nid} not in tree")
-        doomed = list(self.descendants(nid, include_self=True))
-        parent = self._parent[nid]
+        self._delete(list(self._preorder(nid)))
+
+    def _delete(self, doomed: list[int]) -> None:
+        """Delete a non-root subtree given as its node list, top node
+        first; walks nothing itself (a live index passes the list its
+        detach step made)."""
+        top = doomed[0]
+        parent = self._parent[top]
         assert parent is not None
-        self._children[parent].remove(nid)
+        self._children[parent].remove(top)
         for d in doomed:
             del self._labels[d]
             del self._parent[d]

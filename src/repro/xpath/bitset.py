@@ -8,9 +8,9 @@ evaluates whole frontiers at once as Python ``int`` masks keyed by the
 :class:`~repro.trees.index.TreeIndex` snapshot's slot numbering:
 
 * a step's *test* is one mask — the label's bitset intersected with one
-  **predicate mask per canonical predicate**, each computed once per
-  snapshot revision and cached (predicate satisfaction for *every* node in
-  a single bottom-up pass, instead of once per (predicate, node) pair);
+  **predicate mask per canonical predicate**, each computed once and
+  cached (predicate satisfaction for *every* node in a single bottom-up
+  pass, instead of once per (predicate, node) pair);
 * a ``//`` step expands the frontier as interval range-masks over its
   minimal cover — one shift-and-subtract per covering subtree, no
   per-descendant work at all;
@@ -19,28 +19,29 @@ evaluates whole frontiers at once as Python ``int`` masks keyed by the
   children masks.
 
 The evaluator does not edit: edits go through the ``apply_*`` methods of
-its :attr:`~BitsetEvaluator.index`.  It tracks that snapshot's
-:attr:`~repro.trees.index.TreeIndex.revision` with one stamp for the whole
-mask memo, so a memo hit is a bare dict probe.  After an in-place index
-edit (the search journals' moves, the enforcement stream's operations)
-cached predicate masks are **delta-patched** from the index's
-:class:`~repro.trees.index.EditDelta` log rather than recomputed — under
-a single edit only the ancestor chains of the edit points can change their
-downward structure, so a stale mask is repaired by remapping relocated
-slots (satisfaction travels with a moved subtree) and re-deciding the
-predicate at the few dirty nodes.  Per-edit upkeep is proportional to the
-edit's footprint, not to the document; when the delta log no longer
-reaches back (a long-idle mask), the full bottom-up rebuild kicks in.
+its :attr:`~BitsetEvaluator.index`.  Each cached predicate mask carries
+the index :attr:`~repro.trees.index.TreeIndex.revision` at which it is
+current, and catches up only when a sweep reads it: it is
+**delta-patched** from the index's :class:`~repro.trees.index.EditDelta`
+log since its stamp rather than recomputed — under a single edit only the
+ancestor chains of the edit points can change their downward structure,
+so a stale mask is repaired by remapping relocated slots (satisfaction
+travels with a moved subtree) and re-deciding the predicate at the few
+dirty nodes.  A mask no query reads costs nothing per edit; a read costs
+the footprint of the edits it missed, not the document.  When the delta
+log no longer reaches back to a mask's stamp (a long-idle mask), that
+mask rebuilds with the full bottom-up pass.
+
 All memos are LRU-capped — a long-lived binding serving an adversarial
 query stream cannot grow without bound.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Self, cast
+from typing import Callable, Self
 
 from repro.caching import LRUMemo
-from repro.trees.index import TreeIndex
+from repro.trees.index import EditDelta, TreeIndex
 from repro.trees.node import Node
 from repro.trees.tree import DataTree
 from repro.xpath.ast import Axis, Pattern, Pred, normalize, normalize_preds
@@ -61,8 +62,6 @@ CANON_MEMO_SIZE = 8192       # syntactic -> canonical forms (tree-independent)
 # every evaluator in the process instead of re-normalising per snapshot.
 _GLOBAL_CANON_PREDS = LRUMemo(CANON_MEMO_SIZE)
 _GLOBAL_CANON_PATTERNS = LRUMemo(CANON_MEMO_SIZE)
-
-_MISS = object()
 
 # Per-byte decode table: byte value -> bit positions set in it.  One
 # ``int.to_bytes`` conversion turns slot extraction into a C-level byte
@@ -125,19 +124,23 @@ class BitsetEvaluator:
     Every answer is bit-identical to the naive evaluator on the same
     tree; every ``context=`` fast path accepts one.  Edits go through
     :attr:`index` (its ``apply_*`` methods move the tree and the snapshot
-    together), and the next query patches the cached masks from the
+    together), and a query patches the cached masks it reads from the
     index's edit deltas.
     """
 
-    __slots__ = ("_index", "_revision", "_pred_masks", "_query_memo")
+    __slots__ = ("_index", "_revision", "_pred_masks", "_query_memo",
+                 "_batches")
 
     def __init__(self, snapshot: TreeIndex | DataTree):
         if isinstance(snapshot, DataTree):
             snapshot = TreeIndex(snapshot)
         self._index = snapshot
         self._revision = snapshot.revision
+        # Canonical predicate -> (revision it is current at, mask).
         self._pred_masks = LRUMemo(PRED_MASK_MEMO_SIZE)
         self._query_memo = LRUMemo(QUERY_MEMO_SIZE)
+        # Stamp -> the dirty batch taking it to the synced revision.
+        self._batches: dict[int, DirtyBatch | None] = {}
 
     @classmethod
     def for_tree(cls, tree: DataTree) -> Self:
@@ -161,18 +164,17 @@ class BitsetEvaluator:
         return len(self._pred_masks)
 
     def _sync(self) -> None:
-        """Catch the memos up with in-place index edits.
+        """Drop what is bound to one index revision.
 
-        Query answers are revision-bound and cheap to rebuild; predicate
-        masks are *kept* — patched in one batch from the edit deltas (or
-        dropped wholesale when the delta log no longer reaches back).
+        Query answers and the shared dirty batches are revision-bound and
+        cheap to rebuild; predicate masks keep their own stamps and catch
+        up when read (:meth:`_pred_mask`).
         """
         rev = self._index.revision
         if rev != self._revision:
-            since = self._revision
             self._revision = rev
             self._query_memo.clear()
-            self._patch_all_masks(since)
+            self._batches.clear()
 
     # ------------------------------------------------------------------
     # Canonicalisation (tree-independent, survives revision bumps)
@@ -192,7 +194,7 @@ class BitsetEvaluator:
         return canon
 
     # ------------------------------------------------------------------
-    # Whole-tree predicate masks (delta-maintained across index edits)
+    # Whole-tree predicate masks (delta-patched when read)
     # ------------------------------------------------------------------
     def _pred_mask(self, pred: Pred) -> int:
         """Mask of every node where the (canonical) predicate holds.
@@ -201,14 +203,34 @@ class BitsetEvaluator:
         predicate's own test (label mask ∩ child-predicate masks) are
         lifted to their parents (``/``) or their ancestor closure (``//``,
         with marked-ancestor early exit — O(n) amortised across the whole
-        mask).  Cached masks are always current at the evaluator's synced
-        revision (:meth:`_patch_all_masks` repairs them per revision
-        bump), so the hit path is a single dict probe.
+        mask).  A cached mask stamped at the current revision is a single
+        dict probe; an older one catches up here.
+
+        Two facts make the catch-up sound: satisfaction of a
+        downward-looking predicate travels verbatim with a relocated
+        subtree (its contents are unchanged), and the nodes whose subtree
+        contents *did* change are exactly the deltas' dirty chains —
+        upward-closed sets, so a nested predicate's flips are always
+        covered by the same chains.  Relocations are replayed in order
+        (chained moves re-use slots); the surviving dirty nodes are then
+        re-decided against the current structure and the sub-predicate
+        masks, which catch up through the same read.  Past the delta log's
+        horizon the mask rebuilds cold.
         """
-        mask = self._pred_masks.get(pred, _MISS)
-        if mask is not _MISS:
-            return cast(int, mask)
         idx = self._index
+        rev = idx.revision
+        cached: tuple[int, int] | None = self._pred_masks.get(pred)
+        if cached is not None:
+            stamp, mask = cached
+            if stamp == rev:
+                return mask
+            deltas = idx.deltas_since(stamp)
+            if deltas is not None:
+                for delta in deltas:
+                    mask = delta.patch_mask(mask)
+                mask = self._redecide(pred, mask, self._batch(stamp, deltas))
+                self._pred_masks.put(pred, (rev, mask))
+                return mask
         target = idx.label_mask(pred.label)
         for sub in pred.children:
             if not target:
@@ -220,59 +242,22 @@ class BitsetEvaluator:
             result = idx.parents_mask(target, pred.label)
         else:
             result = idx.ancestors_mask(target, pred.label)
-        self._pred_masks.put(pred, result)
+        self._pred_masks.put(pred, (rev, result))
         return result
 
-    def _patch_all_masks(self, since: int) -> None:
-        """Repair every cached satisfaction mask from the index's deltas
-        since revision ``since``, at which every cached mask is current.
-
-        Two facts make this sound: satisfaction of a downward-looking
-        predicate travels verbatim with a relocated subtree (its contents
-        are unchanged), and the nodes whose subtree contents *did* change
-        are exactly the deltas' dirty chains — upward-closed sets, so a
-        nested predicate's flips are always covered by the same chains.
-        Relocations are replayed in order (chained moves re-use slots);
-        dirty nodes are re-decided once per predicate, against the current
-        structure and the already-patched sub-predicate masks (nested
-        predicates are patched first, exactly because the re-decision
-        consults them).  Past the delta log's horizon the memo is dropped
-        wholesale and masks rebuild cold on next use.
-        """
+    def _batch(self, stamp: int, deltas: list[EditDelta]) -> DirtyBatch | None:
+        """The surviving dirty nodes of ``deltas`` (every edit since
+        ``stamp``), decoded once per stamp and revision: the masks one
+        check reads usually share a stamp."""
+        if stamp in self._batches:
+            return self._batches[stamp]
         idx = self._index
-        deltas = idx.deltas_since(since)
-        if deltas is None:
-            self._pred_masks.clear()
-            return
-        if not deltas or not len(self._pred_masks):
-            return
         dirty: dict[int, None] = {}
         for delta in deltas:
-            dirty.update(dict.fromkeys(delta.dirty))
-            dirty.update(dict.fromkeys(delta.added))
+            dirty.update(dict.fromkeys(delta.dirty))  # ``added`` included
         alive = [n for n in dirty if n in idx]
-        batch = DirtyBatch(idx, alive) if alive else None
-        memo = self._pred_masks
-        patched: set[Pred] = set()
-
-        def patch(pred: Pred) -> None:
-            if pred in patched:
-                return
-            patched.add(pred)
-            # Recurse through uncached nodes too: a cold recompute deeper
-            # in the tree consults cached sub-masks, which must already be
-            # patched by then.
-            for sub in pred.children:
-                patch(sub)
-            mask = memo.peek(pred, _MISS)
-            if mask is _MISS:
-                return  # uncached predicates rebuild cold on demand
-            for delta in deltas:
-                mask = delta.patch_mask(mask)
-            memo.put(pred, self._redecide(pred, mask, batch))
-
-        for key in memo.keys():
-            patch(cast(Pred, key))
+        batch = self._batches[stamp] = DirtyBatch(idx, alive) if alive else None
+        return batch
 
     def _redecide(self, pred: Pred, mask: int,
                   batch: DirtyBatch | None) -> int:

@@ -187,6 +187,20 @@ class TestBoundReasoner:
         with pytest.raises(ValueError, match="rebind"):
             bound.implies_on(no_insert("/patient"))
 
+    @pytest.mark.parametrize("engine", ["naive", "bitset"])
+    def test_size_preserving_move_stales_the_binding(self, current, engine):
+        bound = Reasoner(constraint_set(("/patient[/visit]", "down"))).bind(
+            current, engine=engine)
+        (answers,) = bound.premise_answers().values()
+        assert len(answers) == 2
+        left, other = current.children(current.root)
+        visit = current.children(left)[0]
+        current.move(visit, other)  # the size stays the same
+        with pytest.raises(ValueError, match="rebind"):
+            bound.premise_answers()
+        with pytest.raises(ValueError, match="rebind"):
+            bound.implies_on(no_insert("/patient"))
+
     def test_one_shot_implies_on(self, current):
         premises = constraint_set(("/patient", "down"))
         result = Reasoner(premises).implies_on(current, no_insert("/patient"))

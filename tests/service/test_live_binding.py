@@ -1,8 +1,8 @@
 """Instance queries on live documents agree with a fresh binding.
 
 A document under enforcement is bound through its stream's live
-:class:`~repro.trees.index.TreeIndex` (``DocumentStore.binding``), with an
-evaluator of its own.  The oracle below interleaves stream submissions
+:class:`~repro.xpath.bitset.BitsetEvaluator` (``DocumentStore.binding``).
+The oracle below interleaves stream submissions
 and instance queries through :class:`ConstraintService` on documents big
 enough for the refutation search's snapshot path, under mixed-type
 policies (the hybrid Table 2 cell), and checks every verdict against
@@ -99,7 +99,7 @@ def test_held_binding_goes_stale_after_a_size_preserving_move():
     enforcer = svc.enforcer("d", "p")
     bound = svc.binding("p", "d")
     assert bound.context.index is enforcer.context.index
-    assert bound.context is not enforcer.context
+    assert bound.context is enforcer.context
     conclusion = no_insert("/a")
     before = bound.implies_on(conclusion)
 

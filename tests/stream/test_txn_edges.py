@@ -24,7 +24,7 @@ from repro.stream import (
 )
 from repro.stream.baseline import MaskedBaseline
 from repro.trees import branch, build
-from repro.trees.index import DELTA_LOG_CAP, TreeIndex
+from repro.trees.index import DELTA_LOG_CAP, EditDelta, TreeIndex
 from repro.xpath.bitset import BitsetEvaluator
 from repro.xpath.parser import parse
 
@@ -172,6 +172,36 @@ class TestPartialRechecks:
         assert commit.rejected and "3 op(s) rolled back" in commit.note
         assert analyzed_doc.same_instance(base)
         assert full_doc.same_instance(base)
+
+    def test_a_check_patches_only_the_masks_it_reads(self, monkeypatch):
+        # The new prescription can reach the second constraint only, so
+        # its check catches up that constraint's predicate and baseline
+        # masks and leaves the others stale until a later read.
+        policy = constraint_set(("/patient[/visit]", "down"),
+                                ("//visit[/prescription]", "down"),
+                                ("//patient[/clinicalTrial]", "up"))
+        stream = StreamEnforcer(policy, hospital())
+        patched: list[int] = []
+        redecided: list[str | None] = []
+        patch, redecide = EditDelta.patch_mask, BitsetEvaluator._redecide
+
+        def spy_patch(self, mask):
+            patched.append(mask)
+            return patch(self, mask)
+
+        def spy_redecide(self, pred, mask, batch):
+            redecided.append(pred.label)
+            return redecide(self, pred, mask, batch)
+
+        monkeypatch.setattr(EditDelta, "patch_mask", spy_patch)
+        monkeypatch.setattr(BitsetEvaluator, "_redecide", spy_redecide)
+        decision = stream.apply(AddLeaf(9002, "prescription", nid=9710))
+        assert decision.accepted and not decision.independent
+        assert redecided == ["prescription"]
+        assert len(patched) == 2  # one predicate mask, one baseline mask
+        assert stream.violations() == []  # the full check catches up the rest
+        assert sorted(redecided) == ["clinicalTrial", "prescription", "visit"]
+        assert len(patched) == 6
 
 
 class TestDeltaLogHorizon:

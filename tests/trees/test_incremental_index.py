@@ -152,6 +152,30 @@ class TestApplyLeafEdits:
         assert index.size == tree.size
         assert_matches_fresh(index, tree)
 
+    def test_removal_walks_the_subtree_once(self, monkeypatch):
+        # The detach step lists the subtree's nodes; the tree deletes that
+        # list instead of walking the subtree a second time.
+        tree = random_tree(random.Random(2007), LABELS, size=400)
+        index = TreeIndex(tree)
+        victim = max((n for n in tree.node_ids() if n != tree.root),
+                     key=lambda n: len(tree.children(n)))
+        doomed = set(tree.descendants(victim, include_self=True))
+        walked: list[int] = []
+        walk = DataTree._preorder
+
+        def spy_walk(self, start):
+            walked.append(start)
+            yield from walk(self, start)
+
+        monkeypatch.setattr(DataTree, "_preorder", spy_walk)
+        spec = index.apply_remove_subtree(victim)
+        monkeypatch.undo()
+        assert walked == []
+        assert {n for n, _, _ in spec} == doomed and len(doomed) > 1
+        assert all(n not in tree for n in doomed)
+        tree.validate()
+        assert_matches_fresh(index, tree)
+
 
 class TestRandomJournals:
     def test_random_edit_sequences_match_fresh_rebuilds(self):

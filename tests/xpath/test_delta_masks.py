@@ -1,11 +1,12 @@
 """Delta-maintained predicate masks and the batch slot decoder.
 
-The bitset evaluator no longer drops its predicate masks when the index
-revision moves — it patches them from the :class:`~repro.trees.index.
-EditDelta` log.  These tests pin the patch path directly: masks warmed
-*before* an edit must answer exactly like the naive evaluator *after* it,
-for every node, across chains of edits, and past the delta log's horizon
-(where the full recompute takes over).
+The bitset evaluator does not drop its predicate masks when the index
+revision moves — each mask is patched from the :class:`~repro.trees.index.
+EditDelta` log when it is next read.  These tests pin the patch path
+directly: masks warmed *before* an edit must answer exactly like the naive
+evaluator *after* it, for every node, across chains of edits, whether a
+mask was last read one edit ago or past the delta log's horizon (where the
+full recompute takes over).
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ RELAXED = settings(max_examples=30, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
 
 
-def random_edit(rng: random.Random, snapshot: TreeIndex) -> None:
+def random_edit(rng: random.Random, snapshot: TreeIndex):
+    """One random edit; returns a removal's revive spec, else ``None``."""
     tree = snapshot.tree
     nodes = list(tree.node_ids())
     nonroot = [n for n in nodes if n != tree.root]
@@ -41,9 +43,10 @@ def random_edit(rng: random.Random, snapshot: TreeIndex) -> None:
         elif roll < 0.8:
             snapshot.apply_add_leaf(rng.choice(nodes), rng.choice(LABELS))
         elif nonroot:
-            snapshot.apply_remove_subtree(rng.choice(nonroot))
+            return snapshot.apply_remove_subtree(rng.choice(nonroot))
     except TreeError:
         pass  # illegal move rolls — the index must stay untouched
+    return None
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -87,6 +90,68 @@ def test_masks_survive_the_delta_log_horizon(seed):
         random_edit(rng, snapshot)
     assert snapshot.deltas_since(start) is None
     assert evaluator.evaluate_ids(pattern) == evaluate_ids(pattern, tree)
+
+
+def predicate_pool(rng: random.Random, evaluator: BitsetEvaluator):
+    """Canonical predicates and every nested predicate under them."""
+    pool: dict = {}
+
+    def walk(pred):
+        for sub in pred.children:
+            walk(sub)
+        pool[pred] = None
+
+    for _ in range(3):
+        pattern = random_pattern(rng, LABELS, FULL, spine=rng.randint(1, 3),
+                                 pred_prob=0.8, max_pred_depth=3)
+        walk(evaluator._canonical(pattern.as_boolean()))
+    return list(pool)
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_masks_catch_up_when_read(seed):
+    """Masks read at random cadences, some left unread for longer than the
+    delta log holds, each equal a fresh evaluator's mask when read —
+    a nested predicate read through its parent included."""
+    rng = random.Random(seed)
+    tree = random_tree(rng, LABELS, size=rng.randint(2, 25))
+    snapshot = TreeIndex(tree)
+    evaluator = BitsetEvaluator(snapshot)
+    pool = predicate_pool(rng, evaluator)
+    # At least one predicate is read only at the end, past the horizon.
+    rates = [(0.0, 1.0, 0.3, 0.02)[i % 4] for i in range(len(pool))]
+    rng.shuffle(rates)
+    last_read = dict.fromkeys(pool, snapshot.revision)
+    longest = 0
+    removed: list = []
+    target = DELTA_LOG_CAP + rng.randint(10, 60)  # edits, refusals aside
+    while snapshot.revision < target:
+        if removed and rng.random() < 0.15:
+            try:
+                snapshot.apply_add_subtree(removed.pop())  # a revival
+            except TreeError:
+                pass  # its parent went since
+        else:
+            spec = random_edit(rng, snapshot)
+            if spec is not None:
+                removed.append(spec)
+        read = [p for p, rate in zip(pool, rates) if rng.random() < rate]
+        if not read:
+            continue
+        evaluator._sync()
+        fresh = BitsetEvaluator(snapshot)
+        for pred in read:
+            assert evaluator._pred_mask(pred) == fresh._pred_mask(pred)
+            longest = max(longest, snapshot.revision - last_read[pred])
+            last_read[pred] = snapshot.revision
+    evaluator._sync()
+    fresh = BitsetEvaluator(snapshot)
+    for pred in pool:
+        assert evaluator._pred_mask(pred) == fresh._pred_mask(pred)
+        longest = max(longest, snapshot.revision - last_read[pred])
+    assert longest > DELTA_LOG_CAP
 
 
 class TestDeltaLog:
