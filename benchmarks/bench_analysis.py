@@ -17,19 +17,15 @@ Checksummed so the compared paths provably decide alike:
 Run:  PYTHONPATH=src python benchmarks/bench_analysis.py [output.json]
           [--smoke] [--compare BASELINE.json] [--tolerance 0.2]
 
-Emits ``BENCH_analysis.json`` at the repo root by default; ``--compare``
-gates every tracked ratio and checksum against a committed baseline
-exactly like the other bench scripts (see ``bench_helpers``).
+Emits ``BENCH_analysis.json`` at the repo root by default; the command
+line, the floor and the ``--compare`` gate are :func:`bench_helpers.gate`'s.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import sys
-from pathlib import Path
 
-from bench_helpers import compare_reports, timed_interleaved
+from bench_helpers import gate, timed_interleaved
 from repro.stream import StreamEnforcer, decision_checksum
 from repro.workloads import (
     FragmentSpec,
@@ -89,25 +85,7 @@ def bench_fastpath(tree_size: int, ops: int, irrelevant_rate: float,
     }
 
 
-def main() -> None:
-    args = list(sys.argv[1:])
-    smoke = "--smoke" in args
-    if smoke:
-        args.remove("--smoke")
-    baseline_path = None
-    if "--compare" in args:
-        at = args.index("--compare")
-        baseline_path = Path(args[at + 1])
-        del args[at:at + 2]
-    tolerance = 0.20
-    if "--tolerance" in args:
-        at = args.index("--tolerance")
-        tolerance = float(args[at + 1])
-        del args[at:at + 2]
-    out_path = (Path(args[0]) if args
-                else Path(__file__).resolve().parent.parent
-                / "BENCH_analysis.json")
-
+def run(smoke: bool) -> tuple[dict, list[str]]:
     if smoke:
         fastpath = bench_fastpath(tree_size=300, ops=80,
                                   irrelevant_rate=0.95, rounds=2)
@@ -124,12 +102,10 @@ def main() -> None:
         "fastpath": fastpath,
         "floors": floors,
     }
-    out_path.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
     print(f"fastpath : full {fastpath['full_qps']:>9} op/s | "
           f"analyzed {fastpath['fastpath_qps']:>9} op/s | "
           f"x{fastpath['speedup']} "
           f"({fastpath['independent_rate']:.0%} independent)")
-    print(f"wrote {out_path}")
 
     failures = []
     if not fastpath["decisions_match"]:
@@ -137,22 +113,8 @@ def main() -> None:
     if fastpath["independent_rate"] < 0.9:
         failures.append(f"workload irrelevance {fastpath['independent_rate']} "
                         "< 0.9 — the fast path was not exercised as claimed")
-    if fastpath["speedup"] < floors["fastpath"]:
-        failures.append(f"fastpath speedup {fastpath['speedup']} "
-                        f"< floor {floors['fastpath']}")
-    if baseline_path is not None:
-        baseline = json.loads(baseline_path.read_text())
-        if baseline.get("mode") != report["mode"]:
-            failures.append(f"--compare mode mismatch: baseline is "
-                            f"{baseline.get('mode')!r}, this run is "
-                            f"{report['mode']!r}")
-        else:
-            failures.extend(compare_reports(report, baseline, tolerance))
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        raise SystemExit(1)
+    return report, failures
 
 
 if __name__ == "__main__":
-    main()
+    gate("analysis", run)

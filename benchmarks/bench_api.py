@@ -13,19 +13,15 @@ Emits ``BENCH_api.json`` (at the repo root by default) with queries/sec
 for both paths and the resulting speedup, for the general (Table 1) and
 the instance-based (Table 2) problem, plus a distinct-only column so the
 memo's contribution is visible separately from the compile-once savings.
-``--compare`` gates every tracked ratio of the fresh run against a
-committed baseline (>20% regression fails) and every checksum against
-drift — the CI benchmark-regression gate.
+The full run takes seconds, so there is no ``--smoke`` mode.  The command
+line and the ``--compare`` gate are :func:`bench_helpers.gate`'s.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import sys
-from pathlib import Path
 
-from bench_helpers import compare_reports, timed_interleaved
+from bench_helpers import gate, timed_interleaved
 from repro import Reasoner, implies, implies_on
 from repro.constraints.model import ConstraintType, UpdateConstraint
 from repro.workloads import FragmentSpec, random_constraints, random_pattern, random_tree
@@ -119,20 +115,7 @@ def bench_instance(premises, pool, stream, tree):
     }
 
 
-def main() -> None:
-    args = list(sys.argv[1:])
-    baseline_path = None
-    if "--compare" in args:
-        at = args.index("--compare")
-        baseline_path = Path(args[at + 1])
-        del args[at:at + 2]
-    tolerance = 0.20
-    if "--tolerance" in args:
-        at = args.index("--tolerance")
-        tolerance = float(args[at + 1])
-        del args[at:at + 2]
-    out_path = (Path(args[0]) if args
-                else Path(__file__).resolve().parent.parent / "BENCH_api.json")
+def run() -> tuple[dict, list[str]]:
     premises, pool, stream, tree = build_workload()
     report = {
         "benchmark": "session-api repeated-query throughput",
@@ -141,7 +124,6 @@ def main() -> None:
         "general": bench_general(premises, pool, stream),
         "instance": bench_instance(premises, pool, stream, tree),
     }
-    out_path.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
     general, instance = report["general"], report["instance"]
     print(f"general : legacy {general['legacy_qps']:>8} q/s | "
           f"reasoner {general['reasoner_qps']:>8} q/s | "
@@ -149,15 +131,8 @@ def main() -> None:
     print(f"instance: legacy {instance['legacy_qps']:>8} q/s | "
           f"reasoner {instance['reasoner_qps']:>8} q/s | "
           f"x{instance['speedup']}")
-    print(f"wrote {out_path}")
-    if baseline_path is not None:
-        baseline = json.loads(baseline_path.read_text())
-        failures = compare_reports(report, baseline, tolerance)
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            raise SystemExit(1)
+    return report, []
 
 
 if __name__ == "__main__":
-    main()
+    gate("api", run, has_smoke=False)

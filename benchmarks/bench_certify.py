@@ -29,19 +29,15 @@ engines see identical concrete ops and
 Run:  PYTHONPATH=src python benchmarks/bench_certify.py [output.json]
           [--smoke] [--compare BASELINE.json] [--tolerance 0.2]
 
-Emits ``BENCH_certify.json`` at the repo root by default; ``--compare``
-gates tracked ratios and checksums against the committed baseline like
-the other bench scripts (see ``bench_helpers``).
+Emits ``BENCH_certify.json`` at the repo root by default; the command
+line, the floor and the ``--compare`` gate are :func:`bench_helpers.gate`'s.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import sys
-from pathlib import Path
 
-from bench_helpers import compare_reports, timed, timed_interleaved
+from bench_helpers import gate, timed, timed_interleaved
 from repro.certify import (
     LabelHole,
     NodeHole,
@@ -189,25 +185,7 @@ def bench_certifier(rounds: int) -> dict:
     }
 
 
-def main() -> None:
-    args = list(sys.argv[1:])
-    smoke = "--smoke" in args
-    if smoke:
-        args.remove("--smoke")
-    baseline_path = None
-    if "--compare" in args:
-        at = args.index("--compare")
-        baseline_path = Path(args[at + 1])
-        del args[at:at + 2]
-    tolerance = 0.20
-    if "--tolerance" in args:
-        at = args.index("--tolerance")
-        tolerance = float(args[at + 1])
-        del args[at:at + 2]
-    out_path = (Path(args[0]) if args
-                else Path(__file__).resolve().parent.parent
-                / "BENCH_certify.json")
-
+def run(smoke: bool) -> tuple[dict, list[str]]:
     if smoke:
         certified = bench_certified(tree_size=300, brackets=40, rounds=2)
         certifier = bench_certifier(rounds=2)
@@ -226,8 +204,6 @@ def main() -> None:
         "certifier": certifier,
         "floors": {"certified": floor},
     }
-    out_path.write_text(json.dumps(report, indent=2, ensure_ascii=False)
-                        + "\n")
     print(f"certified: per-op {certified['per_op_qps']:>9} op/s | "
           f"analyzed {certified['analyzed_qps']:>9} op/s | "
           f"certified {certified['certified_qps']:>9} op/s | "
@@ -235,34 +211,19 @@ def main() -> None:
     print(f"certifier: static {certifier['static_certifications_per_sec']}"
           f"/s | search {certifier['refutation_searches_per_sec']}/s "
           f"({certifier['search_attempts']} attempts)")
-    print(f"wrote {out_path}")
 
     failures = []
     if not certified["decisions_match"]:
         failures.append("certified decisions diverged from uncertified "
                         "replay (with and/or without analysis)")
-    if certified["speedup"] < floor:
-        failures.append(f"certified speedup {certified['speedup']} "
-                        f"< floor {floor}")
     if certified["speedup_vs_analyzed"] < 1.0:
         failures.append("certified path lost to the analyzer fast path "
                         f"(x{certified['speedup_vs_analyzed']})")
     if not certifier["search_rejected"]:
         failures.append("refutation search failed to reject the "
                         "conflicting template")
-    if baseline_path is not None:
-        baseline = json.loads(baseline_path.read_text())
-        if baseline.get("mode") != report["mode"]:
-            failures.append(f"--compare mode mismatch: baseline is "
-                            f"{baseline.get('mode')!r}, this run is "
-                            f"{report['mode']!r}")
-        else:
-            failures.extend(compare_reports(report, baseline, tolerance))
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        raise SystemExit(1)
+    return report, failures
 
 
 if __name__ == "__main__":
-    main()
+    gate("certify", run)

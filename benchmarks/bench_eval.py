@@ -31,21 +31,17 @@ Run:  PYTHONPATH=src python benchmarks/bench_eval.py [output.json]
 
 Emits ``BENCH_eval.json`` at the repo root by default.  Exits non-zero when
 verdict/answer checksums diverge or a speedup floor is missed — ``--smoke``
-(the quick CI mode) shrinks the workload and relaxes the floors so a slow
-runner cannot flake the build while a real regression still fails loudly.
-``--compare`` additionally gates every tracked ratio of the fresh run
-against a committed baseline (>20% regression fails, see
-``bench_helpers.compare_reports``); run it in the baseline's mode.
+shrinks the workload and relaxes the floors for a quick local check.  The
+command line, the floors and the ``--compare`` gate (>20% ratio regression
+or any checksum drift fails; run it in the baseline's mode) are
+:func:`bench_helpers.gate`'s.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import sys
-from pathlib import Path
 
-from bench_helpers import compare_reports, timed_interleaved
+from bench_helpers import gate, timed_interleaved
 from repro import Reasoner, implies_on
 from repro.constraints.model import ConstraintType, UpdateConstraint
 from repro.trees.index import TreeIndex
@@ -264,24 +260,7 @@ def bench_search(tree_size: int, pool_size: int, repeats: int,
     }
 
 
-def main() -> None:
-    args = list(sys.argv[1:])
-    smoke = "--smoke" in args
-    if smoke:
-        args.remove("--smoke")
-    baseline_path = None
-    if "--compare" in args:
-        at = args.index("--compare")
-        baseline_path = Path(args[at + 1])
-        del args[at:at + 2]
-    tolerance = 0.20
-    if "--tolerance" in args:
-        at = args.index("--tolerance")
-        tolerance = float(args[at + 1])
-        del args[at:at + 2]
-    out_path = (Path(args[0]) if args
-                else Path(__file__).resolve().parent.parent / "BENCH_eval.json")
-
+def run(smoke: bool) -> tuple[dict, list[str]]:
     if smoke:
         eval_row = bench_eval(tree_size=300, pool_size=10, repeats=3, rounds=2)
         bitset_row = bench_bitset(tree_size=300, pool_size=10, rounds=2)
@@ -309,7 +288,6 @@ def main() -> None:
         "instance_search": search_row,
         "floors": floors,
     }
-    out_path.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
     print(f"eval    : naive {eval_row['naive_qps']:>9} q/s | "
           f"bitset  {eval_row['bitset_qps']:>9} q/s | x{eval_row['speedup']}")
     print(f"bitset  : naive {bitset_row['naive_qps']:>9} q/s | "
@@ -318,7 +296,6 @@ def main() -> None:
           f"bound   {instance_row['bound_qps']:>9} q/s | x{instance_row['speedup']}")
     print(f"search  : legacy {search_row['legacy_qps']:>8} q/s | "
           f"bound   {search_row['bound_qps']:>9} q/s | x{search_row['speedup']}")
-    print(f"wrote {out_path}")
 
     failures = []
     if not eval_row["answers_match"]:
@@ -329,26 +306,8 @@ def main() -> None:
         failures.append("instance-implication verdicts diverged")
     if not search_row["verdicts_match"]:
         failures.append("search-enabled instance verdicts diverged")
-    checks = (("pattern_evaluation", eval_row), ("bitset", bitset_row),
-              ("instance_implication", instance_row),
-              ("instance_search", search_row))
-    for name, row in checks:
-        if row["speedup"] < floors[name]:
-            failures.append(f"{name} speedup {row['speedup']} "
-                            f"< floor {floors[name]}")
-    if baseline_path is not None:
-        baseline = json.loads(baseline_path.read_text())
-        if baseline.get("mode") != report["mode"]:
-            failures.append(f"--compare mode mismatch: baseline is "
-                            f"{baseline.get('mode')!r}, this run is "
-                            f"{report['mode']!r}")
-        else:
-            failures.extend(compare_reports(report, baseline, tolerance))
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        raise SystemExit(1)
+    return report, failures
 
 
 if __name__ == "__main__":
-    main()
+    gate("eval", run)

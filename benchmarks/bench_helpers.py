@@ -1,4 +1,5 @@
-"""Shared workload builders for the benchmark harness.
+"""Shared workload builders for the benchmark harness, and the one runner
+(:func:`gate`) every gated ``bench_<name>.py`` script hands its ``run`` to.
 
 Workloads are seeded per (cell, size) so every run regenerates identical
 inputs; sizes are chosen so the full suite completes in minutes while still
@@ -7,9 +8,14 @@ exposing each cell's growth trend (recorded in EXPERIMENTS.md).
 
 from __future__ import annotations
 
+import argparse
 import gc
+import json
 import random
+import sys
 import time
+from collections.abc import Callable
+from pathlib import Path
 
 from repro.constraints import ConstraintSet, UpdateConstraint, ConstraintType
 from repro.workloads import (
@@ -97,7 +103,7 @@ def run_all(problems, engine) -> int:
 
 
 # ----------------------------------------------------------------------
-# Benchmark-regression gate (--compare mode of the bench scripts)
+# Benchmark-regression gate: the runner every gated script shares
 # ----------------------------------------------------------------------
 def tracked_ratios(report: dict, prefix: str = "") -> dict[str, float]:
     """All ``speedup`` entries of a benchmark report, keyed by JSON path.
@@ -168,3 +174,71 @@ def compare_reports(fresh: dict, baseline: dict,
                 f"{path} diverged from baseline ({now} != {base}): answers "
                 f"changed — refresh the committed baseline if intended")
     return failures
+
+
+#: Where each gate writes ``BENCH_<name>.json`` when no OUT is given.
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def gate(name: str, run: Callable[..., tuple[dict, list[str]]], *,
+         has_smoke: bool = True) -> None:
+    """Run one ``bench_<name>.py`` gate: the CLI, the report and the verdict.
+
+    ``bench_<name>.py [OUT] [--smoke] [--compare BASELINE] [--tolerance T]``
+    calls ``run(smoke)`` (``run()`` when ``has_smoke`` is false, and then
+    ``--smoke`` is refused), which measures, prints its summary lines and
+    returns ``(report, failures)`` from its own correctness checks.  The
+    report goes to OUT (``BENCH_<name>.json`` at the repo root by
+    default), then the gate fails on:
+
+    * a section whose ``speedup`` is below its ``report["floors"]`` entry;
+    * a run whose ``mode`` differs from the baseline's;
+    * anything :func:`compare_reports` finds against the baseline.
+
+    The baseline is read before the run, and an OUT that is the baseline
+    file is refused, so a gate never compares a run with itself.  Usage
+    errors exit 2 with nothing run or written; failures print ``FAIL:``
+    lines on stderr and exit 1.
+    """
+    parser = argparse.ArgumentParser(allow_abbrev=False)
+    parser.add_argument("out", nargs="?", type=Path,
+                        default=ROOT / f"BENCH_{name}.json",
+                        help=f"report path (default: BENCH_{name}.json "
+                             "at the repo root)")
+    if has_smoke:
+        parser.add_argument("--smoke", action="store_true",
+                            help="the small workload with relaxed floors")
+    parser.add_argument("--compare", type=Path, metavar="BASELINE",
+                        help="gate tracked ratios and checksums against "
+                             "a committed report")
+    parser.add_argument("--tolerance", type=float, default=0.20,
+                        help="allowed ratio drop below the baseline "
+                             "(default 0.20)")
+    args = parser.parse_args()
+    baseline = None
+    if args.compare is not None:
+        if args.out.resolve() == args.compare.resolve():
+            parser.error(f"OUT {args.out} is the baseline: the run would "
+                         "overwrite what it is compared with")
+        baseline = json.loads(args.compare.read_text())
+
+    report, failures = run(args.smoke) if has_smoke else run()
+    args.out.write_text(json.dumps(report, indent=2, ensure_ascii=False)
+                        + "\n")
+    print(f"wrote {args.out}")
+
+    for section, floor in report.get("floors", {}).items():
+        speedup = report[section]["speedup"]
+        if speedup < floor:
+            failures.append(f"{section} speedup {speedup} < floor {floor}")
+    if baseline is not None:
+        if baseline.get("mode") != report.get("mode"):
+            failures.append(f"--compare mode mismatch: baseline is "
+                            f"{baseline.get('mode')!r}, this run is "
+                            f"{report.get('mode')!r}")
+        else:
+            failures.extend(compare_reports(report, baseline, args.tolerance))
+    if failures:
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        raise SystemExit(1)

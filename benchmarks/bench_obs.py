@@ -17,19 +17,16 @@ Run:  PYTHONPATH=src python benchmarks/bench_obs.py [output.json]
           [--smoke] [--compare BASELINE.json] [--tolerance 0.2]
 
 Emits ``BENCH_obs.json`` at the repo root by default; the ≤5% overhead
-floor is self-gated (hard SystemExit, independent of ``--tolerance``),
-and ``--compare`` additionally pins the decision checksum against the
-committed baseline like every other bench script.
+limit is checked here (independent of ``--tolerance``), and the command
+line and the ``--compare`` gate, which pins the decision checksum, are
+:func:`bench_helpers.gate`'s.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import sys
-from pathlib import Path
 
-from bench_helpers import compare_reports, timed, timed_interleaved
+from bench_helpers import gate, timed, timed_interleaved
 from repro.obs import MetricsRegistry, NULL
 from repro.stream import StreamEnforcer, decision_checksum
 from repro.workloads import (
@@ -124,24 +121,7 @@ def bench_registry_micro(updates: int, rounds: int) -> dict:
     }
 
 
-def main() -> None:
-    args = list(sys.argv[1:])
-    smoke = "--smoke" in args
-    if smoke:
-        args.remove("--smoke")
-    baseline_path = None
-    if "--compare" in args:
-        at = args.index("--compare")
-        baseline_path = Path(args[at + 1])
-        del args[at:at + 2]
-    tolerance = 0.20
-    if "--tolerance" in args:
-        at = args.index("--tolerance")
-        tolerance = float(args[at + 1])
-        del args[at:at + 2]
-    out_path = (Path(args[0]) if args
-                else Path(__file__).resolve().parent.parent / "BENCH_obs.json")
-
+def run(smoke: bool) -> tuple[dict, list[str]]:
     if smoke:
         overhead = bench_overhead(tree_size=300, ops=40, rounds=9)
         micro = bench_registry_micro(updates=20_000, rounds=2)
@@ -157,7 +137,6 @@ def main() -> None:
         "enforcement": overhead,
         "registry_micro": micro,
     }
-    out_path.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
     print(f"enforce : disabled {overhead['disabled_qps']:>9} op/s | "
           f"metered {overhead['metered_qps']:>9} op/s | "
           f"overhead {overhead['overhead_fraction'] * 100:.1f}% "
@@ -165,7 +144,6 @@ def main() -> None:
     print(f"registry: inc {micro['counter_inc_per_sec']:>11} /s | "
           f"observe {micro['histogram_observe_per_sec']:>11} /s | "
           f"resolve {micro['registry_resolve_per_sec']:>11} /s")
-    print(f"wrote {out_path}")
 
     failures = []
     if not overhead["decisions_match"]:
@@ -180,19 +158,8 @@ def main() -> None:
         failures.append(
             f"metered stream.ops_total {overhead['metered_ops_total']} != "
             f"the enforcer's own stats.ops {overhead['stats_ops']}")
-    if baseline_path is not None:
-        baseline = json.loads(baseline_path.read_text())
-        if baseline.get("mode") != report["mode"]:
-            failures.append(f"--compare mode mismatch: baseline is "
-                            f"{baseline.get('mode')!r}, this run is "
-                            f"{report['mode']!r}")
-        else:
-            failures.extend(compare_reports(report, baseline, tolerance))
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        raise SystemExit(1)
+    return report, failures
 
 
 if __name__ == "__main__":
-    main()
+    gate("obs", run)

@@ -25,22 +25,19 @@ Three sections over one seeded multi-document workload:
 Run:  PYTHONPATH=src python benchmarks/bench_server.py [output.json]
           [--smoke] [--compare BASELINE.json] [--tolerance 0.2]
 
-Emits ``BENCH_server.json`` at the repo root by default; ``--compare``
-gates tracked ratios and checksums against the committed baseline like
-every other bench script (see ``bench_helpers``).
+Emits ``BENCH_server.json`` at the repo root by default; the command
+line and the ``--compare`` gate are :func:`bench_helpers.gate`'s.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import random
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-from bench_helpers import compare_reports
+from bench_helpers import gate
 from repro.server import ReproClient, ReproServer, ServerJournal
 from repro.service.protocol import (
     RegisterConstraints,
@@ -267,24 +264,7 @@ def bench_socket(submits: int, rounds: int) -> dict:
     }
 
 
-def main() -> None:
-    args = list(sys.argv[1:])
-    smoke = "--smoke" in args
-    if smoke:
-        args.remove("--smoke")
-    baseline_path = None
-    if "--compare" in args:
-        at = args.index("--compare")
-        baseline_path = Path(args[at + 1])
-        del args[at:at + 2]
-    tolerance = 0.20
-    if "--tolerance" in args:
-        at = args.index("--tolerance")
-        tolerance = float(args[at + 1])
-        del args[at:at + 2]
-    out_path = (Path(args[0]) if args
-                else Path(__file__).resolve().parent.parent / "BENCH_server.json")
-
+def run(smoke: bool) -> tuple[dict, list[str]]:
     if smoke:
         journal = bench_journal(submits=120, rounds=2)
         recovery = bench_recovery(submits=240, checkpoint_every=32, rounds=2)
@@ -303,7 +283,6 @@ def main() -> None:
         "recovery": recovery,
         "socket": socket,
     }
-    out_path.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
     print(f"journal : direct {journal['direct_ops_per_sec']:>9} op/s | "
           f"nofsync x{journal['nofsync_ratio']} | "
           f"fsync x{journal['fsync_ratio']} (disk-bound; not gated)")
@@ -313,7 +292,6 @@ def main() -> None:
     print(f"socket  : memory {socket['memory_rps']:>9} rps | "
           f"durable {socket['durable_rps']:>9} rps | "
           f"x{socket['durable_ratio']} (loopback; not gated)")
-    print(f"wrote {out_path}")
 
     failures = []
     if not journal["decisions_match"]:
@@ -324,19 +302,8 @@ def main() -> None:
     if not socket["decisions_match"]:
         failures.append("socket: response stream diverged between "
                         "in-memory and durable servers")
-    if baseline_path is not None:
-        baseline = json.loads(baseline_path.read_text())
-        if baseline.get("mode") != report["mode"]:
-            failures.append(f"--compare mode mismatch: baseline is "
-                            f"{baseline.get('mode')!r}, this run is "
-                            f"{report['mode']!r} — compare like for like")
-        else:
-            failures.extend(compare_reports(report, baseline, tolerance))
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        raise SystemExit(1)
+    return report, failures
 
 
 if __name__ == "__main__":
-    main()
+    gate("server", run)

@@ -23,22 +23,18 @@ identically:
 Run:  PYTHONPATH=src python benchmarks/bench_service.py [output.json]
           [--smoke] [--compare BASELINE.json] [--tolerance 0.2]
 
-Emits ``BENCH_service.json`` at the repo root by default; ``--compare``
-gates every tracked ratio and checksum against a committed baseline
-exactly like the other bench scripts (see ``bench_helpers``).
+Emits ``BENCH_service.json`` at the repo root by default; the command
+line, the floors and the ``--compare`` gate are :func:`bench_helpers.gate`'s.
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
-import json
 import random
-import sys
 import time
-from pathlib import Path
 
-from bench_helpers import compare_reports, timed, timed_interleaved
+from bench_helpers import gate, timed, timed_interleaved
 from repro import AsyncService, ConstraintService, Reasoner, StreamEnforcer
 from repro.constraints.model import ConstraintType, UpdateConstraint
 from repro.instance.search import bounded_refutation
@@ -226,24 +222,7 @@ def bench_service_dispatch(batches: int, per_batch: int, rounds: int) -> dict:
     }
 
 
-def main() -> None:
-    args = list(sys.argv[1:])
-    smoke = "--smoke" in args
-    if smoke:
-        args.remove("--smoke")
-    baseline_path = None
-    if "--compare" in args:
-        at = args.index("--compare")
-        baseline_path = Path(args[at + 1])
-        del args[at:at + 2]
-    tolerance = 0.20
-    if "--tolerance" in args:
-        at = args.index("--tolerance")
-        tolerance = float(args[at + 1])
-        del args[at:at + 2]
-    out_path = (Path(args[0]) if args
-                else Path(__file__).resolve().parent.parent / "BENCH_service.json")
-
+def run(smoke: bool) -> tuple[dict, list[str]]:
     if smoke:
         refutation = bench_refutation(tree_size=24, budget=300, rounds=2)
         asynchronous = bench_async(tree_size=200, ops=40, rounds=2)
@@ -265,7 +244,6 @@ def main() -> None:
         "service": dispatch,
         "floors": floors,
     }
-    out_path.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
     print(f"refute  : seq {refutation['sequential_candidates_per_sec']:>9} c/s"
           f" (not gated)")
     print(f"async   : direct {asynchronous['direct_qps']:>8} op/s | "
@@ -274,7 +252,6 @@ def main() -> None:
     print(f"service : session {dispatch['session_qps']:>7} q/s | "
           f"service {dispatch['service_qps']:>8} q/s | "
           f"x{dispatch['speedup']}")
-    print(f"wrote {out_path}")
 
     failures = []
     if not refutation["verdicts_agree"]:
@@ -282,25 +259,8 @@ def main() -> None:
                         "the drawn problem does not have")
     if not asynchronous["decisions_match"]:
         failures.append("async decisions diverged from direct StreamEnforcer")
-    if asynchronous["speedup"] < floors["async"]:
-        failures.append(f"async throughput ratio {asynchronous['speedup']} "
-                        f"< floor {floors['async']}")
-    if dispatch["speedup"] < floors["service"]:
-        failures.append(f"service dispatch ratio {dispatch['speedup']} "
-                        f"< floor {floors['service']}")
-    if baseline_path is not None:
-        baseline = json.loads(baseline_path.read_text())
-        if baseline.get("mode") != report["mode"]:
-            failures.append(f"--compare mode mismatch: baseline is "
-                            f"{baseline.get('mode')!r}, this run is "
-                            f"{report['mode']!r}")
-        else:
-            failures.extend(compare_reports(report, baseline, tolerance))
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        raise SystemExit(1)
+    return report, failures
 
 
 if __name__ == "__main__":
-    main()
+    gate("service", run)

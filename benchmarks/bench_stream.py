@@ -22,19 +22,15 @@ identically:
 Run:  PYTHONPATH=src python benchmarks/bench_stream.py [output.json]
           [--smoke] [--compare BASELINE.json] [--tolerance 0.2]
 
-Emits ``BENCH_stream.json`` at the repo root by default; ``--compare``
-gates every tracked ratio and checksum against a committed baseline
-exactly like the other bench scripts (see ``bench_helpers``).
+Emits ``BENCH_stream.json`` at the repo root by default; the command
+line, the floors and the ``--compare`` gate are :func:`bench_helpers.gate`'s.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import sys
-from pathlib import Path
 
-from bench_helpers import compare_reports, timed_interleaved
+from bench_helpers import gate, timed_interleaved
 from repro.constraints.validity import Violation, range_violation
 from repro.errors import TreeError
 from repro.stream import StreamEnforcer, decision_checksum
@@ -206,24 +202,7 @@ def bench_decoder(tree_size: int, rounds: int) -> dict:
     }
 
 
-def main() -> None:
-    args = list(sys.argv[1:])
-    smoke = "--smoke" in args
-    if smoke:
-        args.remove("--smoke")
-    baseline_path = None
-    if "--compare" in args:
-        at = args.index("--compare")
-        baseline_path = Path(args[at + 1])
-        del args[at:at + 2]
-    tolerance = 0.20
-    if "--tolerance" in args:
-        at = args.index("--tolerance")
-        tolerance = float(args[at + 1])
-        del args[at:at + 2]
-    out_path = (Path(args[0]) if args
-                else Path(__file__).resolve().parent.parent / "BENCH_stream.json")
-
+def run(smoke: bool) -> tuple[dict, list[str]]:
     if smoke:
         enforcement = bench_enforcement(tree_size=300, ops=40, rounds=2)
         decoder = bench_decoder(tree_size=2_000, rounds=2)
@@ -241,14 +220,12 @@ def main() -> None:
         "decoder": decoder,
         "floors": floors,
     }
-    out_path.write_text(json.dumps(report, indent=2, ensure_ascii=False) + "\n")
     print(f"enforce : scratch {enforcement['scratch_qps']:>8} op/s | "
           f"incremental {enforcement['incremental_qps']:>9} op/s | "
           f"x{enforcement['speedup']}")
     print(f"decoder : kernel {decoder['bitkernel_slots_per_sec']:>9} sl/s | "
           f"batch       {decoder['batch_slots_per_sec']:>9} sl/s | "
           f"x{decoder['speedup']}")
-    print(f"wrote {out_path}")
 
     failures = []
     if not enforcement["decisions_match"]:
@@ -256,24 +233,8 @@ def main() -> None:
                         "and recompute-from-scratch")
     if not decoder["answers_match"]:
         failures.append("decoder slot sets diverged from the bit-kernel")
-    for name in ("enforcement", "decoder"):
-        row = report[name]
-        if row["speedup"] < floors[name]:
-            failures.append(f"{name} speedup {row['speedup']} "
-                            f"< floor {floors[name]}")
-    if baseline_path is not None:
-        baseline = json.loads(baseline_path.read_text())
-        if baseline.get("mode") != report["mode"]:
-            failures.append(f"--compare mode mismatch: baseline is "
-                            f"{baseline.get('mode')!r}, this run is "
-                            f"{report['mode']!r}")
-        else:
-            failures.extend(compare_reports(report, baseline, tolerance))
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        raise SystemExit(1)
+    return report, failures
 
 
 if __name__ == "__main__":
-    main()
+    gate("stream", run)

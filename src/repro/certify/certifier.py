@@ -80,8 +80,13 @@ from repro.stream.ops import Begin, Commit
 from repro.trees.tree import DataTree
 from repro.xpath.canonical import canonical_models
 
-#: Default seed for the counterexample search (the paper's PODS date).
+#: Seed of the counterexample search (the paper's PODS date).  Fixed,
+#: like :data:`MODEL_CAP`, so a re-certification during journal recovery
+#: searches exactly what the registration searched.
 DEFAULT_SEED = 20070611
+
+#: Star-length cap of the canonical models the search draws witnesses from.
+MODEL_CAP = 2
 
 #: A label no constraint alphabet contains (models use it for padding).
 _OFFSIDE_LABEL = "zz_offside"
@@ -267,7 +272,6 @@ def _search_alphabet(template: UpdateTemplate,
 def _witness_documents(template: UpdateTemplate,
                        constraints: ConstraintSet,
                        rng: random.Random, *,
-                       model_cap: int,
                        random_documents: int) -> Iterator[DataTree]:
     """Candidate witness documents, most promising first.
 
@@ -284,7 +288,7 @@ def _witness_documents(template: UpdateTemplate,
         or [_OFFSIDE_LABEL]
     for constraint in constraints.constraints:
         for model in islice(canonical_models(
-                constraint.range, model_cap,
+                constraint.range, MODEL_CAP,
                 wildcard_labels=wildcards), 4):
             base = model.tree
             yield base.copy()
@@ -325,16 +329,13 @@ def _violating_commit(template: UpdateTemplate,
 
 def _search_counterexample(template: UpdateTemplate,
                            constraints: ConstraintSet, *,
-                           seed: int,
-                           model_cap: int,
                            random_documents: int,
                            max_bindings: int,
                            ) -> tuple[TemplateCounterexample | None, int]:
     """Bounded refutation: (witness or None, instantiations replayed)."""
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     attempts = 0
     for document in _witness_documents(template, constraints, rng,
-                                       model_cap=model_cap,
                                        random_documents=random_documents):
         candidates = _hole_candidates(template, document)
         if candidates is None:
@@ -358,8 +359,6 @@ def _search_counterexample(template: UpdateTemplate,
 # The entry point
 # ----------------------------------------------------------------------
 def certify(template: UpdateTemplate, constraints: ConstraintSet, *,
-            seed: int = DEFAULT_SEED,
-            model_cap: int = 2,
             random_documents: int = 4,
             max_bindings: int = 256,
             metrics: MetricsRegistry | None = None) -> CertifyOutcome:
@@ -373,9 +372,10 @@ def certify(template: UpdateTemplate, constraints: ConstraintSet, *,
     budget exhausted ⇒ UNKNOWN (treat as not-certifiable — the hot path
     refuses UNKNOWN templates, it never guesses).
 
-    ``seed``/``model_cap``/``random_documents``/``max_bindings`` bound
-    the search deterministically, so re-certification during journal
-    recovery reproduces the stored verdict bit-for-bit.
+    The search is seeded with :data:`DEFAULT_SEED` and draws models up to
+    :data:`MODEL_CAP`; ``random_documents``/``max_bindings`` bound it, so
+    re-certification during journal recovery reproduces the stored
+    verdict bit-for-bit.
     """
     constraints.require_concrete()
     m = metrics if metrics is not None else _obs_registry()
@@ -391,8 +391,8 @@ def certify(template: UpdateTemplate, constraints: ConstraintSet, *,
         m.counter("certify.certified_total").inc()
     else:
         witness, attempts = _search_counterexample(
-            template, constraints, seed=seed, model_cap=model_cap,
-            random_documents=random_documents, max_bindings=max_bindings)
+            template, constraints, random_documents=random_documents,
+            max_bindings=max_bindings)
         if witness is not None:
             outcome = CertifyOutcome(
                 CertifyVerdict.REJECTED, counterexample=witness,

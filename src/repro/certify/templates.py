@@ -44,7 +44,8 @@ from collections.abc import Mapping
 
 from repro import codec
 from repro.errors import CertifyError, TreeError, WireError
-from repro.stream.ops import AddLeaf, Move, RemoveSubtree, UpdateOp
+from repro.stream.ops import AddLeaf, Move, RemoveSubtree, UpdateOp, perform
+from repro.trees.index import TreeIndex
 from repro.trees.tree import DataTree
 from repro.xpath.ast import Axis, Pattern
 from repro.xpath.canonical import canonical_pattern
@@ -533,15 +534,10 @@ def _hole_candidates(template: UpdateTemplate, tree: DataTree
 
 
 def _applies_cleanly(ops: tuple[UpdateOp, ...], tree: DataTree) -> bool:
-    scratch = tree.copy()
+    scratch = TreeIndex(tree.copy())
     try:
         for op in ops:
-            if isinstance(op, AddLeaf):
-                scratch.add_child(op.parent, op.label)
-            elif isinstance(op, Move):
-                scratch.move(op.nid, op.new_parent)
-            else:
-                scratch.remove_subtree(op.nid)
+            perform(scratch, op)
     except TreeError:
         return False
     return True

@@ -23,11 +23,10 @@ With ``require_decision=True`` an UNKNOWN outcome raises
 fail loudly rather than silently trusting a heuristic.
 
 The dispatch itself lives in :class:`repro.api.session.Reasoner`; this
-free function is a thin route through :mod:`repro.service.dispatch` (a
-transient, cache-free session) so that the system has exactly one
-dispatch code path.  Callers with a stable ``C`` and many conclusions
-should hold a :class:`~repro.api.Reasoner` instead and amortise the
-per-``C`` analysis.
+free function asks one query of a transient, cache-free session so that
+the system has exactly one dispatch code path.  Callers with a stable
+``C`` and many conclusions should hold a :class:`~repro.api.Reasoner`
+instead and amortise the per-``C`` analysis.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ def implies(premises: ConstraintSet | Iterable[UpdateConstraint],
             conclusion: UpdateConstraint,
             require_decision: bool = False) -> ImplicationResult:
     """Decide ``C ⊨ c`` (Definition 2.4), dispatching by fragment and types."""
-    from repro.service.dispatch import one_shot_implies
+    from repro.api.session import Reasoner  # the session imports this module
 
-    return one_shot_implies(premises, conclusion,
-                            require_decision=require_decision)
+    session = Reasoner(premises, memo_size=0, precompile=False)
+    return session.implies(conclusion, require_decision=require_decision)

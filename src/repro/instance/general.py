@@ -41,18 +41,17 @@ def implies_on(premises: ConstraintSet | Iterable[UpdateConstraint],
     """Decide ``C ⊨_J c`` (Definition 2.5).
 
     The dispatch lives in :class:`repro.api.session.BoundReasoner`; this
-    free function is a thin route through :mod:`repro.service.dispatch`
-    (a transient, cache-free session).  Callers asking many conclusions
-    against one ``(C, J)`` should hold ``Reasoner(C).bind(J)`` instead
-    and reuse its snapshot and per-tree answer sets.  ``engine="bitset"``
+    free function binds a transient, cache-free session for one query.
+    Callers asking many conclusions against one ``(C, J)`` should hold
+    ``Reasoner(C).bind(J)`` instead and reuse its snapshot and per-tree
+    answer sets.  ``engine="bitset"``
     builds the snapshot even for this one-shot call (worth it on large
     ``J``); the default ``"naive"`` keeps the naive path, which the
     benchmarks use as their baseline.
     """
-    from repro.service.dispatch import one_shot_implies_on
+    from repro.api.session import Reasoner  # the session imports this module
 
-    return one_shot_implies_on(premises, current, conclusion,
-                               require_decision=require_decision,
-                               max_moves=max_moves,
-                               search_budget=search_budget,
-                               engine=engine)
+    session = Reasoner(premises, memo_size=0, precompile=False)
+    return session.bind(current, engine=engine).implies_on(
+        conclusion, require_decision=require_decision, max_moves=max_moves,
+        search_budget=search_budget)

@@ -55,11 +55,15 @@ ENGINE = "instance-no-remove-embeddings"
 # in the cascade search).
 MERGE_SNAPSHOT_MIN_SIZE = 24
 
+# Quotients a sibling-merge walk yields per canonical model, original
+# included.
+MERGE_BUDGET = 512
+
 
 # ----------------------------------------------------------------------
 # Sibling-merge closure (homomorphic quotients of a ground tree)
 # ----------------------------------------------------------------------
-def merge_variants(tree: DataTree, output: int, budget: int = 512):
+def merge_variants(tree: DataTree, output: int, budget: int = MERGE_BUDGET):
     """Enumerate quotients of ``tree`` under same-label sibling merges.
 
     Yields ``(tree, output)`` pairs, the original included, deduplicated by
@@ -76,7 +80,7 @@ def merge_variants(tree: DataTree, output: int, budget: int = 512):
     yield from _merge_walk(tree.copy(), output, budget)
 
 
-def _merge_walk(scratch: DataTree, output: int, budget: int = 512,
+def _merge_walk(scratch: DataTree, output: int, budget: int = MERGE_BUDGET,
                 context=None):
     """The merge/undo journal over one scratch tree (optionally snapshotted).
 
@@ -257,7 +261,6 @@ def _label_buckets(current: DataTree, context=None) -> dict[str, list[int]]:
 
 def implies_no_remove(premises: ConstraintSet, current: DataTree,
                       conclusion: UpdateConstraint,
-                      merge_budget: int = 512,
                       range_hits: dict[UpdateConstraint, set[int]] | None = None,
                       context=None,
                       ) -> ImplicationResult:
@@ -295,7 +298,6 @@ def implies_no_remove(premises: ConstraintSet, current: DataTree,
         scratch_ctx = (BitsetEvaluator.for_tree(scratch)
                        if scratch.size >= MERGE_SNAPSHOT_MIN_SIZE else None)
         for candidate, output in _merge_walk(scratch, model.output,
-                                             budget=merge_budget,
                                              context=scratch_ctx):
             checked += 1
             mapping = _identify(candidate, output, j_by_label, premises,

@@ -54,7 +54,7 @@ from repro.certify.templates import Binding, UpdateTemplate, bindings_to_wire
 from repro.codec import Count
 from repro.constraints.model import UpdateConstraint
 from repro.errors import JournalError, ReproError, ServiceError, WireError
-from repro.obs import MetricsRegistry, registry as _obs_registry, span
+from repro.obs import registry as _obs_registry, span
 from repro.server.framing import encode_record, scan_records
 from repro.stream.engine import StreamEnforcer
 from repro.stream.ops import AddLeaf, StreamOp
@@ -184,13 +184,13 @@ class ServerJournal:
 
     def __init__(self, root: str | Path, *, fsync: bool = True,
                  checkpoint_every: int = 256, audit_keep: int = 64,
-                 faults=None, metrics: MetricsRegistry | None = None):
+                 faults=None):
         self.root = Path(root)
         self.fsync = fsync
         self.checkpoint_every = max(1, checkpoint_every)
         self.audit_keep = max(0, audit_keep)
         self.faults = faults
-        self._metrics = metrics if metrics is not None else _obs_registry()
+        self._metrics = _obs_registry()
         m = self._metrics
         self._m_records = m.counter("journal.records_total")
         self._m_bytes = m.counter("journal.bytes_written_total")

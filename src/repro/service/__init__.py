@@ -28,8 +28,8 @@ every request kind itself), :mod:`~repro.service.async_service`
 (:class:`AsyncService`, the ``asyncio`` front end that serves requests
 in submission order, and :class:`RequestMethods`, the request
 conveniences it shares with the socket client) and
-:mod:`~repro.service.dispatch` (the session settings the store shares
-with the legacy free functions).
+:mod:`~repro.service.dispatch` (how the store builds and binds its
+sessions).
 """
 
 from repro.service.async_service import AsyncService

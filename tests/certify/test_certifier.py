@@ -129,8 +129,8 @@ class TestRejected:
         (journal recovery re-certifies and must reproduce the verdict)."""
         tpl = UpdateTemplate("intrude", (
             TemplateAdd(NodeHole("p"), "visit"),))
-        a = certify(tpl, POLICY, seed=99)
-        b = certify(tpl, POLICY, seed=99)
+        a = certify(tpl, POLICY)
+        b = certify(tpl, POLICY)
         assert a.verdict is b.verdict is CertifyVerdict.REJECTED
         assert a.attempts == b.attempts
         # Witness node ids are freshly allocated per call; the *shape*
